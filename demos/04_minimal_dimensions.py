@@ -18,7 +18,6 @@ from cubereps.replib import (
     lower_bound_complex_split,
     mu,
 )
-from cubereps.abelian import zk0m
 from cubereps.structure import WORD_K, word_element_g2, word_element_g3
 
 rep2 = build_rep_g2()
@@ -26,7 +25,7 @@ print("The degree-8 monomial representation of the 2x2 group:")
 print("  faithful:", faithful_structural(rep2))
 print("  image of the twist word k (diagonal of cube roots):")
 print(rep2.of(word_element_g2(WORD_K)).matrix_text())
-print("  lower bound from the splitting:", lower_bound_complex_split(zk0m(3, 8)[0], ("S", 8)))
+print("  lower bound from the splitting:", lower_bound_complex_split(("S", 8)))
 
 cases = g2_real_case_analysis()
 print("\nReal case analysis for the 2x2 group:")

@@ -15,6 +15,11 @@ import sys
 from . import abelian, cube, replib, verify
 from .cube import CubeState, MoveWord, apply_word
 
+# mdim factors cyclic orders by trial division, so it takes no more than
+# this many cyclic factors, each of order at most MAX_CYCLIC_ORDER
+MAX_CYCLIC_FACTORS = 64
+MAX_CYCLIC_ORDER = 10**9
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -133,7 +138,17 @@ def _parse_group(spec_parts: list[str]) -> abelian.FiniteAbelianGroup:
     text = spec_parts[1] if len(spec_parts) > 1 else ""
     if not text:
         raise ValueError("expected a comma list of cyclic orders")
-    return abelian.FiniteAbelianGroup(tuple(int(x) for x in text.split(",")))
+    orders = tuple(int(x) for x in text.split(","))
+    _check_factorable(len(orders), max(orders))
+    return abelian.FiniteAbelianGroup(orders)
+
+
+def _check_factorable(count: int, largest: int) -> None:
+    if count > MAX_CYCLIC_FACTORS or largest > MAX_CYCLIC_ORDER:
+        raise ValueError(
+            f"mdim takes at most {MAX_CYCLIC_FACTORS} cyclic factors, "
+            f"each of order at most {MAX_CYCLIC_ORDER}"
+        )
 
 
 def _cmd_mdim(args) -> int:
@@ -171,6 +186,7 @@ def _cmd_mdim(args) -> int:
             assert abelian.oracle_min_faithful(group, "real") == payload["real"]
     elif kind.startswith("zk0m:"):
         k, m = (int(x) for x in kind.split(":", 1)[1].split(","))
+        _check_factorable(m - 1, k)  # Z_k^(m-1)
         group, _ = abelian.zk0m(k, m)
         payload = {
             "complex": abelian.mdim_complex_abelian(group),

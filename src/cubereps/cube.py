@@ -521,15 +521,11 @@ def sticker_perm_of_word(
     if isinstance(w, str):
         w = MoveWord.parse(w)
     tables = tables or default_tables(size)
-    n = sticker_count(size)
-    perm = list(range(n))
+    # run the word on the identity labelling: entry j is where j came from
+    labels = tuple(range(sticker_count(size)))
     for face, turns in w.tokens:
-        table = tables.face_tables[face]
-        step = list(range(n))
-        for _ in range(turns):
-            step = [table[p] for p in step]
-        perm = [step[p] for p in perm]
-    return tuple(perm)
+        labels = tables.apply_token(labels, face, turns)
+    return invert_sticker_perm(labels)
 
 
 def sticker_perm_of_twist(position: int, amount: int, size: int) -> tuple[int, ...]:

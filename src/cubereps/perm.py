@@ -184,10 +184,6 @@ def _parse_label(token: str) -> int:
     raise PermError(f"bad cycle label {token!r}")
 
 
-def perm_from_cycles(cycles, degree: int) -> Permutation:
-    return Permutation.from_cycles(cycles, degree)
-
-
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Right-to-left composition: ``compose(p, q)(i) == p(q(i))``."""
     if p.degree != q.degree:
@@ -197,13 +193,35 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(pi[qi[i] - 1] for i in range(len(pi)))
 
 
-def sign(p: Permutation) -> int:
-    return p.sign()
-
-
 def conjugate(g: Permutation, x: Permutation) -> Permutation:
     """g * x * g^-1."""
     return compose(compose(g, x), g.inverse())
+
+
+# ---------------------------------------------------------------------------
+# The twisted product Z_k^n x| S_n, the one law of every split group here:
+# (v, p)(w, q) = (v + p.w mod k, pq).
+
+
+def act(p: Permutation, v: Sequence) -> tuple:
+    """Move coordinates by p: entry p(j) of the result is v_j."""
+    if len(v) != p.degree:
+        raise PermError(f"vector of length {len(v)} for degree {p.degree}")
+    out = [0] * len(v)
+    for j, i in enumerate(p.image):
+        out[i - 1] = v[j]
+    return tuple(out)
+
+
+def twisted_mul(k: int, v, p: Permutation, w, q: Permutation):
+    """(v, p)(w, q) = (v + p.w mod k, pq), returned as a (vector, perm) pair."""
+    return tuple((a + b) % k for a, b in zip(v, act(p, w))), compose(p, q)
+
+
+def twisted_inv(k: int, v, p: Permutation):
+    """(v, p)^-1 = (-(p^-1.v) mod k, p^-1)."""
+    inv = p.inverse()
+    return tuple(-a % k for a in act(inv, v)), inv
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +289,6 @@ class StabilizerChain:
             return False
         residue = self._sift(tuple(v - 1 for v in p.image))[0]
         return residue == self._identity
-
-    def base_points(self) -> list[int]:
-        return [b + 1 for b in self.base]
 
     # -- internals ----------------------------------------------------
 
@@ -357,10 +372,6 @@ class StabilizerChain:
 
 def chain_build(generators: Sequence[Permutation]) -> StabilizerChain:
     return StabilizerChain.from_generators(generators)
-
-
-def chain_order(chain: StabilizerChain) -> int:
-    return chain.order()
 
 
 def chain_contains(chain: StabilizerChain, p: Permutation) -> bool:

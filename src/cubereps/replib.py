@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .abelian import FiniteAbelianGroup, mdim_real_abelian, zk0m
 from .cyclotomic import CyclotomicInt
-from .perm import Permutation, compose
+from .perm import Permutation, act, compose, twisted_inv, twisted_mul
 from .structure import (
     G2Element,
     G3Element,
@@ -27,11 +27,6 @@ from .structure import (
     word_element_g2,
     word_element_g3,
 )
-
-
-def _permuted(vector: tuple[int, ...], perm: Permutation) -> tuple[int, ...]:
-    inv = perm.inverse()
-    return tuple(vector[inv(i + 1) - 1] for i in range(len(vector)))
 
 
 @dataclass(frozen=True)
@@ -63,14 +58,14 @@ class MonomialMap:
     def __mul__(self, other: "MonomialMap") -> "MonomialMap":
         if self.root_order != other.root_order:
             raise ValueError("mixed root orders")
-        moved = _permuted(other.exps, self.perm)
-        exps = tuple((a + b) % self.root_order for a, b in zip(self.exps, moved))
-        return MonomialMap(self.root_order, compose(self.perm, other.perm), exps)
+        exps, perm = twisted_mul(
+            self.root_order, self.exps, self.perm, other.exps, other.perm
+        )
+        return MonomialMap(self.root_order, perm, exps)
 
     def inverse(self) -> "MonomialMap":
-        inv = self.perm.inverse()
-        exps = tuple((-e) % self.root_order for e in _permuted(self.exps, inv))
-        return MonomialMap(self.root_order, inv, exps)
+        exps, perm = twisted_inv(self.root_order, self.exps, self.perm)
+        return MonomialMap(self.root_order, perm, exps)
 
     def is_identity(self) -> bool:
         return self.perm.is_identity() and not any(self.exps)
@@ -279,10 +274,10 @@ class ConjMonomialMap:
         if self.root_order != other.root_order:
             raise ValueError("mixed root orders")
         signs = tuple(
-            a * b for a, b in zip(self.signs, _permuted(other.signs, self.sign_perm))
+            a * b for a, b in zip(self.signs, act(self.sign_perm, other.signs))
         )
-        routed_exps = _permuted(other.rot_exps, self.rot_perm)
-        routed_flags = _permuted(other.flags, self.rot_perm)
+        routed_exps = act(self.rot_perm, other.rot_exps)
+        routed_flags = act(self.rot_perm, other.flags)
         exps = tuple(
             (e1 + (e2 if not f1 else -e2)) % self.root_order
             for e1, f1, e2 in zip(self.rot_exps, self.flags, routed_exps)
@@ -412,13 +407,10 @@ class DecoratedPerm:
     sigma_q: Permutation
 
     def __mul__(self, other: "DecoratedPerm") -> "DecoratedPerm":
-        moved = _permuted(other.flags, self.sigma_q)
-        flags = tuple((a + b) % 2 for a, b in zip(self.flags, moved))
-        return DecoratedPerm(
-            flags,
-            compose(self.sigma_p, other.sigma_p),
-            compose(self.sigma_q, other.sigma_q),
+        flags, sigma_q = twisted_mul(
+            2, self.flags, self.sigma_q, other.flags, other.sigma_q
         )
+        return DecoratedPerm(flags, compose(self.sigma_p, other.sigma_p), sigma_q)
 
     def is_identity(self) -> bool:
         return (
@@ -464,7 +456,7 @@ def mu(descriptor) -> int:
     raise ValueError(f"unsupported descriptor {descriptor!r}")
 
 
-def lower_bound_complex_split(abelian: FiniteAbelianGroup, complement) -> int:
+def lower_bound_complex_split(complement) -> int:
     """Any faithful complex representation of a split extension of an
     abelian group by a faithfully-acting complement has dimension at least
     the complement's minimal permutation degree."""
@@ -542,11 +534,7 @@ class TwistPerm:
 
 
 def exceptional_mul(x: TwistPerm, y: TwistPerm) -> TwistPerm:
-    moved = _permuted(y.twist, x.perm)
-    return TwistPerm(
-        tuple((a + b) % 3 for a, b in zip(x.twist, moved)),
-        compose(x.perm, y.perm),
-    )
+    return TwistPerm(*twisted_mul(3, x.twist, x.perm, y.twist, y.perm))
 
 
 # the three sum-difference forms attached to the pair partitions of
@@ -556,6 +544,10 @@ _PAIR_FORMS = (
     (1, -1, 1, -1),
     (1, -1, -1, 1),
 )
+
+
+# the sum-zero vectors of Z_3^4
+_TWISTS4 = [t for t in itertools.product(range(3), repeat=4) if sum(t) % 3 == 0]
 
 
 def _form_value(form, twist) -> int:
@@ -569,27 +561,21 @@ class ExceptionalExample:
     extended by S_3."""
 
     def __init__(self):
-        twists = [
-            t for t in itertools.product(range(3), repeat=4) if sum(t) % 3 == 0
-        ]
         perms = [Permutation(p) for p in itertools.permutations(range(1, 5))]
-        self.elements = [TwistPerm(t, p) for t in twists for p in perms]
+        self.elements = [TwistPerm(t, p) for t in _TWISTS4 for p in perms]
         self.identity = TwistPerm((0, 0, 0, 0), Permutation.identity(4))
         self.mul = exceptional_mul
+        named = {
+            "transposition": TwistPerm((0, 0, 0, 0), Permutation.from_cycles("(12)", 4)),
+            "four_cycle": TwistPerm((0, 0, 0, 0), Permutation.from_cycles("(1234)", 4)),
+            "twist": TwistPerm((1, 2, 0, 0), Permutation.identity(4)),
+        }
 
         def rep4_of(x: TwistPerm) -> MonomialMap:
             return MonomialMap(3, x.perm, x.twist)
 
         self.rep4 = MonomialRep(
-            4,
-            3,
-            {
-                "transposition": rep4_of(TwistPerm((0, 0, 0, 0), Permutation.from_cycles("(12)", 4))),
-                "four_cycle": rep4_of(TwistPerm((0, 0, 0, 0), Permutation.from_cycles("(1234)", 4))),
-                "twist": rep4_of(TwistPerm((1, 2, 0, 0), Permutation.identity(4))),
-            },
-            rep4_of,
-            [(3, 1, 4)],
+            4, 3, {n: rep4_of(x) for n, x in named.items()}, rep4_of, [(3, 1, 4)]
         )
 
         # block data of each permutation: how it permutes the three pair
@@ -614,15 +600,7 @@ class ExceptionalExample:
             return rotation * block
 
         self.rep6 = ConjMonomialRep(
-            0,
-            3,
-            3,
-            {
-                "transposition": rep6_of(TwistPerm((0, 0, 0, 0), Permutation.from_cycles("(12)", 4))),
-                "four_cycle": rep6_of(TwistPerm((0, 0, 0, 0), Permutation.from_cycles("(1234)", 4))),
-                "twist": rep6_of(TwistPerm((1, 2, 0, 0), Permutation.identity(4))),
-            },
-            rep6_of,
+            0, 3, 3, {n: rep6_of(x) for n, x in named.items()}, rep6_of
         )
 
     @staticmethod
@@ -631,9 +609,6 @@ class ExceptionalExample:
         form_i(p.m) = (+-1) form_{tau^-1(i)}(m) for every sum-zero m; the
         flag at destination block i records the minus sign (an
         orientation-reversing plane map)."""
-        twists = [
-            t for t in itertools.product(range(3), repeat=4) if sum(t) % 3 == 0
-        ]
         tau_inverse = [0, 0, 0]
         flags = [0, 0, 0]
         for i, form in enumerate(_PAIR_FORMS):
@@ -641,9 +616,9 @@ class ExceptionalExample:
             for j, other in enumerate(_PAIR_FORMS):
                 for sign in (1, 2):  # 2 is -1 mod 3
                     if all(
-                        _form_value(form, _permuted(t, p))
+                        _form_value(form, act(p, t))
                         == (sign * _form_value(other, t)) % 3
-                        for t in twists
+                        for t in _TWISTS4
                     ):
                         matches.append((j, sign))
             # the six signed forms are pairwise distinct functions

@@ -28,7 +28,7 @@ from .cube import (
     product,
     word,
 )
-from .perm import EDGE_LETTERS, Permutation, compose
+from .perm import EDGE_LETTERS, Permutation, compose, twisted_inv, twisted_mul
 
 
 class UnreachableState(ValueError):
@@ -36,13 +36,7 @@ class UnreachableState(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Semidirect-product elements
-
-
-def _permuted(vector: tuple[int, ...], perm: Permutation) -> tuple[int, ...]:
-    """Entry i of the result is entry perm^-1(i) of the input."""
-    inv = perm.inverse()
-    return tuple(vector[inv(i + 1) - 1] for i in range(len(vector)))
+# Semidirect-product elements, multiplied by the twisted-product core
 
 
 @dataclass(frozen=True)
@@ -70,15 +64,11 @@ class G2Element:
 
 def g2_mul(x: G2Element, y: G2Element) -> G2Element:
     """(k, s)(k', s') = (k + s.k', ss') where (s.k')_i = k'_{s^-1(i)}."""
-    moved = _permuted(y.twist, x.perm)
-    twist = tuple((a + b) % 3 for a, b in zip(x.twist, moved))
-    return G2Element(twist, compose(x.perm, y.perm))
+    return G2Element(*twisted_mul(3, x.twist, x.perm, y.twist, y.perm))
 
 
 def g2_inv(x: G2Element) -> G2Element:
-    inv = x.perm.inverse()
-    twist = tuple((-v) % 3 for v in _permuted(x.twist, inv))
-    return G2Element(twist, inv)
+    return G2Element(*twisted_inv(3, x.twist, x.perm))
 
 
 @dataclass(frozen=True)
@@ -121,22 +111,16 @@ class G3Element:
 
 
 def g3_mul(x: G3Element, y: G3Element) -> G3Element:
-    flip = tuple(
-        (a + b) % 2 for a, b in zip(x.flip, _permuted(y.flip, x.pair[0]))
-    )
-    twist = tuple(
-        (a + b) % 3 for a, b in zip(x.twist, _permuted(y.twist, x.pair[1]))
-    )
-    return G3Element(
-        flip, twist, (compose(x.pair[0], y.pair[0]), compose(x.pair[1], y.pair[1]))
-    )
+    """Edges and corners are two twisted products side by side."""
+    flip, edges = twisted_mul(2, x.flip, x.pair[0], y.flip, y.pair[0])
+    twist, corners = twisted_mul(3, x.twist, x.pair[1], y.twist, y.pair[1])
+    return G3Element(flip, twist, (edges, corners))
 
 
 def g3_inv(x: G3Element) -> G3Element:
-    e_inv, c_inv = x.pair[0].inverse(), x.pair[1].inverse()
-    flip = tuple((-v) % 2 for v in _permuted(x.flip, e_inv))
-    twist = tuple((-v) % 3 for v in _permuted(x.twist, c_inv))
-    return G3Element(flip, twist, (e_inv, c_inv))
+    flip, edges = twisted_inv(2, x.flip, x.pair[0])
+    twist, corners = twisted_inv(3, x.twist, x.pair[1])
+    return G3Element(flip, twist, (edges, corners))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +607,3 @@ def pair_to_perm20(pair: tuple[Permutation, Permutation]) -> Permutation:
     edges, corners = pair
     image = list(edges.image) + [corners(i) + 12 for i in range(1, 9)]
     return Permutation(image)
-
-
-def generator_words() -> dict[str, MoveWord]:
-    return {f: word(f) for f in cube.FACES}

@@ -187,7 +187,7 @@ def test_criterion_7_headline_dimensions():
     ok_c2 = (
         replib.faithful_structural(rep2)
         and rep2.degree == 8
-        and replib.lower_bound_complex_split(abelian.zk0m(3, 8)[0], ("S", 8)) == 8
+        and replib.lower_bound_complex_split(("S", 8)) == 8
     )
     cases = replib.g2_real_case_analysis()
     real2 = replib.realify(rep2, set(), {f: word_element_g2(f) for f in "UDFBLR"})

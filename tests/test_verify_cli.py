@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -135,3 +136,47 @@ def test_cli_mdim_bad_spec(capsys):
 
 def test_cli_bad_word(capsys):
     assert cli.main(["apply", "2", "Q"]) == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_cli_verify_rejects_trials_below_one(capsys, trials):
+    # zero trials would let every randomized check pass on no evidence
+    assert cli.main(["verify", "--trials", trials, "--filter", "prop-2.7-model"]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
+def test_context_rejects_trials_below_one():
+    for trials in (0, -5):
+        with pytest.raises(ValueError):
+            Context(trials=trials)
+    assert Context(trials=1).trials == 1 and Context().trials is None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ["abelian", "1000000000000000003"],  # one factor above 10**9
+        ["abelian", ",".join(["2"] * 65)],  # 65 cyclic factors
+        ["zk0m:2,100000000"],  # Z_2^(10^8 - 1)
+        ["zk0m:1000000007,3"],
+    ],
+)
+def test_cli_mdim_rejects_unfactorable_input(capsys, spec):
+    start = time.perf_counter()
+    assert cli.main(["mdim", *spec]) == 2
+    assert time.perf_counter() - start < 1
+    assert "at most 64 cyclic factors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, dims",
+    [
+        (["abelian", ",".join(["2"] * 64)], (64, 64)),
+        (["abelian", "999999937"], (1, 2)),  # the largest prime below 10**9
+        (["zk0m:1000000000,65"], (64, 128)),
+    ],
+)
+def test_cli_mdim_accepts_inputs_at_the_limits(capsys, spec, dims):
+    assert cli.main(["mdim", *spec, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["complex"], payload["real"]) == dims
