@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd
 
 
@@ -80,7 +80,7 @@ class FiniteAbelianGroup:
     def order(self) -> int:
         return reduce(lambda a, b: a * b, self.cyclic_orders, 1)
 
-    @property
+    @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
         return invariant_factors(self.cyclic_orders)
 
@@ -179,7 +179,7 @@ def oracle_min_faithful(
     elements = list(group.elements())
     index = {x: i for i, x in enumerate(elements)}
     size = len(elements)
-    N = _lcm(orders)
+    N = _lcm(orders)  # the exponent, read off the orders, not the formula
     weights = [N // n for n in orders]
 
     def char_value(v, x) -> int:
@@ -210,8 +210,6 @@ def oracle_min_faithful(
         kernels.items(), key=lambda kv: (kv[1], kv[0].bit_count(), kv[0])
     )
 
-    exponent = group.exponent
-
     def steps_needed(n: int, shrink: int) -> int:
         need = 0
         while n > 1:
@@ -222,15 +220,15 @@ def oracle_min_faithful(
     def lower_bound(mask: int) -> int:
         remaining = mask.bit_count()
         if field == "complex":
-            return steps_needed(remaining, exponent)
+            return steps_needed(remaining, N)
         # cost-1 characters halve at most; only cost-2 ones cut odd order
         odd = remaining
         while odd % 2 == 0:
             odd //= 2
         best_cost = None
-        y = steps_needed(odd, exponent)
+        y = steps_needed(odd, N)
         while True:
-            shrunk = max(1, -(-remaining // exponent**y))
+            shrunk = max(1, -(-remaining // N**y))
             cost = 2 * y + steps_needed(shrunk, 2)
             if best_cost is None or cost < best_cost:
                 best_cost = cost

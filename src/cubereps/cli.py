@@ -92,18 +92,20 @@ def _cmd_apply(args) -> int:
     w = MoveWord.parse(args.word)
     state = apply_word(CubeState.solved(args.size), w)
     corner = cube.corner_permutation(state)
+    twist = cube.corner_orientation(state)
     payload = {
         "state": json.loads(state.to_json()),
         "corner_permutation": corner.cycle_string(),
-        "corner_orientation": list(cube.corner_orientation(state)),
-        "invariant_s": cube.invariant_s(state),
+        "corner_orientation": list(twist),
+        "invariant_s": sum(twist) % 3,
     }
     if args.size == 3:
         payload["edge_permutation"] = cube.edge_permutation(state).cycle_string(
             letters=True
         )
-        payload["edge_orientation"] = list(cube.edge_orientation(state))
-        payload["invariant_t"] = cube.invariant_t(state)
+        flip = cube.edge_orientation(state)
+        payload["edge_orientation"] = list(flip)
+        payload["invariant_t"] = sum(flip) % 2
     if args.as_json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:

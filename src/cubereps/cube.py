@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import permutations
+from typing import NamedTuple
 
 from .perm import EDGE_LETTERS, Permutation
 
@@ -304,91 +306,13 @@ EDGE_POS: dict[int, Vec] = {
     12: (-1, -1, 0),  # l bottom-left
 }
 
-_NORMAL_FACE = {v: f for f, v in FACE_NORMAL.items()}
+
+_AXES: tuple[Vec, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _corner_normals(pos: Vec) -> list[Vec]:
-    return [
-        (pos[0], 0, 0),
-        (0, pos[1], 0),
-        (0, 0, pos[2]),
-    ]
-
-
-def _edge_normals(pos: Vec) -> list[Vec]:
-    out = []
-    for i in range(3):
-        if pos[i]:
-            n = [0, 0, 0]
-            n[i] = pos[i]
-            out.append(tuple(n))
-    return out
-
-
-def _color_of_normal(n: Vec) -> int:
-    return FACES.index(_NORMAL_FACE[n])
-
-
-_SOLVED_CORNER_COLORS = {
-    frozenset(_color_of_normal(n) for n in _corner_normals(pos)): home
-    for home, pos in CORNER_POS.items()
-}
-_SOLVED_EDGE_COLORS = {
-    frozenset(_color_of_normal(n) for n in _edge_normals(pos)): home
-    for home, pos in EDGE_POS.items()
-}
-
-
-def _corner_sticker_colors(state: CubeState, pos: Vec) -> dict[Vec, int]:
-    index = _LAYOUT[state.size][0]
-    return {n: state.stickers[index[(pos, n)]] for n in _corner_normals(pos)}
-
-
-def _edge_sticker_colors(state: CubeState, pos: Vec) -> dict[Vec, int]:
-    index = _LAYOUT[3][0]
-    return {n: state.stickers[index[(pos, n)]] for n in _edge_normals(pos)}
-
-
-def corner_permutation(state: CubeState) -> Permutation:
-    """Where each corner cubelet went: image[home] = current position."""
-    image = [0] * 8
-    for position, pos in CORNER_POS.items():
-        colors = _corner_sticker_colors(state, pos)
-        home = _SOLVED_CORNER_COLORS.get(frozenset(colors.values()))
-        if home is None:
-            raise CorruptedState(
-                f"sticker triple at corner {position} matches no cubelet"
-            )
-        if image[home - 1]:
-            raise CorruptedState(f"corner cubelet {home} appears twice")
-        image[home - 1] = position
-    return Permutation(image)
-
-
-def edge_permutation(state: CubeState) -> Permutation:
-    if state.size != 3:
-        raise ValueError("edges exist only on the 3x3 cube")
-    image = [0] * 12
-    for position, pos in EDGE_POS.items():
-        colors = _edge_sticker_colors(state, pos)
-        home = _SOLVED_EDGE_COLORS.get(frozenset(colors.values()))
-        if home is None:
-            letter = EDGE_LETTERS[position - 1]
-            raise CorruptedState(f"sticker pair at edge {letter} matches no cubelet")
-        if image[home - 1]:
-            raise CorruptedState(f"edge cubelet {EDGE_LETTERS[home-1]} appears twice")
-        image[home - 1] = position
-    return Permutation(image)
-
-
-# ---------------------------------------------------------------------------
-# Local orientation
-#
-# A corner basis marks one facelet direction per corner position; the local
-# orientation at a position counts counterclockwise third-turns (about the
-# outward corner diagonal, seen from outside) from the marked direction to
-# the marked sticker of the cubelet sitting there.  Edge bases mark one of
-# the two facelet directions; the local orientation is 0 or 1.
+def _normals(pos: Vec) -> list[Vec]:
+    """Outward facelet normals of the cubelet at pos, in x, y, z order."""
+    return [_scale(axis, c) for axis, c in zip(_AXES, pos) if c]
 
 
 def _ccw_third_turn(corner: Vec, v: Vec) -> Vec:
@@ -397,6 +321,108 @@ def _ccw_third_turn(corner: Vec, v: Vec) -> Vec:
     c = _cross(a, v)
     d = _dot(a, v)
     return tuple((-v[i] + c[i] + d * a[i]) // 2 for i in range(3))  # type: ignore
+
+
+_COLOR_OF_NORMAL = {n: FACES.index(f) for f, n in FACE_NORMAL.items()}
+
+
+# ---------------------------------------------------------------------------
+# Cubelet tables
+#
+# Each cubelet kind lists, per position, its facelet normals in turning
+# order: a counterclockwise third turn of a corner cubelet (about the
+# outward corner diagonal, seen from outside) or a flip of an edge cubelet
+# moves every sticker one step along this order.  Reading and turning a
+# cubelet both go through these import-time tables.
+
+
+class _CubeletKind(NamedTuple):
+    name: str  # "corner" or "edge"
+    group: str  # "triple" or "pair", for messages
+    labels: tuple[str, ...]  # position names, for messages
+    order: tuple[tuple[Vec, ...], ...]  # normals of each position, turning order
+    index: dict[int, tuple[tuple[int, ...], ...]]  # per size: sticker indices
+    home: dict[tuple[int, ...], int]  # any ordering of a solved colour set
+
+
+def _cubelet_kind(name, group, labels, positions, order_of, sizes) -> _CubeletKind:
+    places = positions.values()
+    order = tuple(tuple(order_of(pos)) for pos in places)
+    index = {
+        size: tuple(
+            tuple(_LAYOUT[size][0][(pos, n)] for n in normals)
+            for pos, normals in zip(places, order)
+        )
+        for size in sizes
+    }
+    home = {
+        colors: position
+        for position, normals in enumerate(order, 1)
+        for colors in permutations(_COLOR_OF_NORMAL[n] for n in normals)
+    }
+    return _CubeletKind(name, group, tuple(labels), order, index, home)
+
+
+def _corner_order(pos: Vec) -> list[Vec]:
+    first = _normals(pos)[0]
+    second = _ccw_third_turn(pos, first)
+    return [first, second, _ccw_third_turn(pos, second)]
+
+
+_CORNERS = _cubelet_kind(
+    "corner", "triple", map(str, CORNER_POS), CORNER_POS, _corner_order, (2, 3)
+)
+_EDGES = _cubelet_kind("edge", "pair", EDGE_LETTERS, EDGE_POS, _normals, (3,))
+
+
+def _sticker_index(kind: _CubeletKind, size: int) -> tuple[tuple[int, ...], ...]:
+    if kind is _EDGES and size == 2:
+        raise ValueError("edges exist only on the 3x3 cube")
+    return kind.index[size]
+
+
+def _cubelets(kind: _CubeletKind, state: CubeState):
+    """(home, colours in turning order) of the cubelet at each position."""
+    stickers = state.stickers
+    for position, index in enumerate(_sticker_index(kind, state.size)):
+        colors = tuple(stickers[i] for i in index)
+        home = kind.home.get(colors)
+        if home is None:
+            raise CorruptedState(
+                f"sticker {kind.group} at {kind.name} {kind.labels[position]} "
+                "matches no cubelet"
+            )
+        yield home, colors
+
+
+def _permutation(kind: _CubeletKind, state: CubeState) -> Permutation:
+    image = [0] * len(kind.order)
+    for position, (home, _) in enumerate(_cubelets(kind, state), 1):
+        if image[home - 1]:
+            raise CorruptedState(
+                f"{kind.name} cubelet {kind.labels[home - 1]} appears twice"
+            )
+        image[home - 1] = position
+    return Permutation(image)
+
+
+def corner_permutation(state: CubeState) -> Permutation:
+    """Where each corner cubelet went: image[home] = current position."""
+    return _permutation(_CORNERS, state)
+
+
+def edge_permutation(state: CubeState) -> Permutation:
+    return _permutation(_EDGES, state)
+
+
+# ---------------------------------------------------------------------------
+# Local orientation
+#
+# A corner basis marks one facelet direction per corner position; the local
+# orientation at a position counts counterclockwise third-turns from the
+# marked direction to the marked sticker of the cubelet sitting there, that
+# is, steps along the turning order.  Edge bases mark one of the two facelet
+# directions; the local orientation is 0 or 1.
 
 
 @dataclass(frozen=True)
@@ -408,10 +434,10 @@ class OrientationBasis:
 
     def __post_init__(self):
         for i, mark in enumerate(self.corner_marks):
-            if mark not in _corner_normals(CORNER_POS[i + 1]):
+            if mark not in _normals(CORNER_POS[i + 1]):
                 raise ValueError(f"bad corner mark at position {i + 1}")
         for i, mark in enumerate(self.edge_marks):
-            if mark not in _edge_normals(EDGE_POS[i + 1]):
+            if mark not in _normals(EDGE_POS[i + 1]):
                 raise ValueError(f"bad edge mark at position {i + 1}")
 
 
@@ -431,48 +457,27 @@ def reference_basis() -> OrientationBasis:
 REFERENCE_BASIS = reference_basis()
 
 
+def _orientation(kind: _CubeletKind, state: CubeState, marks) -> tuple[int, ...]:
+    out = []
+    for position, (home, colors) in enumerate(_cubelets(kind, state)):
+        marked = colors.index(_COLOR_OF_NORMAL[marks[home - 1]])
+        mark = kind.order[position].index(marks[position])
+        out.append((marked - mark) % len(colors))
+    return tuple(out)
+
+
 def corner_orientation(
     state: CubeState, basis: OrientationBasis = REFERENCE_BASIS
 ) -> tuple[int, ...]:
     """Z_3 twist of each corner position, relative to the basis marks."""
-    out = []
-    for position, pos in CORNER_POS.items():
-        colors = _corner_sticker_colors(state, pos)
-        home = _SOLVED_CORNER_COLORS.get(frozenset(colors.values()))
-        if home is None:
-            raise CorruptedState(
-                f"sticker triple at corner {position} matches no cubelet"
-            )
-        marked_color = _color_of_normal(basis.corner_marks[home - 1])
-        current = next(n for n, c in colors.items() if c == marked_color)
-        direction = basis.corner_marks[position - 1]
-        for twist in range(3):
-            if direction == current:
-                out.append(twist)
-                break
-            direction = _ccw_third_turn(pos, direction)
-        else:
-            raise CorruptedState(f"marked sticker unreachable at corner {position}")
-    return tuple(out)
+    return _orientation(_CORNERS, state, basis.corner_marks)
 
 
 def edge_orientation(
     state: CubeState, basis: OrientationBasis = REFERENCE_BASIS
 ) -> tuple[int, ...]:
     """Z_2 flip of each edge position, relative to the basis marks."""
-    if state.size != 3:
-        raise ValueError("edges exist only on the 3x3 cube")
-    out = []
-    for position, pos in EDGE_POS.items():
-        colors = _edge_sticker_colors(state, pos)
-        home = _SOLVED_EDGE_COLORS.get(frozenset(colors.values()))
-        if home is None:
-            letter = EDGE_LETTERS[position - 1]
-            raise CorruptedState(f"sticker pair at edge {letter} matches no cubelet")
-        marked_color = _color_of_normal(basis.edge_marks[home - 1])
-        current = next(n for n, c in colors.items() if c == marked_color)
-        out.append(0 if current == basis.edge_marks[position - 1] else 1)
-    return tuple(out)
+    return _orientation(_EDGES, state, basis.edge_marks)
 
 
 def invariant_s(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> int:
@@ -490,28 +495,32 @@ def invariant_t(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> 
 # These drive the conjugation-law checks without going through move words.
 
 
+def _turn(kind: _CubeletKind, position: int, steps: int, size: int) -> tuple[int, ...]:
+    """Sticker permutation moving each sticker of the cubelet at a position
+    ``steps`` places along its turning order: entry i is where sticker i goes."""
+    index = _sticker_index(kind, size)[position - 1]
+    perm = list(range(sticker_count(size)))
+    for j, i in enumerate(index):
+        perm[i] = index[(j + steps) % len(index)]
+    return tuple(perm)
+
+
+def _permuted_state(perm: tuple[int, ...], state: CubeState) -> CubeState:
+    """The state with sticker i moved to place perm[i]."""
+    new = [0] * len(perm)
+    for i, j in enumerate(perm):
+        new[j] = state.stickers[i]
+    return CubeState(state.size, tuple(new))
+
+
 def twist_corner(state: CubeState, position: int, amount: int) -> CubeState:
     """Rotate the cubelet at a corner position in place, counterclockwise."""
-    index = _LAYOUT[state.size][0]
-    pos = CORNER_POS[position]
-    stickers = list(state.stickers)
-    for n in _corner_normals(pos):
-        target = n
-        for _ in range(amount % 3):
-            target = _ccw_third_turn(pos, target)
-        stickers[index[(pos, target)]] = state.stickers[index[(pos, n)]]
-    return CubeState(state.size, tuple(stickers))
+    return _permuted_state(_turn(_CORNERS, position, amount, state.size), state)
 
 
 def flip_edge(state: CubeState, position: int) -> CubeState:
     """Flip the edge cubelet at a position in place."""
-    index = _LAYOUT[3][0]
-    pos = EDGE_POS[position]
-    n1, n2 = _edge_normals(pos)
-    stickers = list(state.stickers)
-    stickers[index[(pos, n1)]] = state.stickers[index[(pos, n2)]]
-    stickers[index[(pos, n2)]] = state.stickers[index[(pos, n1)]]
-    return CubeState(state.size, tuple(stickers))
+    return _permuted_state(_turn(_EDGES, position, 1, state.size), state)
 
 
 def sticker_perm_of_word(
@@ -529,25 +538,11 @@ def sticker_perm_of_word(
 
 
 def sticker_perm_of_twist(position: int, amount: int, size: int) -> tuple[int, ...]:
-    index, stickers = _LAYOUT[size]
-    pos = CORNER_POS[position]
-    perm = list(range(len(stickers)))
-    for n in _corner_normals(pos):
-        target = n
-        for _ in range(amount % 3):
-            target = _ccw_third_turn(pos, target)
-        perm[index[(pos, n)]] = index[(pos, target)]
-    return tuple(perm)
+    return _turn(_CORNERS, position, amount, size)
 
 
 def sticker_perm_of_flip(position: int) -> tuple[int, ...]:
-    index, stickers = _LAYOUT[3]
-    pos = EDGE_POS[position]
-    n1, n2 = _edge_normals(pos)
-    perm = list(range(len(stickers)))
-    perm[index[(pos, n1)]] = index[(pos, n2)]
-    perm[index[(pos, n2)]] = index[(pos, n1)]
-    return tuple(perm)
+    return _turn(_EDGES, position, 1, 3)
 
 
 def compose_sticker_perms(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -563,11 +558,7 @@ def invert_sticker_perm(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def state_of_sticker_perm(perm: tuple[int, ...], size: int) -> CubeState:
-    solved = CubeState.solved(size)
-    new = [0] * len(perm)
-    for i, j in enumerate(perm):
-        new[j] = solved.stickers[i]
-    return CubeState(size, tuple(new))
+    return _permuted_state(perm, CubeState.solved(size))
 
 
 def random_word(rng, length: int) -> MoveWord:
@@ -579,8 +570,6 @@ def random_word(rng, length: int) -> MoveWord:
 
 
 def random_basis(rng) -> OrientationBasis:
-    corners = tuple(
-        _corner_normals(pos)[rng.randrange(3)] for pos in CORNER_POS.values()
-    )
-    edges = tuple(_edge_normals(pos)[rng.randrange(2)] for pos in EDGE_POS.values())
+    corners = tuple(_normals(pos)[rng.randrange(3)] for pos in CORNER_POS.values())
+    edges = tuple(_normals(pos)[rng.randrange(2)] for pos in EDGE_POS.values())
     return OrientationBasis(corners, edges)

@@ -131,26 +131,25 @@ def encode_g2(state: CubeState, basis=cube.REFERENCE_BASIS) -> G2Element:
     """Read a 2x2 state off as a group element; raises on unreachable states."""
     if state.size != 2:
         raise ValueError("encode_g2 expects a 2x2 state")
-    if cube.invariant_s(state, basis):
+    twist = corner_orientation(state, basis)
+    if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
-    return G2Element(corner_orientation(state, basis), corner_permutation(state))
+    return G2Element(twist, corner_permutation(state))
 
 
 def encode_g3(state: CubeState, basis=cube.REFERENCE_BASIS) -> G3Element:
     if state.size != 3:
         raise ValueError("encode_g3 expects a 3x3 state")
-    if cube.invariant_s(state, basis):
+    twist = corner_orientation(state, basis)
+    if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
-    if cube.invariant_t(state, basis):
+    flip = edge_orientation(state, basis)
+    if sum(flip) % 2:
         raise UnreachableState("edge orientation sum is nonzero")
     edges, corners = edge_permutation(state), corner_permutation(state)
     if edges.sign() != corners.sign():
         raise UnreachableState("edge and corner permutation signs differ")
-    return G3Element(
-        edge_orientation(state, basis),
-        corner_orientation(state, basis),
-        (edges, corners),
-    )
+    return G3Element(flip, twist, (edges, corners))
 
 
 def word_element_g2(

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cubereps import abelian, cli
 from cubereps.abelian import (
     FiniteAbelianGroup,
     OracleBoundExceeded,
@@ -170,3 +171,40 @@ def test_group_properties():
     assert str(FiniteAbelianGroup(())) == "1"
     with pytest.raises(ValueError):
         FiniteAbelianGroup.of(1)
+
+
+def test_invariant_factors_factor_each_order_once(monkeypatch, capsys):
+    calls = []
+    factorize = abelian._factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(abelian, "_factorize", counted)
+    assert cli.main(["mdim", "abelian", "4,6,9"]) == 0
+    assert "method: formula=oracle" in capsys.readouterr().out
+    assert sorted(calls) == [4, 6, 9]
+
+
+def test_oracle_does_not_read_the_invariant_factors(monkeypatch):
+    groups = [(2, 4), (3, 3, 2), (2, 2), (4,), (2, 3, 9)]
+    expected = {
+        g: (
+            mdim_complex_abelian(FiniteAbelianGroup(g)),
+            mdim_real_abelian(FiniteAbelianGroup(g)),
+        )
+        for g in groups
+    }
+
+    def refuse(orders):
+        raise AssertionError("the oracle read the invariant-factor formula")
+
+    monkeypatch.setattr(abelian, "invariant_factors", refuse)
+    for g in groups:
+        group = FiniteAbelianGroup(g)
+        got = (
+            oracle_min_faithful(group, "complex"),
+            oracle_min_faithful(group, "real"),
+        )
+        assert got == expected[g], g

@@ -5,6 +5,7 @@ the captured output); the assertions pin the exact values and tolerances.
 Everything here is exact arithmetic, so every tolerance is equality.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -32,6 +33,10 @@ from cubereps.structure import (
 
 SOLVED2 = CubeState.solved(2)
 SOLVED3 = CubeState.solved(3)
+
+# sha256 of ``cubereps verify --json --seed 42``: the report is pinned byte
+# for byte, so a refactor that changes any check's output fails here
+REPORT_42_SHA256 = "84d166eefc7f68a8a00f60f0e097b841cef6614d3f2fd456cb8047c9a589a4a9"
 
 G2_ORDER = 3**7 * math.factorial(8)
 G3_ORDER = 2**11 * 3**7 * math.factorial(12) * math.factorial(8) // 2
@@ -270,3 +275,4 @@ def test_criterion_10_determinism(capsys):
             code1 == code2 == 0 and out1 == out2 and payload["summary"]["fail"] == 0,
             f"byte-identical reports, {payload['summary']['pass']} checks",
         )
+    assert hashlib.sha256(out1.encode()).hexdigest() == REPORT_42_SHA256

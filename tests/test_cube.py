@@ -18,6 +18,9 @@ from cubereps.cube import (
     invariant_t,
     random_basis,
     random_word,
+    state_of_sticker_perm,
+    sticker_perm_of_flip,
+    sticker_perm_of_twist,
     twist_corner,
 )
 from cubereps.perm import Permutation
@@ -203,3 +206,71 @@ def test_center_facelets_never_stored_but_fixed():
         table = cube.default_tables(3).face_tables[face]
         moved = [i for i, v in enumerate(table) if v != i]
         assert len(moved) == 20  # 8 face stickers + 12 side-layer stickers
+
+
+def test_twist_and_flip_read_back_in_every_basis():
+    rng = random.Random(7)
+    bases = [cube.REFERENCE_BASIS] + [random_basis(rng) for _ in range(12)]
+    for basis in bases:
+        for solved in (SOLVED2, SOLVED3):
+            for position in range(1, 9):
+                for amount in range(3):
+                    state = twist_corner(solved, position, amount)
+                    want = tuple(amount if p == position else 0 for p in range(1, 9))
+                    assert corner_orientation(state, basis) == want
+        for position in range(1, 13):
+            state = flip_edge(SOLVED3, position)
+            want = tuple(1 if p == position else 0 for p in range(1, 13))
+            assert edge_orientation(state, basis) == want
+            assert corner_orientation(state, basis) == (0,) * 8
+
+
+def test_sticker_perms_of_twist_and_flip_build_the_same_states():
+    for size, solved in ((2, SOLVED2), (3, SOLVED3)):
+        for position in range(1, 9):
+            for amount in range(-1, 4):
+                perm = sticker_perm_of_twist(position, amount, size)
+                assert state_of_sticker_perm(perm, size) == twist_corner(
+                    solved, position, amount
+                )
+    for position in range(1, 13):
+        perm = sticker_perm_of_flip(position)
+        assert state_of_sticker_perm(perm, 3) == flip_edge(SOLVED3, position)
+
+
+def _copy_cubelet(state, kind, source, target):
+    """The state with the stickers of one position written over another's,
+    in turning order: the cubelet at source then sits at both positions."""
+    index = kind.index[state.size]
+    stickers = list(state.stickers)
+    for i, j in zip(index[source - 1], index[target - 1]):
+        stickers[j] = state.stickers[i]
+    return CubeState(state.size, tuple(stickers))
+
+
+def test_duplicate_cubelet_appears_twice():
+    for solved in (SOLVED2, SOLVED3):
+        doubled = _copy_cubelet(solved, cube._CORNERS, 3, 6)
+        with pytest.raises(CorruptedState, match="corner cubelet 3 appears twice"):
+            corner_permutation(doubled)
+        # the orientation readers raise only on a cubelet that matches nothing
+        assert corner_orientation(doubled) == (0, 0, 0, 0, 0, 2, 0, 0)
+    doubled = _copy_cubelet(SOLVED3, cube._EDGES, 2, 9)
+    with pytest.raises(CorruptedState, match="edge cubelet b appears twice"):
+        edge_permutation(doubled)
+    assert edge_orientation(doubled) == (0,) * 8 + (1, 0, 0, 0)
+
+
+def test_unmatched_cubelet_messages():
+    with pytest.raises(CorruptedState, match="sticker triple at corner 1 matches no"):
+        corner_permutation(CubeState(2, (0,) * 24))
+    with pytest.raises(CorruptedState, match="sticker pair at edge a matches no"):
+        edge_orientation(CubeState(3, (0,) * 48))
+
+
+def test_edge_functions_reject_the_2x2():
+    for fn in (edge_permutation, edge_orientation, invariant_t):
+        with pytest.raises(ValueError, match="edges exist only on the 3x3 cube"):
+            fn(SOLVED2)
+    with pytest.raises(ValueError, match="edges exist only on the 3x3 cube"):
+        flip_edge(SOLVED2, 3)

@@ -263,3 +263,29 @@ def test_conjugation_law_by_simulation():
         want = tuple(twist[sigma.inverse()(i + 1) - 1] for i in range(8))
         assert cube.corner_orientation(state) == want
         assert cube.corner_permutation(state).is_identity()
+
+
+def test_encode_reads_each_orientation_once(monkeypatch):
+    calls = {"corner": 0, "edge": 0}
+
+    def counted(kind, reader):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return reader(*args, **kwargs)
+
+        return wrapper
+
+    # count at both bindings, so a read through cube.invariant_s counts too
+    for kind in calls:
+        name = f"{kind}_orientation"
+        wrapper = counted(kind, getattr(cube, name))
+        monkeypatch.setattr(structure, name, wrapper)
+        monkeypatch.setattr(cube, name, wrapper)
+    state = apply_word(CubeState.solved(3), "F R U' L2 B")
+    el = structure.encode_g3(state)
+    assert calls == {"corner": 1, "edge": 1}
+    assert el.twist == cube.corner_orientation(state)
+    assert el.flip == cube.edge_orientation(state)
+    calls.update(corner=0, edge=0)
+    structure.encode_g2(apply_word(CubeState.solved(2), "F R U' L2 B"))
+    assert calls == {"corner": 1, "edge": 0}
