@@ -5,16 +5,17 @@ chain d_1 | d_2 | ... | d_s is computed by prime-power regrouping, and the
 minimal faithful dimension over the complex numbers is the number of
 invariant factors (a + b), over the reals a + 2b, where a counts factors
 equal to 2 and b the larger ones.  ``oracle_min_faithful`` recomputes both
-numbers by exhaustive search over character sets with trivial common
-kernel, independently of the invariant-factor route.
+numbers by exhaustive search over character sets, independently of the
+invariant-factor route, on the socle alone (the elements of squarefree
+order): every nontrivial subgroup contains an element of prime order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from math import gcd
+from functools import cached_property, lru_cache, reduce
+from math import gcd, prod
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -139,13 +140,15 @@ def mdim_real_abelian(group: FiniteAbelianGroup) -> int:
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 #
-# A character is an exponent vector v; its kernel is computed exactly from
-# the congruence sum_i (N/n_i) v_i x_i = 0 mod N.  A set of characters is
-# faithful iff the intersection of their kernels is trivial.  The oracle
-# minimizes |S| (complex) or the real cost (1 for real-valued characters,
-# 2 otherwise) by depth-first search: branch only on characters that kill
-# the first surviving non-zero element, prune with an exact logarithmic
-# lower bound.
+# Any nontrivial subgroup contains an element of prime order (Cauchy), so a
+# set of characters is faithful iff its common kernel meets the socle
+# Omega(A) = sum_p A[p] trivially.  A factor Z_n with r = rad(n) meets Omega
+# in (n/r) Z_n; on Omega the character v depends only on u = v mod r, with
+# value sum_i (R/r_i) u_i t_i mod R, R = lcm r_i.  The oracle keeps one
+# Omega-kernel bitmask per u at the lowest cost of its lifts (real: 1 if
+# one has order <= 2, else 2; complex: 1) and minimizes the total cost by
+# depth-first search: branch only on kernels that miss the first surviving
+# non-zero element, prune with an exact logarithmic lower bound.
 
 
 class OracleBoundExceeded(ValueError):
@@ -159,55 +162,67 @@ def _lcm(values) -> int:
     return out
 
 
+def _radical(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            out *= d
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out * n
+
+
+@lru_cache(maxsize=16)
+def _socle_kernels(orders: tuple[int, ...]):
+    """(|Omega|, R, ((kernel mask on Omega, lowest real cost), ...)), both fields."""
+    radicals = [_radical(n) for n in orders]
+    R = _lcm(radicals)  # rad of the exponent, read off the orders
+    # restrictions of the characters of order <= 2: v_i in {0, n_i/2}
+    halves = ((0, n // 2) if n % 2 == 0 else (0,) for n in orders)
+    real = {tuple(c % r for c, r in zip(v, radicals))
+            for v in itertools.product(*halves)}
+    kernels: dict[int, int] = {}
+    seen = {tuple(0 for _ in radicals)}  # the trivial character: kernel all of Omega
+    for u in itertools.product(*(range(r) for r in radicals)):
+        if u in seen:
+            continue
+        # unit multiples of u define the same kernel
+        order_u = _element_order(u, radicals)
+        seen.update(tuple(k * c % r for c, r in zip(u, radicals))
+                    for k in range(2, order_u) if gcd(k, order_u) == 1)
+        values = [0]  # the value of u at every socle element, in product order
+        for c, r in zip(u, radicals):
+            step = R // r * c
+            values = [(a + step * t) % R for a in values for t in range(r)]
+        mask = int("".join("0" if a else "1" for a in reversed(values)), 2)
+        cost = 1 if u in real else 2
+        if cost < kernels.get(mask, 3):
+            kernels[mask] = cost
+    return prod(radicals), R, tuple(kernels.items())
+
+
 def oracle_min_faithful(
     group: FiniteAbelianGroup, field: str, bound: int = 512
 ) -> int:
     """Exhaustive minimum dimension of a faithful representation.
 
     ``field`` is "complex" or "real".  Independent of the invariant-factor
-    formulas: works directly with character kernels.  A character of order
-    at most 2 is real-valued and costs one real dimension; any other
-    character costs two (a rotation plane).  Element sets are bitmasks.
+    formulas: works directly with character kernels on the socle.  A
+    character of order at most 2 is real-valued and costs one real
+    dimension; any other character costs two.  Element sets are bitmasks.
     """
     if field not in ("complex", "real"):
         raise ValueError("field must be 'complex' or 'real'")
     if group.order > bound:
         raise OracleBoundExceeded(f"group order {group.order} exceeds bound {bound}")
-    orders = group.cyclic_orders
-    if not orders:
+    if not group.cyclic_orders:
         return 0
-    elements = list(group.elements())
-    index = {x: i for i, x in enumerate(elements)}
-    size = len(elements)
-    N = _lcm(orders)  # the exponent, read off the orders, not the formula
-    weights = [N // n for n in orders]
-
-    def char_value(v, x) -> int:
-        return sum(w * a * b for w, a, b in zip(weights, v, x)) % N
-
-    # one kernel per cyclic subgroup of the dual: unit multiples of v
-    # define the same character kernel and the same cost
-    kernels: dict[int, int] = {}
-    seen = [False] * size
-    seen[0] = True
-    for v in elements:
-        if seen[index[v]]:
-            continue
-        order_v = _element_order(v, orders)
-        for k in range(1, order_v):
-            if gcd(k, order_v) == 1:
-                multiple = tuple((k * c) % n for c, n in zip(v, orders))
-                seen[index[multiple]] = True
-        cost = 1 if (field == "complex" or order_v <= 2) else 2
-        mask = 0
-        for i, x in enumerate(elements):
-            if char_value(v, x) == 0:
-                mask |= 1 << i
-        if mask not in kernels or cost < kernels[mask]:
-            kernels[mask] = cost
+    size, R, kernels = _socle_kernels(group.cyclic_orders)
     # cheap and sharply-shrinking kernels first, deterministic tiebreak
     items = sorted(
-        kernels.items(), key=lambda kv: (kv[1], kv[0].bit_count(), kv[0])
+        ((mask, 1 if field == "complex" else cost) for mask, cost in kernels),
+        key=lambda kv: (kv[1], kv[0].bit_count(), kv[0]),
     )
 
     def steps_needed(n: int, shrink: int) -> int:
@@ -220,15 +235,15 @@ def oracle_min_faithful(
     def lower_bound(mask: int) -> int:
         remaining = mask.bit_count()
         if field == "complex":
-            return steps_needed(remaining, N)
+            return steps_needed(remaining, R)
         # cost-1 characters halve at most; only cost-2 ones cut odd order
         odd = remaining
         while odd % 2 == 0:
             odd //= 2
         best_cost = None
-        y = steps_needed(odd, N)
+        y = steps_needed(odd, R)
         while True:
-            shrunk = max(1, -(-remaining // N**y))
+            shrunk = max(1, -(-remaining // R**y))
             cost = 2 * y + steps_needed(shrunk, 2)
             if best_cost is None or cost < best_cost:
                 best_cost = cost

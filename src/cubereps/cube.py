@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .perm import EDGE_LETTERS, Permutation
@@ -130,20 +131,19 @@ class MoveTables:
         self.size = size
         self.face_tables = dict(face_tables)
         n = sticker_count(size)
-        # pre[token][j] = source index of the sticker that lands at j
-        self._pre: dict[tuple[str, int], tuple[int, ...]] = {}
+        # pre[j] = source index of the sticker that lands at j, gathered in C
+        self._get: dict[tuple[str, int], itemgetter] = {}
         for face, table in self.face_tables.items():
             power = list(range(n))
             for turns in (1, 2, 3):
                 power = [table[p] for p in power]
-                inv = [0] * n
+                pre = [0] * n
                 for i, j in enumerate(power):
-                    inv[j] = i
-                self._pre[(face, turns)] = tuple(inv)
+                    pre[j] = i
+                self._get[(face, turns)] = itemgetter(*pre)
 
     def apply_token(self, stickers: tuple[int, ...], face: str, turns: int):
-        pre = self._pre[(face, turns)]
-        return tuple(stickers[i] for i in pre)
+        return self._get[(face, turns)](stickers)
 
 
 def _default_tables(size: int) -> MoveTables:
@@ -433,6 +433,8 @@ class OrientationBasis:
     edge_marks: tuple[Vec, ...]  # one of the 2 normals at edge i+1
 
     def __post_init__(self):
+        if len(self.corner_marks) != 8 or len(self.edge_marks) != 12:
+            raise ValueError("a basis needs 8 corner marks and 12 edge marks")
         for i, mark in enumerate(self.corner_marks):
             if mark not in _normals(CORNER_POS[i + 1]):
                 raise ValueError(f"bad corner mark at position {i + 1}")

@@ -1,7 +1,14 @@
 import itertools
+import math
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubereps import abelian, cli
 from cubereps.abelian import (
@@ -208,3 +215,91 @@ def test_oracle_does_not_read_the_invariant_factors(monkeypatch):
             oracle_min_faithful(group, "real"),
         )
         assert got == expected[g], g
+
+
+def _kernel(orders, characters, elements):
+    """Elements on which every character v is trivial: sum v_i x_i / n_i
+    is an integer."""
+    return [
+        x
+        for x in elements
+        if all(sum(Fraction(a * b, n) for a, b, n in zip(v, x, orders)).denominator == 1
+               for v in characters)
+    ]
+
+
+@st.composite
+def groups_with_characters(draw):
+    orders = []
+    for n in draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9]), min_size=1, max_size=5)):
+        if math.prod(orders) * n <= 128:
+            orders.append(n)
+    characters = draw(
+        st.lists(st.tuples(*(st.integers(0, n - 1) for n in orders)), max_size=4)
+    )
+    return tuple(orders), characters
+
+
+def _order(x, orders) -> int:
+    k = 1
+    while any(k * a % n for a, n in zip(x, orders)):
+        k += 1
+    return k
+
+
+@given(groups_with_characters())
+def test_kernel_is_trivial_iff_it_meets_the_socle_trivially(drawn):
+    orders, characters = drawn
+    elements = list(itertools.product(*(range(n) for n in orders)))
+    # the socle as the oracle builds it: (n/rad n) Z_n in every factor ...
+    socle = [
+        x
+        for x in elements
+        if all(a % (n // abelian._radical(n)) == 0 for a, n in zip(x, orders))
+    ]
+    # ... is the set of elements of squarefree order
+    assert socle == [
+        x for x in elements if all(_order(x, orders) % (p * p) for p in (2, 3))
+    ]
+    on_a = _kernel(orders, characters, elements)
+    on_socle = _kernel(orders, characters, socle)
+    assert (len(on_a) == 1) == (len(on_socle) == 1)
+
+
+def test_a_socle_missing_a_prime_would_accept_a_non_faithful_set():
+    # on Z6 the real character chi_3 is trivial exactly on {0, 2, 4}: it is
+    # faithful on A[2] = {0, 3} alone, but not on the socle A[2] + A[3]
+    orders = (6,)
+    assert _kernel(orders, [(3,)], [(0,), (3,)]) == [(0,)]
+    assert _kernel(orders, [(3,)], [(x,) for x in range(6)]) == [(0,), (2,), (4,)]
+    assert abelian._socle_kernels(orders)[0] == 6
+    z6 = FiniteAbelianGroup.of(6)
+    assert oracle_min_faithful(z6, "real") == 2  # 1 if A[3] were left out
+    assert oracle_min_faithful(z6, "complex") == 1
+
+
+def test_oracle_does_not_depend_on_which_field_is_asked_first():
+    groups = [(2, 2, 2, 4), (3, 3), (4, 6, 9), (2, 2, 2, 2, 2, 3), (2, 8), (5, 10)]
+    code = (
+        "import sys\n"
+        "from cubereps.abelian import FiniteAbelianGroup, oracle_min_faithful\n"
+        "fields = sys.argv[1].split(',')\n"
+        f"for g in {groups!r}:\n"
+        "    group = FiniteAbelianGroup(g)\n"
+        "    got = {f: oracle_min_faithful(group, f) for f in fields}\n"
+        "    print(got['complex'], got['real'])\n"
+    )
+    src = str(Path(abelian.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code, fields],
+            capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+        ).stdout
+        for fields in ("real,complex", "complex,real")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].split() == [
+        str(dim(FiniteAbelianGroup(g)))
+        for g in groups
+        for dim in (mdim_complex_abelian, mdim_real_abelian)
+    ]

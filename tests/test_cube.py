@@ -274,3 +274,14 @@ def test_edge_functions_reject_the_2x2():
             fn(SOLVED2)
     with pytest.raises(ValueError, match="edges exist only on the 3x3 cube"):
         flip_edge(SOLVED2, 3)
+
+
+def test_basis_needs_every_corner_and_edge_mark():
+    ref = cube.REFERENCE_BASIS
+    for corners, edges in [
+        (ref.corner_marks[:3], ()),
+        (ref.corner_marks[:3], ref.edge_marks),
+        (ref.corner_marks, ref.edge_marks[:11]),
+    ]:
+        with pytest.raises(ValueError, match="8 corner marks and 12 edge marks"):
+            cube.OrientationBasis(corners, edges)

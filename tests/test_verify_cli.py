@@ -118,6 +118,15 @@ def test_cli_mdim_abelian(capsys):
     assert payload["complex"] == 3 and payload["real"] == 6
 
 
+def test_cli_mdim_abelian_oracle_tail_finishes_quickly(capsys):
+    # |A| = 512 but its socle has 256 elements, and the oracle searches
+    # only the socle
+    start = time.perf_counter()
+    assert cli.main(["mdim", "abelian", "2,2,2,2,2,2,2,4"]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out == "complex: 8\nreal: 9\nmethod: formula=oracle\n"
+
+
 def test_cli_mdim_zk0m(capsys):
     assert cli.main(["mdim", "zk0m:2,12", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
