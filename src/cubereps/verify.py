@@ -14,6 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import abelian, cube, replib, structure
 from .cube import CubeState, MoveWord, apply_word, commutator, word
@@ -394,13 +395,16 @@ def _(ctx: Context):
 
 @check("rem-2.11-center-g2", "the 2x2 group has trivial center", "rem-2.11")
 def _(ctx: Context):
-    gens = [tuple(v - 1 for v in phi(f).image) for f in cube.FACES]
+    # image g == g image on 0-based tuples, each side one C-level gather:
+    # itemgetter(*q)(p) is p after q
+    gens = []
+    for f in cube.FACES:
+        g = tuple(v - 1 for v in phi(f).image)
+        gens.append((g, itemgetter(*g)))
     central = []
     for image in itertools.permutations(range(8)):
-        if all(
-            tuple(image[g[i]] for i in range(8)) == tuple(g[image[i]] for i in range(8))
-            for g in gens
-        ):
+        after_image = itemgetter(*image)
+        if all(after_g(image) == after_image(g) for g, after_g in gens):
             central.append(image)
     identity = tuple(range(8))
     perm_ok = central == [identity]

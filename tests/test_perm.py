@@ -2,10 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubereps.perm import (
     PermError,
     Permutation,
+    _inv0,
+    _mul0,
     chain_build,
     chain_contains,
     compose,
@@ -155,3 +159,47 @@ def test_chain_membership_is_exact():
     assert chain.order() == 3
     assert not chain_contains(chain, Permutation.from_cycles("(12)", 4))
     assert not chain_contains(chain, Permutation.from_cycles("(12)(34)", 4))
+
+
+def _s8_chain():
+    return chain_build(
+        [Permutation.from_cycles("(12)", 8), Permutation.from_cycles("(12345678)", 8)]
+    )
+
+
+def test_chain_build_is_deterministic():
+    first, second = _s8_chain(), _s8_chain()
+    assert first.base == second.base
+    assert [set(t) for t in first._transversal] == [set(t) for t in second._transversal]
+
+
+def test_chain_contains_leaves_the_chain_unchanged():
+    chain = chain_build(
+        [Permutation.from_cycles("(123)", 6), Permutation.from_cycles("(23456)", 6)]
+    )
+    order, base = chain.order(), list(chain.base)
+    rng = random.Random(5)
+    answers = set()
+    for _ in range(1000):
+        image = list(range(1, 7))
+        rng.shuffle(image)
+        answers.add(chain_contains(chain, Permutation(image)))
+    assert answers == {True, False}  # A_6: members and non-members both sifted
+    assert chain.order() == order == 360
+    assert chain.base == base
+
+
+@st.composite
+def _perm_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    p = draw(st.permutations(range(1, n + 1)))
+    q = draw(st.permutations(range(1, n + 1)))
+    return Permutation(p), Permutation(q)
+
+
+@given(_perm_pairs())
+def test_zero_based_helpers_match_compose_and_inverse(pair):
+    p, q = pair
+    p0, q0 = (tuple(v - 1 for v in x.image) for x in pair)
+    assert _mul0(p0, q0) == tuple(v - 1 for v in compose(p, q).image)
+    assert _inv0(p0) == tuple(v - 1 for v in p.inverse().image)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cubereps import cube, structure
+from cubereps import cube, structure, verify
 from cubereps.cube import CubeState, apply_word, random_word
 from cubereps.perm import Permutation, chain_build, compose
 from cubereps.structure import (
@@ -289,3 +289,45 @@ def test_encode_reads_each_orientation_once(monkeypatch):
     calls.update(corner=0, edge=0)
     structure.encode_g2(apply_word(CubeState.solved(2), "F R U' L2 B"))
     assert calls == {"corner": 1, "edge": 0}
+
+
+# ---------------------------------------------------------------------------
+# Membership on the sticker and pair chains, against the paper's invariants
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return verify.Context()
+
+
+def _sticker(raw: tuple[int, ...]) -> Permutation:
+    return Permutation(v + 1 for v in raw)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_chains_reject_one_twist_and_accept_a_twist_pair(ctx, size):
+    # prop-2.4: reachable states have corner twist sum 0 mod 3
+    chain = ctx.g2_chain() if size == 2 else ctx.g3_chain()
+    one = _sticker(cube.sticker_perm_of_twist(1, 1, size))
+    pair = compose(one, _sticker(cube.sticker_perm_of_twist(2, 2, size)))
+    assert not chain.contains(one)
+    assert chain.contains(pair)
+
+
+def test_g3_chain_rejects_one_flip_and_accepts_a_flip_pair(ctx):
+    # prop-3.7: reachable states have edge flip sum 0 mod 2
+    chain = ctx.g3_chain()
+    one = _sticker(cube.sticker_perm_of_flip(1))
+    pair = compose(one, _sticker(cube.sticker_perm_of_flip(2)))
+    assert not chain.contains(one)
+    assert chain.contains(pair)
+
+
+def test_p_chain_rejects_a_sign_mismatched_pair(ctx):
+    # prop-3.5: the edge and corner permutations have equal signs
+    chain = ctx.p_chain()
+    edge_swap = Permutation.from_cycles("(ab)", 12)
+    corner_swap = Permutation.from_cycles("(12)", 8)
+    mismatched = (edge_swap, Permutation.identity(8))
+    assert not chain.contains(structure.pair_to_perm20(mismatched))
+    assert chain.contains(structure.pair_to_perm20((edge_swap, corner_swap)))

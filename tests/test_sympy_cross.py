@@ -1,0 +1,99 @@
+"""Differential tests: StabilizerChain against sympy's PermutationGroup.
+
+sympy permutations are 0-based array forms, and its product ``p * q``
+applies ``p`` first, so ``compose(p, q)`` here corresponds to sympy's
+``q * p``.
+"""
+
+import pytest
+
+sympy_comb = pytest.importorskip("sympy.combinatorics")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubereps import cube, verify
+from cubereps.perm import Permutation, chain_build, compose
+from cubereps.structure import beta
+
+SympyPerm = sympy_comb.Permutation
+PermutationGroup = sympy_comb.PermutationGroup
+
+
+def to_sympy(p: Permutation):
+    return SympyPerm([v - 1 for v in p.image])
+
+
+def from_sympy(p) -> Permutation:
+    return Permutation(v + 1 for v in p.array_form)
+
+
+@st.composite
+def generating_sets(draw):
+    degree = draw(st.integers(min_value=1, max_value=10))
+    perm = st.permutations(range(1, degree + 1)).map(Permutation)
+    gens = draw(st.lists(perm, min_size=1, max_size=4))
+    words = draw(
+        st.lists(
+            st.lists(st.integers(0, len(gens) - 1), max_size=12),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    strangers = draw(st.lists(perm, min_size=1, max_size=4))
+    return gens, words, strangers
+
+
+@settings(max_examples=60, deadline=None)
+@given(generating_sets())
+def test_order_and_membership_match_sympy(data):
+    gens, words, strangers = data
+    chain = chain_build(gens)
+    group = PermutationGroup([to_sympy(g) for g in gens])
+    assert chain.order() == group.order()
+    degree = gens[0].degree
+    for word in words:
+        member = Permutation.identity(degree)
+        sym = SympyPerm(list(range(degree)))
+        for i in word:
+            member = compose(member, gens[i])
+            sym = to_sympy(gens[i]) * sym  # sympy applies the left factor first
+        assert from_sympy(sym) == member
+        assert chain.contains(member)
+        assert group.contains(sym)
+    for p in strangers:  # mostly non-members
+        assert chain.contains(p) == group.contains(to_sympy(p))
+
+
+def _cube_generator_sets():
+    """The five generator sets behind ``cubereps order``."""
+    ctx = verify.Context()
+    return {
+        "g2": [ctx.sticker_perm(f, 2) for f in cube.FACES],
+        "g3": [ctx.sticker_perm(f, 3) for f in cube.FACES],
+        "corner-group": [verify.phi(f) for f in cube.FACES],
+        "edge-group": [beta(f) for f in cube.FACES],
+        "p": [verify.pair_to_perm20(verify.alpha(f)) for f in cube.FACES],
+    }
+
+
+@pytest.mark.parametrize(
+    "name, has_transpositions",
+    [("g2", False), ("g3", False), ("corner-group", True), ("edge-group", True), ("p", False)],
+)
+def test_cube_chains_match_sympy(name, has_transpositions):
+    gens = _cube_generator_sets()[name]
+    chain = chain_build(gens)
+    group = PermutationGroup([to_sympy(g) for g in gens])
+    assert chain.order() == group.order()
+    degree = gens[0].degree
+    # a member (the commutator of U and F) and a transposition of two moved
+    # points; S_8 and S_12 contain it, the sticker and pair groups do not
+    a, b = gens[cube.FACES.index("U")], gens[cube.FACES.index("F")]
+    comm = compose(compose(a, b), compose(a.inverse(), b.inverse()))
+    assert not comm.is_identity()
+    moved = [i + 1 for i, v in enumerate(a.image) if v != i + 1][:2]
+    swap = Permutation.from_cycles([moved], degree)
+    for p in (comm, swap):
+        assert chain.contains(p) == group.contains(to_sympy(p))
+    assert chain.contains(comm)
+    assert chain.contains(swap) == has_transpositions
