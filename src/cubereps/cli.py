@@ -21,6 +21,10 @@ MAX_CYCLIC_FACTORS = 64
 MAX_CYCLIC_ORDER = 10**9
 
 
+class CertificateError(Exception):
+    """An ``mdim`` answer whose own check failed (exit 1)."""
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cubereps",
@@ -71,6 +75,9 @@ def main(argv=None) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     raise AssertionError("unreachable")
 
 
@@ -153,23 +160,36 @@ def _check_factorable(count: int, largest: int) -> None:
         )
 
 
+def _certify(ok: bool, name: str) -> None:
+    """Check one certificate of an mdim answer; unlike ``assert``, this
+    also runs under ``python -O``."""
+    if not ok:
+        raise CertificateError(f"mdim certificate failed: {name}")
+
+
 def _cmd_mdim(args) -> int:
     spec = args.spec
     kind = spec[0]
     if kind == "g2":
         payload = {"complex": 8, "real": 16, "method": "split-bound+construction"}
         rep = replib.build_rep_g2()
-        assert replib.faithful_structural(rep) and rep.degree == payload["complex"]
-        assert replib.g2_real_case_analysis()["bound"] == payload["real"]
+        _certify(replib.faithful_structural(rep), "g2 rep is faithful")
+        _certify(rep.degree == payload["complex"], "g2 rep degree")
+        _certify(replib.g2_real_case_analysis()["bound"] == payload["real"],
+                 "g2 real case analysis")
     elif kind == "g3":
         payload = {"complex": 20, "real": 28, "method": "split-bound+case-table"}
         rep = replib.build_rep_g3()
-        assert replib.faithful_structural(rep) and rep.degree == payload["complex"]
-        assert replib.g3_real_case_table()["bound"] == payload["real"]
+        _certify(replib.faithful_structural(rep), "g3 rep is faithful")
+        _certify(rep.degree == payload["complex"], "g3 rep degree")
+        _certify(replib.g3_real_case_table()["bound"] == payload["real"],
+                 "g3 real case table")
     elif kind == "exceptional":
         ex = replib.ExceptionalExample()
-        assert replib.faithful_enumerated(ex.rep4.of, ex.elements)
-        assert replib.faithful_enumerated(ex.rep6.of, ex.elements)
+        _certify(replib.faithful_enumerated(ex.rep4.of, ex.elements),
+                 "exceptional complex rep is faithful")
+        _certify(replib.faithful_enumerated(ex.rep6.of, ex.elements),
+                 "exceptional real rep is faithful")
         payload = {
             "complex": ex.rep4.degree,
             "real": ex.rep6.real_dimension,
@@ -184,8 +204,9 @@ def _cmd_mdim(args) -> int:
         }
         if group.order <= 512:
             payload["method"] = "formula=oracle"
-            assert abelian.oracle_min_faithful(group, "complex") == payload["complex"]
-            assert abelian.oracle_min_faithful(group, "real") == payload["real"]
+            for field in ("complex", "real"):
+                _certify(abelian.oracle_min_faithful(group, field) == payload[field],
+                         f"{field} oracle equals the formula")
     elif kind.startswith("zk0m:"):
         k, m = (int(x) for x in kind.split(":", 1)[1].split(","))
         _check_factorable(m - 1, k)  # Z_k^(m-1)

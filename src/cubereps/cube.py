@@ -170,6 +170,9 @@ class WordError(ValueError):
     """Raised for malformed move words."""
 
 
+_INVERSE_TOKEN = {(f, t): (f, 4 - t) for f in FACES for t in (1, 2, 3)}
+
+
 @dataclass(frozen=True)
 class MoveWord:
     """A chronological sequence of face turns: (face, quarter turns 1..3)."""
@@ -195,11 +198,28 @@ class MoveWord:
         return cls(tuple(tokens))
 
     def inverse(self) -> "MoveWord":
-        return MoveWord(tuple((f, 4 - t) for f, t in reversed(self.tokens)))
+        return MoveWord(tuple(map(_INVERSE_TOKEN.__getitem__, reversed(self.tokens))))
 
     def then(self, other: "MoveWord") -> "MoveWord":
-        """Chronological concatenation: self is applied first."""
-        return MoveWord(self.tokens + other.tokens)
+        """Chronological concatenation, self applied first, merged at the seam.
+
+        A face turn f has order 4 (f^4 = 1), so the two tokens that meet at
+        the seam merge when they turn the same face: (f, a)(f, b) becomes
+        (f, a + b mod 4), and a merge that reaches 0 turns cancels, which
+        brings the next pair of tokens together.  Free-reduced operands
+        (no two adjacent tokens on one face) thus give a free-reduced word.
+        """
+        left, right = self.tokens, other.tokens
+        if not left or not right or left[-1][0] != right[0][0]:
+            return MoveWord(left + right)
+        i, j = len(left) - 1, 0
+        while i >= 0 and j < len(right) and left[i][0] == right[j][0]:
+            turns = (left[i][1] + right[j][1]) % 4
+            if turns:
+                return MoveWord(left[:i] + ((left[i][0], turns),) + right[j + 1 :])
+            i -= 1
+            j += 1
+        return MoveWord(left[: i + 1] + right[j:])
 
     def __str__(self) -> str:
         out = []
@@ -549,7 +569,7 @@ def sticker_perm_of_flip(position: int) -> tuple[int, ...]:
 
 def compose_sticker_perms(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Permutation doing q first, then p (chronological order q, p)."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return itemgetter(*q)(p)
 
 
 def invert_sticker_perm(p: tuple[int, ...]) -> tuple[int, ...]:

@@ -189,9 +189,8 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """Right-to-left composition: ``compose(p, q)(i) == p(q(i))``."""
     if p.degree != q.degree:
         raise PermError(f"degree mismatch: {p.degree} vs {q.degree}")
-    qi = q.image
-    pi = p.image
-    return Permutation(pi[qi[i] - 1] for i in range(len(pi)))
+    # a leading 0 lets the 1-based images of q index p's image directly
+    return Permutation(_mul0((0,) + p.image, q.image))
 
 
 def conjugate(g: Permutation, x: Permutation) -> Permutation:

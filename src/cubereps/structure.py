@@ -351,23 +351,23 @@ class EdgeCycleWords:
         out = MoveWord(())
         for cyc in reversed(factors):
             out = out.then(self.three_cycle(cyc).inverse())
-        assert beta_of_factors(out) == sigma
+        if beta_of_factors(out) != sigma:
+            raise AssertionError(f"even edge word does not realize {sigma.cycle_string()}")
         return out
 
     # -- growing procedure ---------------------------------------------
 
     def _get(self, cycle: tuple[int, ...]) -> MoveWord:
         key = _canonical(cycle)
-        if key in self._stock:
-            return self._stock[key]
-        rev = _canonical((cycle[0], cycle[2], cycle[1]))
-        if rev in self._stock:
-            w = self._stock[rev].inverse()
-            self._stock[key] = w
-            return w
-        w = self._build(cycle)
-        self._stock[_canonical(cycle)] = w
-        return w
+        if key not in self._stock:
+            # build one fixed orientation of each cycle and stock the other
+            # as its inverse, so that a word does not depend on which
+            # orientation was requested first
+            built, other = sorted((key, _canonical((cycle[0], cycle[2], cycle[1]))))
+            w = self._build(built)
+            self._stock[built] = w
+            self._stock[other] = w.inverse()
+        return self._stock[key]
 
     def _build(self, cycle: tuple[int, ...]) -> MoveWord:
         # rotate so the letter added latest in the growing order leads;

@@ -1,6 +1,11 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubereps import cube
 from cubereps.cube import (
@@ -22,6 +27,7 @@ from cubereps.cube import (
     sticker_perm_of_flip,
     sticker_perm_of_twist,
     twist_corner,
+    word,
 )
 from cubereps.perm import Permutation
 
@@ -285,3 +291,120 @@ def test_basis_needs_every_corner_and_edge_mark():
     ]:
         with pytest.raises(ValueError, match="8 corner marks and 12 edge marks"):
             cube.OrientationBasis(corners, edges)
+
+
+# ---------------------------------------------------------------------------
+# The word layer: MoveWord.then merges same-face tokens at the seam
+
+
+def _load_free_reduce():
+    """bench/tracer.py's free_reduce, imported read-only (no bytecode is
+    written under bench/), as the reference length of a reduced word."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer_for_words", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module.free_reduce
+
+
+free_reduce = _load_free_reduce()
+
+# token tuples made of same-face runs, so that seams meet equal faces often
+TOKENS = st.lists(
+    st.tuples(
+        st.sampled_from(cube.FACES), st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    ),
+    max_size=8,
+).map(lambda runs: tuple((face, t) for face, turns in runs for t in turns))
+
+
+def _drop_repeats(tokens):
+    """A reduced word: each token on the face of the one kept before it is dropped."""
+    out = []
+    for token in tokens:
+        if not out or out[-1][0] != token[0]:
+            out.append(token)
+    return tuple(out)
+
+
+REDUCED = TOKENS.map(_drop_repeats)
+
+
+@st.composite
+def reduced_pairs(draw):
+    """Reduced words a, b where b starts by undoing a suffix of a, so that
+    the seam cancels and cascades."""
+    a = draw(REDUCED)
+    cut = draw(st.integers(0, len(a)))
+    b = _drop_repeats(MoveWord(a[cut:]).inverse().tokens + draw(REDUCED))
+    return MoveWord(a), MoveWord(b)
+
+
+def _is_reduced(w: MoveWord) -> bool:
+    return all(x[0] != y[0] for x, y in zip(w.tokens, w.tokens[1:]))
+
+
+SCRAMBLE = "R U F' L2 D B' R2"
+
+
+@settings(deadline=None)
+@given(st.sampled_from([2, 3]), TOKENS, TOKENS)
+def test_then_acts_as_applying_one_word_after_the_other(size, a, b):
+    start = apply_word(CubeState.solved(size), SCRAMBLE)
+    a, b = MoveWord(a), MoveWord(b)
+    assert apply_word(start, a.then(b)) == apply_word(apply_word(start, a), b)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([2, 3]), reduced_pairs())
+def test_then_of_reduced_words_is_reduced(size, pair):
+    a, b = pair
+    out = a.then(b)
+    assert _is_reduced(out)
+    assert len(out) == free_reduce(a.tokens + b.tokens)
+    start = apply_word(CubeState.solved(size), SCRAMBLE)
+    assert apply_word(start, out) == apply_word(apply_word(start, a), b)
+
+
+@given(REDUCED)
+def test_reduced_word_then_its_inverse_is_empty(tokens):
+    w = MoveWord(tokens)
+    assert w.then(w.inverse()).tokens == ()
+    assert w.inverse().then(w).tokens == ()
+
+
+@given(TOKENS)
+def test_inverse_is_an_involution(tokens):
+    w = MoveWord(tokens)
+    assert w.inverse().inverse() == w
+    assert len(w.inverse()) == len(w)
+
+
+def test_then_merges_and_cascades_at_the_seam():
+    assert str(word("R U").then(word("U"))) == "R U2"
+    assert str(word("R U2").then(word("U2 R F"))) == "R2 F"
+    assert str(word("F R U").then(word("U' R' F'"))) == ""
+    assert str(word("U R").then(word("F R"))) == "U R F R"  # different faces
+
+
+def test_parse_and_constructor_keep_their_tokens():
+    assert str(MoveWord.parse("U U U' R R2")) == "U U U' R R2"
+    tokens = (("U", 1), ("U", 3))
+    assert MoveWord(tokens).tokens == tokens
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_every_default_face_table_has_order_four(size):
+    """f^4 = 1 is the relation that lets MoveWord.then merge turns mod 4."""
+    tables = cube.default_tables(size)
+    identity = tuple(range(cube.sticker_count(size)))
+    for face, table in tables.face_tables.items():
+        power = identity
+        for exponent in range(1, 5):
+            power = tuple(table[p] for p in power)
+            assert (power == identity) == (exponent == 4), (face, exponent)

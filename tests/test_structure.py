@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from cubereps import cube, structure, verify
 from cubereps.cube import CubeState, apply_word, random_word
-from cubereps.perm import Permutation, chain_build, compose
+from cubereps.perm import EDGE_LETTERS, Permutation, chain_build, compose
 from cubereps.structure import (
     G2Element,
     G3Element,
@@ -173,6 +174,61 @@ def test_edge_flip_pair_words():
         el = word_element_g3(edge_flip_pair_word(x))
         assert membership(SubgroupTag.M, el)
         assert el.flip == tuple(1 if i + 1 in (1, x) else 0 for i in range(12))
+
+
+# Lengths of the free-reduced constructive words; any change to how a word
+# is spelled or reduced shows up here.
+Q_LENGTHS = {
+    2: 1078, 3: 1328, 4: 1510, 5: 276, 6: 403, 7: 188,
+    8: 772, 9: 834, 10: 4466, 11: 4284, 12: 8493,
+}
+
+
+def test_constructive_word_lengths():
+    ts = build_transpositions()
+    assert [len(ts[k]) for k in ("t1", "t2", "t3")] == [11, 13, 13]
+    assert len(build_m()) == 64
+    assert len(structure.EdgeCycleWords().three_cycle("lkj")) == 2840
+    assert {x: len(edge_flip_pair_word(x)) for x in Q_LENGTHS} == Q_LENGTHS
+
+
+def test_three_cycle_words_do_not_depend_on_earlier_requests():
+    cold = structure.EdgeCycleWords().three_cycle("lkj")
+    warm = structure.EdgeCycleWords()
+    warm.three_cycle("jkl")
+    assert warm.three_cycle("lkj") == cold
+    triples = ["".join(t) for t in itertools.permutations(EDGE_LETTERS, 3)]
+    rng = random.Random(5)
+    sweep = rng.sample(triples, 200)
+    cold_words = {t: structure.EdgeCycleWords().three_cycle(t) for t in sweep}
+    rng.shuffle(sweep)
+    shared = structure.EdgeCycleWords()
+    assert [t for t in sweep if shared.three_cycle(t) != cold_words[t]] == []
+
+
+def test_flip_pair_word_does_not_depend_on_earlier_requests(monkeypatch):
+    monkeypatch.setattr(structure, "_EDGE_CYCLES", None)
+    cold = edge_flip_pair_word(12)
+    monkeypatch.setattr(structure, "_EDGE_CYCLES", None)
+    for x in range(2, 12):  # the order prop-3.9 requests them in
+        edge_flip_pair_word(x)
+    assert edge_flip_pair_word(12) == cold
+
+
+def test_constructive_words_are_free_reduced():
+    words = [build_m(), *build_transpositions().values(), edge_three_cycle("lkj")]
+    words += [edge_flip_pair_word(x) for x in (2, 7, 12)]
+    for w in words:
+        assert all(x[0] != y[0] for x, y in zip(w.tokens, w.tokens[1:]))
+
+
+def test_even_edge_word_rejects_a_wrong_edge_action(monkeypatch):
+    """The realized edge action is checked by an explicit test, not an assert."""
+    cycles = structure.EdgeCycleWords()
+    sigma = Permutation.from_cycles("(abc)", 12)
+    monkeypatch.setattr(structure, "beta_of_factors", lambda w: Permutation.identity(12))
+    with pytest.raises(AssertionError, match="does not realize"):
+        cycles.even_edge_word(sigma)
 
 
 def test_section_g2_in_g3():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,32 @@ def test_cli_mdim_abelian_oracle_tail_finishes_quickly(capsys):
     assert cli.main(["mdim", "abelian", "2,2,2,2,2,2,2,4"]) == 0
     assert time.perf_counter() - start < 5
     assert capsys.readouterr().out == "complex: 8\nreal: 9\nmethod: formula=oracle\n"
+
+
+def test_cli_mdim_failed_certificate_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli.abelian, "oracle_min_faithful", lambda group, field: 0)
+    assert cli.main(["mdim", "abelian", "4,6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mdim certificate failed: complex oracle equals the formula\n"
+
+
+def test_cli_mdim_certificate_runs_under_python_O():
+    """Under -O every assert is gone; the mdim certificates must still run."""
+    script = (
+        "import sys\n"
+        "from cubereps import abelian, cli\n"
+        "assert False, 'asserts are on'\n"
+        "abelian.oracle_min_faithful = lambda group, field: 0\n"
+        "sys.exit(cli.main(['mdim', 'abelian', '4,6']))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "error: mdim certificate failed" in done.stderr
 
 
 def test_cli_mdim_zk0m(capsys):
