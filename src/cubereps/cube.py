@@ -210,8 +210,6 @@ class MoveWord:
         (no two adjacent tokens on one face) thus give a free-reduced word.
         """
         left, right = self.tokens, other.tokens
-        if not left or not right or left[-1][0] != right[0][0]:
-            return MoveWord(left + right)
         i, j = len(left) - 1, 0
         while i >= 0 and j < len(right) and left[i][0] == right[j][0]:
             turns = (left[i][1] + right[j][1]) % 4

@@ -2,32 +2,14 @@
 
 bench/tracer.py wraps functions and methods by name and bench/worker.py
 calls the element, table and chain APIs directly.  These tests import both
-read-only (no bytecode is written under bench/) and fail when a bound name
+read-only through the ``bench`` fixture of conftest.py and fail when a bound name
 is deleted, renamed, aliased to another module's function, or inherited
 instead of defined in its own class body.
 """
 
-import importlib
 import sys
-from pathlib import Path
-
-import pytest
 
 from cubereps import replib
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-@pytest.fixture(scope="module")
-def bench():
-    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
-    sys.path.insert(0, str(BENCH))
-    sys.dont_write_bytecode = True
-    try:
-        yield importlib.import_module("tracer"), importlib.import_module("worker")
-    finally:
-        sys.path[:] = saved_path
-        sys.dont_write_bytecode = saved_flag
 
 
 def _span_targets(tracer):

@@ -1,7 +1,4 @@
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -297,22 +294,12 @@ def test_basis_needs_every_corner_and_edge_mark():
 # The word layer: MoveWord.then merges same-face tokens at the seam
 
 
-def _load_free_reduce():
-    """bench/tracer.py's free_reduce, imported read-only (no bytecode is
-    written under bench/), as the reference length of a reduced word."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("_bench_tracer_for_words", path)
-    module = importlib.util.module_from_spec(spec)
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module.free_reduce
+@pytest.fixture(scope="module")
+def free_reduce(bench):
+    """bench/tracer.py's free_reduce, the reference length of a reduced word."""
+    tracer, _ = bench
+    return tracer.free_reduce
 
-
-free_reduce = _load_free_reduce()
 
 # token tuples made of same-face runs, so that seams meet equal faces often
 TOKENS = st.lists(
@@ -362,7 +349,7 @@ def test_then_acts_as_applying_one_word_after_the_other(size, a, b):
 
 @settings(deadline=None)
 @given(st.sampled_from([2, 3]), reduced_pairs())
-def test_then_of_reduced_words_is_reduced(size, pair):
+def test_then_of_reduced_words_is_reduced(free_reduce, size, pair):
     a, b = pair
     out = a.then(b)
     assert _is_reduced(out)
