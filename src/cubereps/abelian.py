@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from math import gcd, prod
+from functools import cached_property, lru_cache
+from math import gcd, lcm, prod
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -79,7 +79,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        return reduce(lambda a, b: a * b, self.cyclic_orders, 1)
+        return prod(self.cyclic_orders)
 
     @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -155,13 +155,6 @@ class OracleBoundExceeded(ValueError):
     pass
 
 
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
 def _radical(n: int) -> int:
     out, d = 1, 2
     while d * d <= n:
@@ -177,7 +170,7 @@ def _radical(n: int) -> int:
 def _socle_kernels(orders: tuple[int, ...]):
     """(|Omega|, R, ((kernel mask on Omega, lowest real cost), ...)), both fields."""
     radicals = [_radical(n) for n in orders]
-    R = _lcm(radicals)  # rad of the exponent, read off the orders
+    R = lcm(*radicals)  # rad of the exponent, read off the orders
     # restrictions of the characters of order <= 2: v_i in {0, n_i/2}
     halves = ((0, n // 2) if n % 2 == 0 else (0,) for n in orders)
     real = {tuple(c % r for c, r in zip(v, radicals))
@@ -283,7 +276,7 @@ def oracle_min_faithful(
 
 
 def _element_order(x, orders) -> int:
-    return _lcm(n // gcd(n, c) if c else 1 for c, n in zip(x, orders))
+    return lcm(*(n // gcd(n, c) if c else 1 for c, n in zip(x, orders)))
 
 
 def subgroup_invariant_factors(group: FiniteAbelianGroup, generators) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from itertools import permutations
 from operator import itemgetter
 from typing import NamedTuple
 
-from .perm import EDGE_LETTERS, Permutation
+from .perm import EDGE_LETTERS, Permutation, _inv0, _mul0
 
 Vec = tuple[int, int, int]
 
@@ -279,8 +279,13 @@ class CubeState:
 
     @classmethod
     def from_json(cls, text: str) -> "CubeState":
+        """Parse outside input: the colours must be the solved cube's, each as
+        often; cubelet integrity is left to the readers."""
         data = json.loads(text)
-        return cls(int(data["size"]), tuple(int(x) for x in data["stickers"]))
+        state = cls(int(data["size"]), tuple(int(x) for x in data["stickers"]))
+        if sorted(state.stickers) != list(cls.solved(state.size).stickers):
+            raise ValueError("sticker colours differ from the solved cube's")
+        return state
 
 
 def apply_word(
@@ -567,14 +572,11 @@ def sticker_perm_of_flip(position: int) -> tuple[int, ...]:
 
 def compose_sticker_perms(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Permutation doing q first, then p (chronological order q, p)."""
-    return itemgetter(*q)(p)
+    return _mul0(p, q)
 
 
 def invert_sticker_perm(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
+    return _inv0(p)
 
 
 def state_of_sticker_perm(perm: tuple[int, ...], size: int) -> CubeState:

@@ -509,7 +509,6 @@ def g3_real_case_table() -> dict:
         rows.append((kp, kq, p, q, p + 2 * q))
     refined = {}
     for idx in (3, 5):
-        kp, kq, p, q, _ = rows[idx]
         refined[idx] = 20 + 2 * 14
     effective = [refined.get(i, row[4]) for i, row in enumerate(rows)]
     return {"rows": rows, "refined": refined, "bound": min(effective)}

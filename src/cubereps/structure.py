@@ -538,9 +538,7 @@ def membership(tag: SubgroupTag, element) -> bool:
     if tag is SubgroupTag.FULL:
         return isinstance(element, (G2Element, G3Element, Permutation))
     if tag is SubgroupTag.TRIVIAL:
-        if isinstance(element, (G2Element, G3Element)):
-            return element.is_identity()
-        if isinstance(element, Permutation):
+        if isinstance(element, (G2Element, G3Element, Permutation)):
             return element.is_identity()
         raise TypeError(f"unsupported element type {type(element)!r}")
     if tag is SubgroupTag.K:

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 from . import abelian, cube, replib, structure
@@ -138,24 +138,15 @@ class CheckResult:
     paper_ref: str
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "claim": self.claim,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "paper_ref": self.paper_ref,
-        }
+        return asdict(self)
 
 
-_REGISTRY: list[tuple[str, str, str]] = []
-_FUNCTIONS = {}
+_CHECKS: dict = {}  # id -> (claim, paper ref, check function)
 
 
 def check(id: str, claim: str, ref: str):
     def wrap(fn):
-        _REGISTRY.append((id, claim, ref))
-        _FUNCTIONS[id] = fn
+        _CHECKS[id] = (claim, ref, fn)
         return fn
 
     return wrap
@@ -163,21 +154,51 @@ def check(id: str, claim: str, ref: str):
 
 def run_suite(ctx: Context, pattern: str = "*") -> list[CheckResult]:
     """Run all checks matching the glob pattern, sorted by id."""
-    selected = sorted(id for id, _, _ in _REGISTRY if fnmatch.fnmatch(id, pattern))
+    selected = sorted(fnmatch.filter(_CHECKS, pattern))
     if not selected:
         raise KeyError(f"no check matches {pattern!r}")
-    meta = {id: (claim, ref) for id, claim, ref in _REGISTRY}
     results = []
     for id in selected:
-        claim, ref = meta[id]
+        claim, ref, fn = _CHECKS[id]
         try:
-            ok, expected, actual = _FUNCTIONS[id](ctx)
+            ok, expected, actual = fn(ctx)
         except Exception as exc:  # a crashed check is a failed check
             ok, expected, actual = False, "no exception", f"{type(exc).__name__}: {exc}"
         results.append(
             CheckResult(id, claim, "pass" if ok else "fail", str(expected), str(actual), ref)
         )
     return results
+
+
+def _sampled(ctx: Context, label: str, default: int, draw, failures):
+    """Run ``ctx.count(default)`` trials: each draws a sample with
+    ``draw(ctx.rng(label))`` and counts ``failures(sample)`` (an int or bool;
+    raising counts 1).  Returns (trials, failures, where), ``where`` "" or a
+    suffix naming the seed, label, trial index and sample of the first failure."""
+    rng = ctx.rng(label)
+    trials = ctx.count(default)
+    total, where = 0, ""
+    for index in range(trials):
+        sample = draw(rng)
+        try:
+            found, error = int(failures(sample)), ""
+        except Exception as exc:  # a crashed trial is a failed trial
+            found, error = 1, f" raised {type(exc).__name__}: {exc}"
+        if found and not total:
+            where = f"; first at seed {ctx.seed}, {label} trial {index}: {_show(sample)}{error}"
+        total += found
+    return trials, total, where
+
+
+def _show(sample) -> str:
+    """Words quoted as move strings for ``cubereps apply``, permutations as cycles."""
+    if isinstance(sample, MoveWord):
+        return f'"{sample}"'
+    if isinstance(sample, Permutation):
+        return sample.cycle_string()
+    if isinstance(sample, tuple) and not all(isinstance(x, int) for x in sample):
+        return ", ".join(map(_show, sample))
+    return str(sample)
 
 
 def report_json(results: list[CheckResult], ctx: Context) -> str:
@@ -247,59 +268,42 @@ def _(ctx: Context):
 
 @check("prop-2.4-invariant-s", "the corner twist sum vanishes on every reachable 2x2 state", "prop-2.4")
 def _(ctx: Context):
-    rng = ctx.rng("invariant-s")
-    trials = ctx.count(10000)
-    bad = 0
-    for _ in range(trials):
-        st = ctx.apply(2, cube.random_word(rng, rng.randrange(1, 40)))
-        if cube.invariant_s(st):
-            bad += 1
-    return bad == 0, f"0 failures in {trials}", f"{bad} failures"
+    trials, bad, where = _sampled(
+        ctx, "invariant-s", 10000, lambda rng: _random_word(rng, 40),
+        lambda w: cube.invariant_s(ctx.apply(2, w)) != 0,
+    )
+    return bad == 0, f"0 failures in {trials}", f"{bad} failures{where}"
 
 
 @check("prop-2.4-basis-free", "twist and flip sums do not depend on the orientation basis", "prop-2.4")
 def _(ctx: Context):
-    rng = ctx.rng("basis-free")
-    trials = ctx.count(100)
-    bad = 0
-    for _ in range(trials):
-        w = cube.random_word(rng, rng.randrange(1, 30))
-        b1, b2 = cube.random_basis(rng), cube.random_basis(rng)
-        st2 = ctx.apply(2, w)
-        st3 = ctx.apply(3, w)
-        if cube.invariant_s(st2, b1) != cube.invariant_s(st2, b2):
-            bad += 1
-        if cube.invariant_s(st3, b1) != cube.invariant_s(st3, b2):
-            bad += 1
-        if cube.invariant_t(st3, b1) != cube.invariant_t(st3, b2):
-            bad += 1
-        # also on twisted unreachable states
-        st = cube.twist_corner(CubeState.solved(2), 1 + rng.randrange(8), 1)
-        if cube.invariant_s(st, b1) != cube.invariant_s(st, b2):
-            bad += 1
-    return bad == 0, f"0 failures in {trials}", f"{bad} failures"
+    def failures(sample):
+        w, b1, b2, corner = sample
+        st2, st3 = ctx.apply(2, w), ctx.apply(3, w)
+        # also on a twisted unreachable state
+        st = cube.twist_corner(CubeState.solved(2), corner, 1)
+        readings = ((cube.invariant_s, st2), (cube.invariant_s, st3),
+                    (cube.invariant_t, st3), (cube.invariant_s, st))
+        return sum(read(state, b1) != read(state, b2) for read, state in readings)
+
+    trials, bad, where = _sampled(
+        ctx, "basis-free", 100,
+        lambda rng: (_random_word(rng, 30), cube.random_basis(rng),
+                     cube.random_basis(rng), 1 + rng.randrange(8)),
+        failures,
+    )
+    return bad == 0, f"0 failures in {trials}", f"{bad} failures{where}"
 
 
 @check("eq-2.5-conj-k", "conjugating an in-place twist permutes its vector by the corner action", "eq-2.5")
 def _(ctx: Context):
-    rng = ctx.rng("conj-k")
-    trials = ctx.count(30)
-    bad = []
-    for _ in range(trials):
-        w = cube.random_word(rng, rng.randrange(1, 15))
-        twist = _random_sum_zero(rng, 8, 3)
-        pg = cube.sticker_perm_of_word(w, 2, ctx.tables2)
-        pk = _twist_sticker_perm(twist, 2)
-        conj = cube.compose_sticker_perms(
-            cube.compose_sticker_perms(pg, pk), cube.invert_sticker_perm(pg)
-        )
-        state = cube.state_of_sticker_perm(conj, 2)
-        sigma = cube.corner_permutation(ctx.apply(2, w))
-        want = act(sigma, twist)
-        got = cube.corner_orientation(state)
-        if got != want or not cube.corner_permutation(state).is_identity():
-            bad.append((twist, sigma.cycle_string(), want, got))
-    return not bad, "conjugated twist = permuted vector", f"{len(bad)} mismatches: {bad[:1]}"
+    _, bad, where = _conjugation_law(
+        ctx, "conj-k", 2, 8, 3,
+        lambda position, amount: cube.sticker_perm_of_twist(position, amount, 2),
+        cube.corner_permutation, cube.corner_orientation,
+    )
+    # a pass reads "0 mismatches: []", which the pinned report holds
+    return bad == 0, "conjugated twist = permuted vector", f"{bad} mismatches{where or ': []'}"
 
 
 @check("prop-2.6-k-word", "the commutator word k twists corners without moving them", "prop-2.6")
@@ -311,60 +315,57 @@ def _(ctx: Context):
 
 @check("prop-2.6-k-maximal", "conjugates of k span the full sum-zero twist lattice", "prop-2.6")
 def _(ctx: Context):
-    rng = ctx.rng("k-maximal")
     k_el = word_element_g2(structure.WORD_K)
     vectors = [k_el.twist]
-    for _ in range(ctx.count(40)):
-        g = word_element_g2(cube.random_word(rng, rng.randrange(1, 15)))
+
+    def failures(w):
+        g = word_element_g2(w)
         conj = g2_mul(g2_mul(g, k_el), g2_inv(g))
-        if not conj.perm.is_identity():
-            return False, "conjugates stay in the kernel", "conjugate moved corners"
         vectors.append(conj.twist)
+        return not conj.perm.is_identity()
+
+    _, bad, where = _sampled(ctx, "k-maximal", 40, lambda rng: _random_word(rng, 15), failures)
+    if bad:
+        return False, "conjugates stay in the kernel", f"{bad} conjugates moved corners{where}"
     rank = _rank_mod(vectors, 3)
     return rank == 7, "rank 7 over Z_3", f"rank {rank}"
 
 
 @check("prop-2.7-model", "reading states off as (twist, permutation) pairs is multiplicative", "prop-2.7")
 def _(ctx: Context):
-    rng = ctx.rng("g2-model")
-    trials = ctx.count(1000)
-    bad = 0
-    for _ in range(trials):
-        w1 = cube.random_word(rng, rng.randrange(1, 15))
-        w2 = cube.random_word(rng, rng.randrange(1, 15))
+    def failures(sample):
+        w1, w2 = sample
         lhs = encode_g2(ctx.apply(2, w1.then(w2)))
-        rhs = g2_mul(
-            encode_g2(ctx.apply(2, w2)), encode_g2(ctx.apply(2, w1))
-        )
-        if lhs != rhs:
-            bad += 1
-    return bad == 0, f"0 failures in {trials}", f"{bad} failures"
+        return lhs != g2_mul(encode_g2(ctx.apply(2, w2)), encode_g2(ctx.apply(2, w1)))
+
+    trials, bad, where = _sampled(ctx, "g2-model", 1000, _word_pair(15), failures)
+    return bad == 0, f"0 failures in {trials}", f"{bad} failures{where}"
 
 
 @check("prop-2.7-splitting", "the untwisted copy of S_8 is a section of the corner map", "prop-2.7")
 def _(ctx: Context):
-    rng = ctx.rng("g2-section")
-    bad = 0
-    for _ in range(ctx.count(200)):
-        s1 = _random_perm(rng, 8)
-        s2 = _random_perm(rng, 8)
+    def failures(sample):
+        s1, s2 = sample
         lhs = section_s8(compose(s1, s2))
-        rhs = g2_mul(section_s8(s1), section_s8(s2))
-        if lhs != rhs or phi(section_s8(s1)) != s1:
-            bad += 1
-    return bad == 0, "section is a homomorphism splitting phi", f"{bad} failures"
+        return lhs != g2_mul(section_s8(s1), section_s8(s2)) or phi(section_s8(s1)) != s1
+
+    _, bad, where = _sampled(
+        ctx, "g2-section", 200,
+        lambda rng: (_random_perm(rng, 8), _random_perm(rng, 8)), failures,
+    )
+    return bad == 0, "section is a homomorphism splitting phi", f"{bad} failures{where}"
 
 
 @check("prop-2.8-normal-k", "conjugation keeps pure twists inside the twist kernel", "prop-2.8")
 def _(ctx: Context):
-    rng = ctx.rng("normal-k")
     k_el = word_element_g2(structure.WORD_K)
-    bad = 0
-    for _ in range(ctx.count(100)):
-        g = word_element_g2(cube.random_word(rng, rng.randrange(1, 20)))
-        if not membership(SubgroupTag.K, g2_mul(g2_mul(g, k_el), g2_inv(g))):
-            bad += 1
-    return bad == 0, "all conjugates in K", f"{bad} escaped"
+
+    def failures(w):
+        g = word_element_g2(w)
+        return not membership(SubgroupTag.K, g2_mul(g2_mul(g, k_el), g2_inv(g)))
+
+    _, bad, where = _sampled(ctx, "normal-k", 100, lambda rng: _random_word(rng, 20), failures)
+    return bad == 0, "all conjugates in K", f"{bad} escaped{where}"
 
 
 @check("prop-2.9-commutator-data", "the printed twist commutator values are reproduced", "prop-2.9")
@@ -381,16 +382,14 @@ def _(ctx: Context):
 
 @check("prop-2.10-normal-l", "even-length words form the commutator subgroup, of index two", "prop-2.10")
 def _(ctx: Context):
-    rng = ctx.rng("normal-l")
-    bad = 0
-    for _ in range(ctx.count(300)):
-        w = cube.random_word(rng, rng.randrange(1, 25))
+    def failures(w):
         quarter_turns = sum(t if t != 3 else 1 for _, t in w.tokens)
-        if (phi(w).sign() == 1) != (quarter_turns % 2 == 0):
-            bad += 1
+        return (phi(w).sign() == 1) != (quarter_turns % 2 == 0)
+
+    _, bad, where = _sampled(ctx, "normal-l", 300, lambda rng: _random_word(rng, 25), failures)
     order = ctx.cached("commutator_chain", lambda: _commutator_subgroup_order(ctx))
     ok = bad == 0 and order == G2_ORDER // 2
-    return ok, f"sign parity matches word parity; order {G2_ORDER//2}", f"{bad} parity failures; order {order}"
+    return ok, f"sign parity matches word parity; order {G2_ORDER//2}", f"{bad} parity failures{where}; order {order}"
 
 
 @check("rem-2.11-center-g2", "the 2x2 group has trivial center", "rem-2.11")
@@ -441,19 +440,12 @@ def _(ctx: Context):
 
 @check("prop-3.2-psi", "forgetting edges sends 3x3 words to 2x2 words with the same corner action", "prop-3.2")
 def _(ctx: Context):
-    rng = ctx.rng("psi")
-    bad = 0
-    for _ in range(ctx.count(300)):
-        w = cube.random_word(rng, rng.randrange(1, 20))
-        if cube.corner_permutation(ctx.apply(3, w)) != cube.corner_permutation(
-            ctx.apply(2, structure.psi_word(w))
-        ):
-            bad += 1
-        if cube.corner_orientation(ctx.apply(3, w)) != cube.corner_orientation(
-            ctx.apply(2, structure.psi_word(w))
-        ):
-            bad += 1
-    return bad == 0, "corner action agrees", f"{bad} failures"
+    def failures(w):
+        st3, st2 = ctx.apply(3, w), ctx.apply(2, structure.psi_word(w))
+        return sum(read(st3) != read(st2) for read in (cube.corner_permutation, cube.corner_orientation))
+
+    _, bad, where = _sampled(ctx, "psi", 300, lambda rng: _random_word(rng, 20), failures)
+    return bad == 0, "corner action agrees", f"{bad} failures{where}"
 
 
 @check("prop-3.3-edge-seed", "the word h three-cycles edges a,b,c and fixes corner positions", "prop-3.3")
@@ -493,45 +485,33 @@ def _(ctx: Context):
         edges, corners = alpha(f)
         if not (edges.sign() == corners.sign() == -1):
             return False, "generators odd on both factors", f"{f} signs {edges.sign()},{corners.sign()}"
-    rng = ctx.rng("match-sign")
-    bad = 0
-    for _ in range(ctx.count(500)):
-        edges, corners = alpha(cube.random_word(rng, rng.randrange(1, 25)))
-        if edges.sign() != corners.sign():
-            bad += 1
-    return bad == 0, "0 sign mismatches", f"{bad} mismatches"
+
+    def failures(w):
+        edges, corners = alpha(w)
+        return edges.sign() != corners.sign()
+
+    _, bad, where = _sampled(ctx, "match-sign", 500, lambda rng: _random_word(rng, 25), failures)
+    return bad == 0, "0 sign mismatches", f"{bad} mismatches{where}"
 
 
 @check("prop-3.7-invariant-t", "the edge flip sum vanishes on every reachable 3x3 state", "prop-3.7")
 def _(ctx: Context):
-    rng = ctx.rng("invariant-t")
-    trials = ctx.count(10000)
-    bad = 0
-    for _ in range(trials):
-        st = ctx.apply(3, cube.random_word(rng, rng.randrange(1, 40)))
-        if cube.invariant_t(st) or cube.invariant_s(st):
-            bad += 1
-    return bad == 0, f"0 failures in {trials}", f"{bad} failures"
+    def failures(w):
+        st = ctx.apply(3, w)
+        return bool(cube.invariant_t(st) or cube.invariant_s(st))
+
+    trials, bad, where = _sampled(ctx, "invariant-t", 10000, lambda rng: _random_word(rng, 40), failures)
+    return bad == 0, f"0 failures in {trials}", f"{bad} failures{where}"
 
 
 @check("eq-3.8-conj-m", "conjugating an in-place flip permutes its vector by the edge action", "eq-3.8")
 def _(ctx: Context):
-    rng = ctx.rng("conj-m")
-    bad = []
-    for _ in range(ctx.count(30)):
-        w = cube.random_word(rng, rng.randrange(1, 15))
-        flips = _random_sum_zero(rng, 12, 2)
-        pg = cube.sticker_perm_of_word(w, 3, ctx.tables3)
-        pm = _flip_sticker_perm(flips)
-        conj = cube.compose_sticker_perms(
-            cube.compose_sticker_perms(pg, pm), cube.invert_sticker_perm(pg)
-        )
-        state = cube.state_of_sticker_perm(conj, 3)
-        sigma = cube.edge_permutation(ctx.apply(3, w))
-        want = act(sigma, flips)
-        if cube.edge_orientation(state) != want or not cube.edge_permutation(state).is_identity():
-            bad.append(w)
-    return not bad, "conjugated flip = permuted vector", f"{len(bad)} mismatches"
+    _, bad, where = _conjugation_law(
+        ctx, "conj-m", 3, 12, 2,
+        lambda position, _: cube.sticker_perm_of_flip(position),
+        cube.edge_permutation, cube.edge_orientation,
+    )
+    return bad == 0, "conjugated flip = permuted vector", f"{bad} mismatches{where}"
 
 
 @check("prop-3.9-m-word", "the word m flips exactly edges c and g in place", "prop-3.9")
@@ -558,14 +538,17 @@ def _(ctx: Context):
         if el.flip != want:
             return False, f"q_{x} flips a and {cube.EDGE_LETTERS[x-1]}", str(el.flip)
         vectors.append(el.flip)
-    rng = ctx.rng("m-maximal")
     m_el = word_element_g3(build_m())
-    for _ in range(ctx.count(30)):
-        g = word_element_g3(cube.random_word(rng, rng.randrange(1, 12)))
+
+    def failures(w):
+        g = word_element_g3(w)
         conj = g3_mul(g3_mul(g, m_el), g3_inv(g))
-        if not membership(SubgroupTag.M, conj):
-            return False, "conjugates of m stay in M", "a conjugate escaped M"
         vectors.append(conj.flip)
+        return not membership(SubgroupTag.M, conj)
+
+    _, bad, where = _sampled(ctx, "m-maximal", 30, lambda rng: _random_word(rng, 12), failures)
+    if bad:
+        return False, "conjugates of m stay in M", f"{bad} conjugates escaped M{where}"
     rank = _rank_mod(vectors, 2)
     return rank == 11, "rank 11 over Z_2", f"rank {rank}"
 
@@ -589,71 +572,59 @@ def _(ctx: Context):
 
 @check("prop-3.11-alphasplit", "the orientation-preserving pairs are a section of the pair map", "prop-3.11")
 def _(ctx: Context):
-    rng = ctx.rng("alphasplit")
-    bad = 0
-    for _ in range(ctx.count(200)):
-        p1 = alpha(cube.random_word(rng, rng.randrange(1, 15)))
-        p2 = alpha(cube.random_word(rng, rng.randrange(1, 15)))
+    def failures(sample):
+        p1, p2 = map(alpha, sample)
         prod = (compose(p1[0], p2[0]), compose(p1[1], p2[1]))
-        if section_p(prod) != g3_mul(section_p(p1), section_p(p2)):
-            bad += 1
-        if alpha(section_p(p1)) != p1:
-            bad += 1
-    return bad == 0, "section is a homomorphism splitting alpha", f"{bad} failures"
+        return ((section_p(prod) != g3_mul(section_p(p1), section_p(p2)))
+                + (alpha(section_p(p1)) != p1))
+
+    _, bad, where = _sampled(ctx, "alphasplit", 200, _word_pair(15), failures)
+    return bad == 0, "section is a homomorphism splitting alpha", f"{bad} failures{where}"
 
 
 @check("thm-3.12-g2-in-g3", "the 2x2 group embeds in the 3x3 group splitting the edge-forgetting map", "thm-3.12")
 def _(ctx: Context):
-    rng = ctx.rng("g2-in-g3")
-    trials = ctx.count(1000)
-    bad = 0
-    for _ in range(trials):
-        x = word_element_g2(cube.random_word(rng, rng.randrange(1, 12)))
-        y = word_element_g2(cube.random_word(rng, rng.randrange(1, 12)))
-        if section_g2_in_g3(g2_mul(x, y)) != g3_mul(
-            section_g2_in_g3(x), section_g2_in_g3(y)
-        ):
-            bad += 1
-            continue
+    def failures(sample):
+        x, y = map(word_element_g2, sample)
         img = section_g2_in_g3(x)
-        if psi(img) != x or not membership(SubgroupTag.P, img):
-            bad += 1
-            continue
-        if x.perm.sign() == 1 and not img.pair[0].is_identity():
-            bad += 1
-        if x.perm.sign() == -1 and img.pair[0] != Permutation.from_cycles("(bc)", 12):
-            bad += 1
+        # even corner permutations fix the edges, odd ones swap b and c
+        edges = Permutation.from_cycles("(bc)" if x.perm.sign() == -1 else "", 12)
+        return (section_g2_in_g3(g2_mul(x, y)) != g3_mul(img, section_g2_in_g3(y))
+                or psi(img) != x or not membership(SubgroupTag.P, img) or img.pair[0] != edges)
+
+    trials, bad, where = _sampled(ctx, "g2-in-g3", 1000, _word_pair(12), failures)
     r2 = section_g2_in_g3(word_element_g2("R"))
     ok = bad == 0 and r2.pair[0].cycle_string(letters=True) == "(bc)"
-    return ok, f"0 failures in {trials}; r2 swaps edges b,c", f"{bad} failures; r2 edges {r2.pair[0].cycle_string(letters=True)}"
+    return ok, f"0 failures in {trials}; r2 swaps edges b,c", f"{bad} failures{where}; r2 edges {r2.pair[0].cycle_string(letters=True)}"
 
 
 @check("prop-3.13-isom-type-p", "the pair image is exactly the sign-matched pairs, of order 12!8!/2", "prop-3.13")
 def _(ctx: Context):
     order = ctx.p_chain().order()
-    rng = ctx.rng("isom-p")
-    bad = 0
-    for _ in range(ctx.count(100)):
+
+    def draw(rng):
         s12, s8 = _random_perm(rng, 12), _random_perm(rng, 8)
         if s12.sign() != s8.sign():
             s8 = compose(s8, Permutation.from_cycles("(12)", 8))
-        if not ctx.p_chain().contains(pair_to_perm20((s12, s8))):
-            bad += 1
-        if not membership(SubgroupTag.P, alpha(cube.random_word(rng, rng.randrange(1, 15)))):
-            bad += 1
+        return s12, s8, _random_word(rng, 15)
+
+    def failures(sample):
+        s12, s8, w = sample
+        return ((not ctx.p_chain().contains(pair_to_perm20((s12, s8))))
+                + (not membership(SubgroupTag.P, alpha(w))))
+
+    _, bad, where = _sampled(ctx, "isom-p", 100, draw, failures)
     ok = order == P_ORDER and bad == 0
-    return ok, f"order {P_ORDER}, all sign-matched pairs reachable", f"order {order}, {bad} failures"
+    return ok, f"order {P_ORDER}, all sign-matched pairs reachable", f"order {order}, {bad} failures{where}"
 
 
 @check("rem-3.14-center-g3", "the center of the 3x3 group is generated by the all-edge flip", "rem-3.14")
 def _(ctx: Context):
     sf = superflip_state()
     sf_perm = _state_sticker_perm(sf)
-    bad = 0
-    for f in cube.FACES:
-        pg = cube.sticker_perm_of_word(f, 3, ctx.tables3)
-        if cube.compose_sticker_perms(pg, sf_perm) != cube.compose_sticker_perms(sf_perm, pg):
-            bad += 1
+    face_perms = (cube.sticker_perm_of_word(f, 3, ctx.tables3) for f in cube.FACES)
+    noncommuting = sum(cube.compose_sticker_perms(pg, sf_perm) != cube.compose_sticker_perms(sf_perm, pg)
+                       for pg in face_perms)
     sf_el = superflip()
     involution = g3_mul(sf_el, sf_el).is_identity() and not sf_el.is_identity()
     c12 = _centralizer_trivial(12)
@@ -661,14 +632,14 @@ def _(ctx: Context):
     twist_free = all((8 * c) % 3 != 0 for c in (1, 2))
     flip_constants = [c for c in (0, 1) if (12 * c) % 2 == 0]
     ok = (
-        bad == 0
+        noncommuting == 0
         and involution
         and c12
         and c8
         and twist_free
         and flip_constants == [0, 1]
     )
-    return ok, "superflip central and unique", f"commute failures {bad}, centralizers trivial {c12 and c8}, flip constants {flip_constants}"
+    return ok, "superflip central and unique", f"commute failures {noncommuting}, centralizers trivial {c12 and c8}, flip constants {flip_constants}"
 
 
 @check("cor-3.15-g3-order", "the 3x3 group has order 2^11 3^7 12! 8!/2", "cor-3.15")
@@ -698,15 +669,11 @@ def _(ctx: Context):
 
 @check("thm-4.2-minabel", "the minimal dimension formulas match brute force for all orders up to 200", "thm-4.2")
 def _(ctx: Context):
-    bad = []
-    count = 0
-    for g in _all_abelian_groups(200):
-        count += 1
-        if abelian.oracle_min_faithful(g, "complex") != abelian.mdim_complex_abelian(g):
-            bad.append(("complex", g))
-        if abelian.oracle_min_faithful(g, "real") != abelian.mdim_real_abelian(g):
-            bad.append(("real", g))
-    return not bad, f"formula = oracle for all {count} groups", f"{len(bad)} mismatches: {bad[:2]}"
+    groups = list(_all_abelian_groups(200))
+    formulas = {"complex": abelian.mdim_complex_abelian, "real": abelian.mdim_real_abelian}
+    mismatches = [(field, g) for g in groups for field, formula in formulas.items()
+                  if abelian.oracle_min_faithful(g, field) != formula(g)]
+    return not mismatches, f"formula = oracle for all {len(groups)} groups", f"{len(mismatches)} mismatches: {mismatches[:2]}"
 
 
 @check("thm-4.2-cube-data", "the cube twist groups have the stated factors and dimensions", "thm-4.2")
@@ -751,21 +718,20 @@ def _(ctx: Context):
                 return False, "multiplicative on all of S_4", f"failed at {x.perm.cycle_string()},{y.perm.cycle_string()}"
         images.add(replib.decorated_perm(ex.rep6.of(x)))
     injective = len(images) == 24
-    rng = ctx.rng("decorated-g2")
     rep = ctx.cached("rep_g2", replib.build_rep_g2)
     real2 = ctx.cached(
         "real_g2",
         lambda: replib.realify(rep, set(), {f: word_element_g2(f) for f in cube.FACES}),
     )
-    bad = 0
-    for _ in range(ctx.count(200)):
-        x = word_element_g2(cube.random_word(rng, rng.randrange(1, 10)))
-        y = word_element_g2(cube.random_word(rng, rng.randrange(1, 10)))
+
+    def failures(sample):
+        x, y = map(word_element_g2, sample)
         dx, dy = replib.decorated_perm(real2.of(x)), replib.decorated_perm(real2.of(y))
-        if replib.decorated_perm(real2.of(g2_mul(x, y))) != dx * dy:
-            bad += 1
+        return replib.decorated_perm(real2.of(g2_mul(x, y))) != dx * dy
+
+    _, bad, where = _sampled(ctx, "decorated-g2", 200, _word_pair(10), failures)
     ok = injective and bad == 0
-    return ok, "injective on S_4 and multiplicative on samples", f"injective {injective}, {bad} sample failures"
+    return ok, "injective on S_4 and multiplicative on samples", f"injective {injective}, {bad} sample failures{where}"
 
 
 # ---------------------------------------------------------------------------
@@ -867,6 +833,39 @@ def _(ctx: Context):
 # helpers
 
 
+def _random_word(rng, stop: int) -> MoveWord:
+    """A random word of 1 .. stop - 1 tokens."""
+    return cube.random_word(rng, rng.randrange(1, stop))
+
+
+def _word_pair(stop: int):
+    """Draw two random words, as two ``_random_word`` calls in order."""
+    return lambda rng: (_random_word(rng, stop), _random_word(rng, stop))
+
+
+def _conjugation_law(ctx, label, size, length, modulus, turn, permutation, orientation):
+    """eq-2.5/eq-3.8: for a random word g and the in-place turn k of a random
+    sum-zero vector, g k g^-1 turns in place by the vector permuted by g."""
+    tables = ctx.tables2 if size == 2 else ctx.tables3
+
+    def failures(sample):
+        w, vector = sample
+        pg = cube.sticker_perm_of_word(w, size, tables)
+        conj = cube.compose_sticker_perms(
+            cube.compose_sticker_perms(pg, _vector_sticker_perm(vector, turn, size)),
+            cube.invert_sticker_perm(pg),
+        )
+        state = cube.state_of_sticker_perm(conj, size)
+        want = act(permutation(ctx.apply(size, w)), vector)
+        return orientation(state) != want or not permutation(state).is_identity()
+
+    return _sampled(
+        ctx, label, 30,
+        lambda rng: (_random_word(rng, 15), _random_sum_zero(rng, length, modulus)),
+        failures,
+    )
+
+
 def _random_sum_zero(rng, length: int, modulus: int) -> tuple[int, ...]:
     values = [rng.randrange(modulus) for _ in range(length - 1)]
     values.append((-sum(values)) % modulus)
@@ -879,30 +878,28 @@ def _random_perm(rng, degree: int) -> Permutation:
     return Permutation(image)
 
 
-def _twist_sticker_perm(twist, size):
+def _vector_sticker_perm(vector, turn, size: int):
+    """Sticker permutation turning cubelet i in place by vector[i - 1],
+    one cubelet at a time through ``turn(position, amount)``."""
     perm = tuple(range(cube.sticker_count(size)))
-    for position, amount in enumerate(twist, start=1):
+    for position, amount in enumerate(vector, start=1):
         if amount:
-            perm = cube.compose_sticker_perms(
-                cube.sticker_perm_of_twist(position, amount, size), perm
-            )
-    return perm
-
-
-def _flip_sticker_perm(flips):
-    perm = tuple(range(48))
-    for position, amount in enumerate(flips, start=1):
-        if amount:
-            perm = cube.compose_sticker_perms(cube.sticker_perm_of_flip(position), perm)
+            perm = cube.compose_sticker_perms(turn(position, amount), perm)
     return perm
 
 
 def _state_sticker_perm(state: CubeState):
-    """Sticker permutation of a synthetic state built from in-place twists
-    and flips (well defined because each cubelet stays in place)."""
+    """Sticker permutation of a synthetic 3x3 state built from in-place
+    twists and flips (well defined because each cubelet stays in place)."""
     return cube.compose_sticker_perms(
-        _twist_sticker_perm(cube.corner_orientation(state), 3),
-        _flip_sticker_perm(cube.edge_orientation(state)),
+        _vector_sticker_perm(
+            cube.corner_orientation(state),
+            lambda position, amount: cube.sticker_perm_of_twist(position, amount, 3), 3,
+        ),
+        _vector_sticker_perm(
+            cube.edge_orientation(state),
+            lambda position, _: cube.sticker_perm_of_flip(position), 3,
+        ),
     )
 
 

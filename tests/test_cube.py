@@ -192,6 +192,17 @@ def test_json_round_trip_bit_exact():
         assert CubeState.from_json(text).to_json() == text
 
 
+@pytest.mark.parametrize("size", [2, 3])
+def test_json_rejects_foreign_colours(size):
+    stickers = list(CubeState.solved(size).stickers)
+    nine = stickers[:-1] + [9]  # a colour no cube has
+    skewed = [0] + stickers[1:-1] + [0]  # one colour too many, one too few
+    for bad in (nine, skewed):
+        text = CubeState(size, tuple(bad)).to_json()
+        with pytest.raises(ValueError, match="colours"):
+            CubeState.from_json(text)
+
+
 def test_solved_state_shape():
     assert len(SOLVED2.stickers) == 24
     assert len(SOLVED3.stickers) == 48

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubereps import cli, cube
+from cubereps import cli, cube, verify
 from cubereps.verify import Context, report_json, report_text, run_suite
 
 
@@ -57,6 +58,85 @@ def test_tampered_generator_table_fails_eq_21():
     results = run_suite(ctx, "eq-2.1-phi-gens")
     assert results[0].status == "fail"
     assert "(1342)" not in results[0].actual.split("'U': ")[1].split(",")[0]
+
+
+# every sampled check, by the label of its random stream
+SAMPLED_LABELS = {
+    "invariant-s", "basis-free", "conj-k", "k-maximal", "g2-model",
+    "g2-section", "normal-k", "normal-l", "psi", "match-sign", "invariant-t",
+    "conj-m", "m-maximal", "alphasplit", "g2-in-g3", "isom-p", "decorated-g2",
+}
+# checks that draw from ctx.rng outside the trial driver, with their labels
+UNSAMPLED_RNG = {"prop-4.1-hominvfact": {"hominvfact"}, "thm-5.1-g2-mdim": {"g2-eigenlines"}}
+
+
+def test_every_sampled_check_runs_its_trials_through_the_driver(monkeypatch):
+    driven = {}
+    sampled = verify._sampled
+
+    def counting(ctx, label, default, draw, failures):
+        driven[label] = 0
+
+        def counted_draw(rng):
+            driven[label] += 1
+            return draw(rng)
+
+        return sampled(ctx, label, default, counted_draw, failures)
+
+    streams = []
+    real_rng = Context.rng
+    monkeypatch.setattr(verify, "_sampled", counting)
+    monkeypatch.setattr(Context, "rng", lambda self, label: streams.append(label) or real_rng(self, label))
+    ctx = Context(seed=1, trials=3)  # too few for the rank checks to pass
+    for check_id in sorted(verify._CHECKS):
+        before, streams[:] = dict(driven), []
+        run_suite(ctx, check_id)
+        labels = set(driven) - set(before)
+        assert set(streams) == labels | UNSAMPLED_RNG.get(check_id, set()), check_id
+    assert driven == {label: 3 for label in SAMPLED_LABELS}
+
+
+def _tampered_u_context(seed):
+    """U also twists corner 1 in place: every sum invariant breaks."""
+    tables = dict(cube.default_tables(2).face_tables)
+    twist = cube.sticker_perm_of_twist(1, 1, 2)
+    tables["U"] = cube.compose_sticker_perms(twist, tables["U"])
+    return Context(seed=seed, tables2=cube.MoveTables(2, tables))
+
+
+def _first_failure(actual, seed, label):
+    match = re.search(rf"first at seed {seed}, {label} trial (\d+): (.*)", actual)
+    assert match, actual
+    return int(match.group(1)), re.findall(r'"([^"]*)"', match.group(2))
+
+
+def _replay(rng, count, stop):
+    """The first ``count`` words a check drawing words below ``stop`` draws."""
+    return [cube.random_word(rng, rng.randrange(1, stop)) for _ in range(count)]
+
+
+def test_first_failure_names_a_replayable_word(capsys):
+    ctx = _tampered_u_context(seed=7)
+    result = run_suite(ctx, "prop-2.4-invariant-s")[0]
+    assert result.status == "fail"
+    index, words = _first_failure(result.actual, 7, "invariant-s")
+    *earlier, printed = _replay(ctx.rng("invariant-s"), index + 1, 40)
+    assert words == [str(printed)]
+    assert cube.invariant_s(ctx.apply(2, printed)) != 0
+    assert all(cube.invariant_s(ctx.apply(2, w)) == 0 for w in earlier)
+    assert cube.invariant_s(cube.apply_word(cube.CubeState.solved(2), printed)) == 0
+    assert cli.main(["apply", "2", words[0]]) == 0  # the CLI replays it
+    capsys.readouterr()
+
+
+def test_crashed_trial_reports_its_words():
+    ctx = _tampered_u_context(seed=7)
+    result = run_suite(ctx, "prop-2.7-model")[0]
+    assert result.status == "fail"
+    assert "raised UnreachableState" in result.actual
+    index, words = _first_failure(result.actual, 7, "g2-model")
+    pair = _replay(ctx.rng("g2-model"), 2 * (index + 1), 15)[-2:]
+    assert words == [str(w) for w in pair]
 
 
 def test_report_text_contains_counts():
