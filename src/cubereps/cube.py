@@ -107,6 +107,9 @@ def sticker_count(size: int) -> int:
     return 24 if size == 2 else 48
 
 
+_SOLVED = {n: tuple(f for f in range(6) for _ in range(sticker_count(n) // 6)) for n in (2, 3)}
+
+
 def _build_move_table(size: int, face: str) -> tuple[int, ...]:
     """Destination index of each sticker under a clockwise face turn."""
     index, stickers = _LAYOUT[size]
@@ -267,8 +270,7 @@ class CubeState:
 
     @classmethod
     def solved(cls, size: int) -> "CubeState":
-        per_face = 4 if size == 2 else 8
-        return cls(size, tuple(f for f in range(6) for _ in range(per_face)))
+        return cls(size, _SOLVED.get(size, ()))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -293,10 +295,10 @@ def apply_word(
 ) -> CubeState:
     if isinstance(w, str):
         w = MoveWord.parse(w)
-    tables = tables or default_tables(state.size)
+    gather = (tables or default_tables(state.size))._get
     stickers = state.stickers
-    for face, turns in w.tokens:
-        stickers = tables.apply_token(stickers, face, turns)
+    for token in w.tokens:
+        stickers = gather[token](stickers)
     return CubeState(state.size, stickers)
 
 
@@ -356,7 +358,10 @@ _COLOR_OF_NORMAL = {n: FACES.index(f) for f, n in FACE_NORMAL.items()}
 # order: a counterclockwise third turn of a corner cubelet (about the
 # outward corner diagonal, seen from outside) or a flip of an edge cubelet
 # moves every sticker one step along this order.  Reading and turning a
-# cubelet both go through these import-time tables.
+# cubelet both go through these import-time tables; no basis enters them.
+# Reading gathers each position's colours and looks up any ordering of a
+# solved colour set (reflected ones too): its home, and where in the read
+# tuple the colour of each of the home's normals, in turning order, sits.
 
 
 class _CubeletKind(NamedTuple):
@@ -365,7 +370,8 @@ class _CubeletKind(NamedTuple):
     labels: tuple[str, ...]  # position names, for messages
     order: tuple[tuple[Vec, ...], ...]  # normals of each position, turning order
     index: dict[int, tuple[tuple[int, ...], ...]]  # per size: sticker indices
-    home: dict[tuple[int, ...], int]  # any ordering of a solved colour set
+    read: dict[int, tuple[itemgetter, ...]]  # per size: each position's colours
+    home: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]  # colours -> home, places
 
 
 def _cubelet_kind(name, group, labels, positions, order_of, sizes) -> _CubeletKind:
@@ -378,12 +384,13 @@ def _cubelet_kind(name, group, labels, positions, order_of, sizes) -> _CubeletKi
         )
         for size in sizes
     }
-    home = {
-        colors: position
-        for position, normals in enumerate(order, 1)
-        for colors in permutations(_COLOR_OF_NORMAL[n] for n in normals)
-    }
-    return _CubeletKind(name, group, tuple(labels), order, index, home)
+    read = {size: tuple(itemgetter(*i) for i in index[size]) for size in sizes}
+    home = {}
+    for position, normals in enumerate(order, 1):
+        solved = [_COLOR_OF_NORMAL[n] for n in normals]
+        for colors in permutations(solved):
+            home[colors] = (position, tuple(map(colors.index, solved)))
+    return _CubeletKind(name, group, tuple(labels), order, index, read, home)
 
 
 def _corner_order(pos: Vec) -> list[Vec]:
@@ -398,29 +405,29 @@ _CORNERS = _cubelet_kind(
 _EDGES = _cubelet_kind("edge", "pair", EDGE_LETTERS, EDGE_POS, _normals, (3,))
 
 
-def _sticker_index(kind: _CubeletKind, size: int) -> tuple[tuple[int, ...], ...]:
+def _per_size(kind: _CubeletKind, size: int, tables: dict):
     if kind is _EDGES and size == 2:
         raise ValueError("edges exist only on the 3x3 cube")
-    return kind.index[size]
+    return tables[size]
 
 
-def _cubelets(kind: _CubeletKind, state: CubeState):
-    """(home, colours in turning order) of the cubelet at each position."""
-    stickers = state.stickers
-    for position, index in enumerate(_sticker_index(kind, state.size)):
-        colors = tuple(stickers[i] for i in index)
-        home = kind.home.get(colors)
-        if home is None:
-            raise CorruptedState(
-                f"sticker {kind.group} at {kind.name} {kind.labels[position]} "
-                "matches no cubelet"
-            )
-        yield home, colors
+def _cubelets(kind: _CubeletKind, state: CubeState) -> list:
+    """(home, places) of the cubelet at each position, None where none matches."""
+    stickers, home = state.stickers, kind.home.get
+    return [home(read(stickers)) for read in _per_size(kind, state.size, kind.read)]
+
+
+def _unmatched(kind: _CubeletKind, position: int) -> CorruptedState:
+    at = f"{kind.name} {kind.labels[position]}"
+    return CorruptedState(f"sticker {kind.group} at {at} matches no cubelet")
 
 
 def _permutation(kind: _CubeletKind, state: CubeState) -> Permutation:
     image = [0] * len(kind.order)
-    for position, (home, _) in enumerate(_cubelets(kind, state), 1):
+    for position, found in enumerate(_cubelets(kind, state), 1):
+        if found is None:
+            raise _unmatched(kind, position - 1)
+        home = found[0]
         if image[home - 1]:
             raise CorruptedState(
                 f"{kind.name} cubelet {kind.labels[home - 1]} appears twice"
@@ -483,12 +490,13 @@ REFERENCE_BASIS = reference_basis()
 
 
 def _orientation(kind: _CubeletKind, state: CubeState, marks) -> tuple[int, ...]:
-    out = []
-    for position, (home, colors) in enumerate(_cubelets(kind, state)):
-        marked = colors.index(_COLOR_OF_NORMAL[marks[home - 1]])
-        mark = kind.order[position].index(marks[position])
-        out.append((marked - mark) % len(colors))
-    return tuple(out)
+    found = _cubelets(kind, state)
+    if None in found:
+        raise _unmatched(kind, found.index(None))
+    m = tuple(map(tuple.index, kind.order, marks))  # each mark's place in its turning order
+    k = len(kind.order[0])
+    # the home's marked colour sits at places[m[home - 1]]; count from m[p]
+    return tuple([(places[m[home - 1]] - mp) % k for (home, places), mp in zip(found, m)])
 
 
 def corner_orientation(
@@ -523,7 +531,7 @@ def invariant_t(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> 
 def _turn(kind: _CubeletKind, position: int, steps: int, size: int) -> tuple[int, ...]:
     """Sticker permutation moving each sticker of the cubelet at a position
     ``steps`` places along its turning order: entry i is where sticker i goes."""
-    index = _sticker_index(kind, size)[position - 1]
+    index = _per_size(kind, size, kind.index)[position - 1]
     perm = list(range(sticker_count(size)))
     for j, i in enumerate(index):
         perm[i] = index[(j + steps) % len(index)]
@@ -532,10 +540,7 @@ def _turn(kind: _CubeletKind, position: int, steps: int, size: int) -> tuple[int
 
 def _permuted_state(perm: tuple[int, ...], state: CubeState) -> CubeState:
     """The state with sticker i moved to place perm[i]."""
-    new = [0] * len(perm)
-    for i, j in enumerate(perm):
-        new[j] = state.stickers[i]
-    return CubeState(state.size, tuple(new))
+    return CubeState(state.size, _mul0(state.stickers, _inv0(perm)))
 
 
 def twist_corner(state: CubeState, position: int, amount: int) -> CubeState:
@@ -554,11 +559,11 @@ def sticker_perm_of_word(
     """The whole-word sticker permutation: entry i is where sticker i goes."""
     if isinstance(w, str):
         w = MoveWord.parse(w)
-    tables = tables or default_tables(size)
+    gather = (tables or default_tables(size))._get
     # run the word on the identity labelling: entry j is where j came from
     labels = tuple(range(sticker_count(size)))
-    for face, turns in w.tokens:
-        labels = tables.apply_token(labels, face, turns)
+    for token in w.tokens:
+        labels = gather[token](labels)
     return invert_sticker_perm(labels)
 
 

@@ -96,9 +96,14 @@ class Permutation:
         return all(v == i + 1 for i, v in enumerate(self.image))
 
     def sign(self) -> int:
-        """+1 for even permutations, -1 for odd ones."""
-        n_cycles = len(self.cycles(include_fixed=True))
-        return -1 if (self.degree - n_cycles) % 2 else 1
+        """+1 for even permutations, -1 for odd ones (degree minus cycles, by a 0-based walk)."""
+        image, seen, cycles = self.image, [False] * len(self.image), 0
+        for j in range(len(image)):
+            cycles += not seen[j]
+            while not seen[j]:
+                seen[j] = True
+                j = image[j] - 1
+        return -1 if (len(image) - cycles) % 2 else 1
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         out = []

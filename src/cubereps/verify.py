@@ -191,9 +191,14 @@ def _sampled(ctx: Context, label: str, default: int, draw, failures):
 
 
 def _show(sample) -> str:
-    """Words quoted as move strings for ``cubereps apply``, permutations as cycles."""
+    """Words quoted as move strings for ``cubereps apply``, permutations as
+    cycles, bases as the axis of each marked normal (corners 1-8, edges a-l)."""
     if isinstance(sample, MoveWord):
         return f'"{sample}"'
+    if isinstance(sample, cube.OrientationBasis):
+        corners, edges = ("".join("xyz"[abs(m[1]) + 2 * abs(m[2])] for m in marks)
+                          for marks in (sample.corner_marks, sample.edge_marks))
+        return f"basis(corners {corners}, edges {edges})"
     if isinstance(sample, Permutation):
         return sample.cycle_string()
     if isinstance(sample, tuple) and not all(isinstance(x, int) for x in sample):
@@ -327,7 +332,7 @@ def _(ctx: Context):
     _, bad, where = _sampled(ctx, "k-maximal", 40, lambda rng: _random_word(rng, 15), failures)
     if bad:
         return False, "conjugates stay in the kernel", f"{bad} conjugates moved corners{where}"
-    rank = _rank_mod(vectors, 3)
+    rank = _closed_rank(vectors, [phi(f) for f in cube.FACES], 3)
     return rank == 7, "rank 7 over Z_3", f"rank {rank}"
 
 
@@ -529,7 +534,6 @@ def _(ctx: Context):
 
 @check("prop-3.9-m-maximal", "conjugates of m span the full sum-zero flip lattice", "prop-3.9")
 def _(ctx: Context):
-    vectors = []
     for x in (2, 5, 7, 9, 12):
         el = word_element_g3(edge_flip_pair_word(x))
         if not membership(SubgroupTag.M, el):
@@ -537,8 +541,9 @@ def _(ctx: Context):
         want = tuple(1 if i + 1 in (1, x) else 0 for i in range(12))
         if el.flip != want:
             return False, f"q_{x} flips a and {cube.EDGE_LETTERS[x-1]}", str(el.flip)
-        vectors.append(el.flip)
     m_el = word_element_g3(build_m())
+    # only m and its conjugates: closed under the moves, the q_x flips alone reach rank 11
+    vectors = [m_el.flip]
 
     def failures(w):
         g = word_element_g3(w)
@@ -549,7 +554,7 @@ def _(ctx: Context):
     _, bad, where = _sampled(ctx, "m-maximal", 30, lambda rng: _random_word(rng, 12), failures)
     if bad:
         return False, "conjugates of m stay in M", f"{bad} conjugates escaped M{where}"
-    rank = _rank_mod(vectors, 2)
+    rank = _closed_rank(vectors, [alpha(f)[0] for f in cube.FACES], 2)
     return rank == 11, "rank 11 over Z_2", f"rank {rank}"
 
 
@@ -925,6 +930,15 @@ def _rank_mod(vectors, modulus: int) -> int:
                     (a - factor * b) % modulus for a, b in zip(rows[r], rows[rank])
                 ]
         rank += 1
+    return rank
+
+
+def _closed_rank(vectors, moves, modulus: int) -> int:
+    """Rank of the span of vectors under the coordinate moves, which holds every
+    conjugate: (w, p) conjugates a pure twist or flip (v, 1) to (p.v, 1)."""
+    span, rank = set(vectors), -1
+    while rank < (rank := _rank_mod(span, modulus)):  # until the rank stops growing
+        span |= {act(p, v) for p in moves for v in span}
     return rank
 
 

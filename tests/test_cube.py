@@ -406,3 +406,91 @@ def test_every_default_face_table_has_order_four(size):
         for exponent in range(1, 5):
             power = tuple(table[p] for p in power)
             assert (power == identity) == (exponent == 4), (face, exponent)
+
+
+# ---------------------------------------------------------------------------
+# The readers against a reference decode that matches colour sets directly
+# and counts orientation by colour index, with no lookup tables
+
+
+def _reference_read(kind, state, marks):
+    """(permutation, orientation) of one cubelet kind: the home is the
+    position whose solved colours are the read colours as a set, and the
+    orientation is colors.index(marked colour) minus the position's mark."""
+    solved = [sorted(cube._COLOR_OF_NORMAL[n] for n in normals) for normals in kind.order]
+    image, orientation = [0] * len(solved), []
+    for position, index in enumerate(kind.index[state.size]):
+        colors = [state.stickers[i] for i in index]
+        home = 1 + solved.index(sorted(colors))
+        image[home - 1] = position + 1
+        marked = colors.index(cube._COLOR_OF_NORMAL[marks[home - 1]])
+        orientation.append((marked - kind.order[position].index(marks[position])) % len(colors))
+    return Permutation(image), tuple(orientation)
+
+
+WORDS = st.lists(st.tuples(st.sampled_from(cube.FACES), st.integers(1, 3)), max_size=30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), WORDS, st.randoms(use_true_random=False),
+       st.integers(0, 8), st.integers(0, 12))
+def test_readers_match_the_colour_index_reference(size, tokens, rng, twisted, flipped):
+    state = apply_word(CubeState.solved(size), MoveWord(tuple(tokens)))
+    if twisted:  # off the reachable states, too
+        state = twist_corner(state, twisted, rng.randrange(1, 3))
+    if flipped and size == 3:
+        state = flip_edge(state, flipped)
+    for basis in (cube.REFERENCE_BASIS, random_basis(rng), random_basis(rng)):
+        perm, twist = _reference_read(cube._CORNERS, state, basis.corner_marks)
+        assert corner_permutation(state) == perm
+        assert corner_orientation(state, basis) == twist
+        if size == 3:
+            perm, flip = _reference_read(cube._EDGES, state, basis.edge_marks)
+            assert edge_permutation(state) == perm
+            assert edge_orientation(state, basis) == flip
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_reflected_corner_triples_decode_at_home(size):
+    """Swapping two stickers of a corner mirrors it: no turn makes that, but
+    every ordering of a solved colour set names its home."""
+    stickers = list(CubeState.solved(size).stickers)
+    for position, (a, b) in ((1, (0, 1)), (6, (1, 2))):
+        index = cube._CORNERS.index[size][position - 1]
+        i, j = index[a], index[b]
+        stickers[i], stickers[j] = stickers[j], stickers[i]
+    state = CubeState(size, tuple(stickers))
+    basis = random_basis(random.Random(4))
+    assert corner_permutation(state) == Permutation.identity(8)
+    assert corner_orientation(state) == (0, 0, 0, 0, 0, 2, 0, 0)
+    assert corner_orientation(state, basis) == (1, 0, 0, 0, 0, 2, 0, 0)
+    for b in (cube.REFERENCE_BASIS, basis):
+        assert corner_orientation(state, b) == _reference_read(cube._CORNERS, state, b.corner_marks)[1]
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_corrupted_cubelets_keep_their_messages(size):
+    # cubelet 3 also sits at position 6, and corner 8 reads no colour set
+    doubled = _copy_cubelet(CubeState.solved(size), cube._CORNERS, 3, 6)
+    stickers = list(doubled.stickers)
+    for i in cube._CORNERS.index[size][7]:
+        stickers[i] = 0
+    state = CubeState(size, tuple(stickers))
+    # the permutation reader meets the duplicate first, position by position
+    with pytest.raises(CorruptedState, match="^corner cubelet 3 appears twice$"):
+        corner_permutation(state)
+    # the orientation reader raises only on the colours that match nothing
+    with pytest.raises(CorruptedState, match="^sticker triple at corner 8 matches no cubelet$"):
+        corner_orientation(state)
+    stickers = list(CubeState.solved(size).stickers)
+    stickers[cube._CORNERS.index[size][7][0]] = 9  # a colour no cube has
+    with pytest.raises(CorruptedState, match="^sticker triple at corner 8 matches no cubelet$"):
+        corner_permutation(CubeState(size, tuple(stickers)))
+
+
+def test_orientation_readers_take_bases_held_in_lists():
+    basis = random_basis(random.Random(5))
+    listed = cube.OrientationBasis(list(basis.corner_marks), list(basis.edge_marks))
+    state = apply_word(CubeState.solved(3), "R U F' L2 D B")
+    assert corner_orientation(state, listed) == corner_orientation(state, basis)
+    assert edge_orientation(state, listed) == edge_orientation(state, basis)

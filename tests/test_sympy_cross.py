@@ -1,4 +1,5 @@
-"""Differential tests: StabilizerChain against sympy's PermutationGroup.
+"""Differential tests against sympy: StabilizerChain against its
+PermutationGroup, and Permutation arithmetic against its Permutation.
 
 sympy permutations are 0-based array forms, and its product ``p * q``
 applies ``p`` first, so ``compose(p, q)`` here corresponds to sympy's
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubereps import cube, verify
-from cubereps.perm import Permutation, chain_build, compose
+from cubereps.perm import EDGE_LETTERS, Permutation, chain_build, compose
 from cubereps.structure import beta
 
 SympyPerm = sympy_comb.Permutation
@@ -97,3 +98,44 @@ def test_cube_chains_match_sympy(name, has_transpositions):
         assert chain.contains(p) == group.contains(to_sympy(p))
     assert chain.contains(comm)
     assert chain.contains(swap) == has_transpositions
+
+
+# ---------------------------------------------------------------------------
+# Permutation arithmetic and notation against sympy's
+
+
+def _perms(count: int):
+    """``count`` permutations of one degree, 1..12 (the edge letters' range)."""
+    return st.integers(1, 12).flatmap(
+        lambda n: st.tuples(*[st.permutations(range(1, n + 1)).map(Permutation)] * count)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_perms(2))
+def test_compose_and_inverse_match_sympy(pair):
+    p, q = pair
+    # compose(p, q) applies q first; sympy's q * p applies q first too
+    assert from_sympy(to_sympy(q) * to_sympy(p)) == compose(p, q) == p * q
+    assert from_sympy(~to_sympy(p)) == p.inverse()
+    assert compose(p, p.inverse()).is_identity()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perms(1))
+def test_sign_matches_sympy(one):
+    (p,) = one
+    assert p.sign() == to_sympy(p).signature()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_perms(1))
+def test_cycle_string_matches_sympy(one):
+    (p,) = one
+    cycles = to_sympy(p).cyclic_form  # 0-based, fixed points dropped, by least point
+    sep = "" if p.degree <= 9 else " "
+    want = "".join("(" + sep.join(str(x + 1) for x in c) + ")" for c in cycles)
+    assert p.cycle_string() == (want or "()")
+    letters = "".join("(" + "".join(EDGE_LETTERS[x] for x in c) + ")" for c in cycles)
+    assert p.cycle_string(letters=True) == (letters or "()")
+    assert Permutation.from_cycles(p.cycle_string(), p.degree) == p

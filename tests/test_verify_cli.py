@@ -1,9 +1,11 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -87,7 +89,7 @@ def test_every_sampled_check_runs_its_trials_through_the_driver(monkeypatch):
     real_rng = Context.rng
     monkeypatch.setattr(verify, "_sampled", counting)
     monkeypatch.setattr(Context, "rng", lambda self, label: streams.append(label) or real_rng(self, label))
-    ctx = Context(seed=1, trials=3)  # too few for the rank checks to pass
+    ctx = Context(seed=1, trials=3)  # three trials for every sampled check
     for check_id in sorted(verify._CHECKS):
         before, streams[:] = dict(driven), []
         run_suite(ctx, check_id)
@@ -137,6 +139,65 @@ def test_crashed_trial_reports_its_words():
     index, words = _first_failure(result.actual, 7, "g2-model")
     pair = _replay(ctx.rng("g2-model"), 2 * (index + 1), 15)[-2:]
     assert words == [str(w) for w in pair]
+
+
+@pytest.mark.parametrize("seed, trials", [(0, 5), (9, 1)])
+def test_rank_checks_pass_at_any_trial_count(capsys, seed, trials):
+    """The k and m spans are closed under the face moves, so the sampled
+    conjugates no longer cap the rank."""
+    assert cli.main(["verify", "--seed", str(seed), "--trials", str(trials)]) == 0
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("42/42 checks passed")
+    for id in ("prop-2.6-k-maximal", "prop-3.9-m-maximal"):
+        assert f"PASS {id}" in out
+
+
+def test_reproducer_prints_bases_that_rebuild():
+    rng = random.Random(11)
+    bases = [cube.REFERENCE_BASIS] + [cube.random_basis(rng) for _ in range(30)]
+    for basis in bases:
+        text = verify._show(basis)
+        match = re.fullmatch(r"basis\(corners ([xyz]{8}), edges ([xyz]{12})\)", text)
+        assert match, text
+        # each letter names the axis of the marked normal; its sign is the position's
+        rebuilt = [
+            tuple(tuple(pos[a] if i == a else 0 for i in range(3))
+                  for pos, a in zip(places.values(), map("xyz".index, axes)))
+            for places, axes in ((cube.CORNER_POS, match[1]), (cube.EDGE_POS, match[2]))
+        ]
+        assert cube.OrientationBasis(*rebuilt) == basis
+    sample = (cube.random_word(rng, 30), bases[1], bases[2], 4)
+    assert len(verify._show(sample)) < 200
+
+
+def test_basis_free_check_keeps_no_per_basis_tables():
+    """The colour tables are built once at import and never per basis, so
+    drawing bases keeps nothing behind."""
+    kinds = (cube._CORNERS, cube._EDGES)
+    tables = [(kind.read, kind.home, dict(kind.home)) for kind in kinds]
+    tracemalloc.start()
+    try:
+        result = run_suite(Context(seed=1), "prop-2.4-basis-free")[0]
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == "pass", result.actual
+    assert kept < 1_000_000  # a colour table per drawn basis keeps about 14 MB
+    for kind, (read, home, content) in zip(kinds, tables):
+        assert kind.read is read and kind.home is home and home == content
+    assert (len(cube._CORNERS.home), len(cube._EDGES.home)) == (8 * 6, 12 * 2)
+
+
+@pytest.mark.parametrize("trials", [None, 1])
+def test_rank_checks_fail_on_a_trivial_generator(monkeypatch, trials):
+    """The closed spans hold only k's (resp. m's) own vectors, so an identity
+    k or m reads rank 0 however many conjugates are drawn."""
+    identity = cube.MoveWord(())
+    monkeypatch.setattr(verify.structure, "WORD_K", identity)
+    monkeypatch.setattr(verify, "build_m", lambda: identity)
+    for check_id in ("prop-2.6-k-maximal", "prop-3.9-m-maximal"):
+        result = run_suite(Context(seed=1, trials=trials), check_id)[0]
+        assert (result.status, result.actual) == ("fail", "rank 0"), check_id
 
 
 def test_report_text_contains_counts():
