@@ -134,19 +134,36 @@ class MoveTables:
         self.size = size
         self.face_tables = dict(face_tables)
         n = sticker_count(size)
-        # pre[j] = source index of the sticker that lands at j, gathered in C
+        # _get[token] is a C-level gather: entry j of its result is the sticker
+        # that lands at j (power[i] is where sticker i goes)
         self._get: dict[tuple[str, int], itemgetter] = {}
         for face, table in self.face_tables.items():
             power = list(range(n))
             for turns in (1, 2, 3):
                 power = [table[p] for p in power]
-                pre = [0] * n
-                for i, j in enumerate(power):
-                    pre[j] = i
-                self._get[(face, turns)] = itemgetter(*pre)
+                self._get[(face, turns)] = itemgetter(*_inv0(power))
+        # _pair[a][b] gathers as token a then token b do, so a word costs one
+        # gather per two tokens; it is read off by running a, b on the
+        # identity labelling.  Same-face pairs are kept for unreduced words.
+        labels = tuple(range(n))
+        self._pair: dict[tuple[str, int], dict[tuple[str, int], itemgetter]] = {}
+        for a, get_a in self._get.items():
+            after_a = get_a(labels)
+            self._pair[a] = {
+                b: itemgetter(*get_b(after_a)) for b, get_b in self._get.items()
+            }
 
     def apply_token(self, stickers: tuple[int, ...], face: str, turns: int):
         return self._get[(face, turns)](stickers)
+
+    def _apply(self, stickers: tuple[int, ...], tokens) -> tuple[int, ...]:
+        """Gather stickers through the tokens in order, two at a time."""
+        pair, it = self._pair, iter(tokens)
+        for a, b in zip(it, it):
+            stickers = pair[a][b](stickers)
+        if len(tokens) % 2:
+            stickers = self._get[tokens[-1]](stickers)
+        return stickers
 
 
 def _default_tables(size: int) -> MoveTables:
@@ -295,10 +312,7 @@ def apply_word(
 ) -> CubeState:
     if isinstance(w, str):
         w = MoveWord.parse(w)
-    gather = (tables or default_tables(state.size))._get
-    stickers = state.stickers
-    for token in w.tokens:
-        stickers = gather[token](stickers)
+    stickers = (tables or default_tables(state.size))._apply(state.stickers, w.tokens)
     return CubeState(state.size, stickers)
 
 
@@ -433,7 +447,7 @@ def _permutation(kind: _CubeletKind, state: CubeState) -> Permutation:
                 f"{kind.name} cubelet {kind.labels[home - 1]} appears twice"
             )
         image[home - 1] = position
-    return Permutation(image)
+    return Permutation._trusted(tuple(image))  # every home filled once: a bijection
 
 
 def corner_permutation(state: CubeState) -> Permutation:
@@ -559,11 +573,9 @@ def sticker_perm_of_word(
     """The whole-word sticker permutation: entry i is where sticker i goes."""
     if isinstance(w, str):
         w = MoveWord.parse(w)
-    gather = (tables or default_tables(size))._get
+    tables = tables or default_tables(size)
     # run the word on the identity labelling: entry j is where j came from
-    labels = tuple(range(sticker_count(size)))
-    for token in w.tokens:
-        labels = gather[token](labels)
+    labels = tables._apply(tuple(range(sticker_count(size))), w.tokens)
     return invert_sticker_perm(labels)
 
 

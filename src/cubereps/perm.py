@@ -24,7 +24,12 @@ class PermError(ValueError):
 
 
 class Permutation:
-    """A bijection of {1..n}; ``image[i-1]`` is where point ``i`` goes."""
+    """A bijection of {1..n}; ``image[i-1]`` is where point ``i`` goes.
+
+    The constructor checks the bijection.  ``_trusted`` skips the check, and
+    takes only images that are bijections by construction: ``compose`` and
+    ``inverse`` results, and ``cube._permutation`` after its own checks.
+    """
 
     __slots__ = ("image",)
 
@@ -33,6 +38,13 @@ class Permutation:
         if sorted(image) != list(range(1, len(image) + 1)):
             raise PermError(f"not a bijection of 1..{len(image)}: {image!r}")
         self.image = image
+
+    @classmethod
+    def _trusted(cls, image: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple that is a bijection of 1..n by construction."""
+        p = object.__new__(cls)
+        p.image = image
+        return p
 
     @property
     def degree(self) -> int:
@@ -88,9 +100,9 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
-        for i, j in enumerate(self.image):
-            inv[j - 1] = i + 1
-        return Permutation(inv)
+        for i, j in enumerate(self.image, 1):
+            inv[j - 1] = i
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.image))
@@ -105,7 +117,8 @@ class Permutation:
                 j = image[j] - 1
         return -1 if (len(image) - cycles) % 2 else 1
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
+        """The cycles of length at least 2, each from its least point."""
         out = []
         seen = [False] * self.degree
         for start in range(1, self.degree + 1):
@@ -118,7 +131,7 @@ class Permutation:
                 seen[j - 1] = True
                 cycle.append(j)
                 j = self(j)
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(tuple(cycle))
         return out
 
@@ -195,7 +208,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if p.degree != q.degree:
         raise PermError(f"degree mismatch: {p.degree} vs {q.degree}")
     # a leading 0 lets the 1-based images of q index p's image directly
-    return Permutation(_mul0((0,) + p.image, q.image))
+    return Permutation._trusted(_mul0((0,) + p.image, q.image))
 
 
 def conjugate(g: Permutation, x: Permutation) -> Permutation:

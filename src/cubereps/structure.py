@@ -62,13 +62,27 @@ class G2Element:
         return self.perm.is_identity() and not any(self.twist)
 
 
+# Products and inverses keep the laws __post_init__ checks (sum-zero twists
+# and flips, equal signs), and encode_g2/encode_g3 test them first, so only
+# these build through _trusted, which skips __post_init__.
+
+
+def _trusted(cls, **fields):
+    """A frozen element whose fields satisfy the class's laws by construction."""
+    x = object.__new__(cls)
+    x.__dict__.update(fields)
+    return x
+
+
 def g2_mul(x: G2Element, y: G2Element) -> G2Element:
     """(k, s)(k', s') = (k + s.k', ss') where (s.k')_i = k'_{s^-1(i)}."""
-    return G2Element(*twisted_mul(3, x.twist, x.perm, y.twist, y.perm))
+    twist, perm = twisted_mul(3, x.twist, x.perm, y.twist, y.perm)
+    return _trusted(G2Element, twist=twist, perm=perm)
 
 
 def g2_inv(x: G2Element) -> G2Element:
-    return G2Element(*twisted_inv(3, x.twist, x.perm))
+    twist, perm = twisted_inv(3, x.twist, x.perm)
+    return _trusted(G2Element, twist=twist, perm=perm)
 
 
 @dataclass(frozen=True)
@@ -114,13 +128,13 @@ def g3_mul(x: G3Element, y: G3Element) -> G3Element:
     """Edges and corners are two twisted products side by side."""
     flip, edges = twisted_mul(2, x.flip, x.pair[0], y.flip, y.pair[0])
     twist, corners = twisted_mul(3, x.twist, x.pair[1], y.twist, y.pair[1])
-    return G3Element(flip, twist, (edges, corners))
+    return _trusted(G3Element, flip=flip, twist=twist, pair=(edges, corners))
 
 
 def g3_inv(x: G3Element) -> G3Element:
     flip, edges = twisted_inv(2, x.flip, x.pair[0])
     twist, corners = twisted_inv(3, x.twist, x.pair[1])
-    return G3Element(flip, twist, (edges, corners))
+    return _trusted(G3Element, flip=flip, twist=twist, pair=(edges, corners))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +148,7 @@ def encode_g2(state: CubeState, basis=cube.REFERENCE_BASIS) -> G2Element:
     twist = corner_orientation(state, basis)
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
-    return G2Element(twist, corner_permutation(state))
+    return _trusted(G2Element, twist=twist, perm=corner_permutation(state))
 
 
 def encode_g3(state: CubeState, basis=cube.REFERENCE_BASIS) -> G3Element:
@@ -149,7 +163,7 @@ def encode_g3(state: CubeState, basis=cube.REFERENCE_BASIS) -> G3Element:
     edges, corners = edge_permutation(state), corner_permutation(state)
     if edges.sign() != corners.sign():
         raise UnreachableState("edge and corner permutation signs differ")
-    return G3Element(flip, twist, (edges, corners))
+    return _trusted(G3Element, flip=flip, twist=twist, pair=(edges, corners))
 
 
 def word_element_g2(

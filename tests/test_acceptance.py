@@ -8,8 +8,12 @@ Everything here is exact arithmetic, so every tolerance is equality.
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -264,15 +268,27 @@ def test_criterion_9_negative_controls():
 
 
 def test_criterion_10_determinism(capsys):
+    # the second run is a fresh process, overlapped with the in-process run;
+    # its stderr goes to pytest's capture
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    fresh = subprocess.Popen(
+        [sys.executable, "-m", "cubereps.cli", "verify", "--json", "--seed", "42"],
+        stdout=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
     code1 = cli.main(["verify", "--json", "--seed", "42"])
     out1 = capsys.readouterr().out
-    code2 = cli.main(["verify", "--json", "--seed", "42"])
-    out2 = capsys.readouterr().out
+    out2 = fresh.communicate(timeout=300)[0]
+    code2 = fresh.returncode
     payload = json.loads(out1)
     with capsys.disabled():
         _report(
             10,
-            code1 == code2 == 0 and out1 == out2 and payload["summary"]["fail"] == 0,
-            f"byte-identical reports, {payload['summary']['pass']} checks",
+            code1 == code2 == 0
+            and out2 == out1.encode()
+            and payload["summary"]["fail"] == 0,
+            f"byte-identical reports in process and in a fresh process, "
+            f"{payload['summary']['pass']} checks",
         )
     assert hashlib.sha256(out1.encode()).hexdigest() == REPORT_42_SHA256

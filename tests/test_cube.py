@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubereps import cube
@@ -494,3 +494,46 @@ def test_orientation_readers_take_bases_held_in_lists():
     state = apply_word(CubeState.solved(3), "R U F' L2 D B")
     assert corner_orientation(state, listed) == corner_orientation(state, basis)
     assert edge_orientation(state, listed) == edge_orientation(state, basis)
+
+
+# ---------------------------------------------------------------------------
+# Two-token gathers: apply_word and sticker_perm_of_word fold a word two
+# tokens at a time; both must equal a token-by-token apply_token fold
+
+
+def _u_inverted(size):
+    """The default tables with U replaced by its inverse."""
+    tables = dict(cube.default_tables(size).face_tables)
+    tables["U"] = cube.invert_sticker_perm(tables["U"])
+    return cube.MoveTables(size, tables)
+
+
+TABLES = {
+    (size, inverted): _u_inverted(size) if inverted else cube.default_tables(size)
+    for size in (2, 3)
+    for inverted in (False, True)
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(TABLES)), TOKENS)
+@example((3, False), ())
+@example((2, True), (("U", 1),))
+@example((3, True), (("U", 1), ("U", 3), ("R", 2)))
+def test_pair_gathers_match_a_token_by_token_fold(key, tokens):
+    size, _ = key
+    tables = TABLES[key]
+    n = cube.sticker_count(size)
+    labelled = CubeState(size, tuple(range(n)))  # distinct labels, unlike colours
+    stickers = labelled.stickers
+    for face, turns in tokens:
+        stickers = tables.apply_token(stickers, face, turns)
+    w = MoveWord(tokens)
+    assert apply_word(labelled, w, tables).stickers == stickers
+    # where each sticker goes, turn by turn through the face tables themselves
+    goes = list(range(n))
+    for face, turns in tokens:
+        for _ in range(turns):
+            goes = [tables.face_tables[face][i] for i in goes]
+    assert cube.sticker_perm_of_word(w, size, tables) == tuple(goes)
+    assert cube.invert_sticker_perm(tuple(goes)) == stickers

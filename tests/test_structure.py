@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubereps import cube, structure, verify
-from cubereps.cube import CubeState, apply_word, random_word
+from cubereps.cube import CubeState, MoveWord, apply_word, random_word
 from cubereps.perm import EDGE_LETTERS, Permutation, chain_build, compose
 from cubereps.structure import (
     G2Element,
@@ -21,6 +23,7 @@ from cubereps.structure import (
     encode_g3,
     g2_inv,
     g2_mul,
+    g3_inv,
     g3_mul,
     membership,
     phi,
@@ -387,3 +390,48 @@ def test_p_chain_rejects_a_sign_mismatched_pair(ctx):
     mismatched = (edge_swap, Permutation.identity(8))
     assert not chain.contains(structure.pair_to_perm20(mismatched))
     assert chain.contains(structure.pair_to_perm20((edge_swap, corner_swap)))
+
+
+# ---------------------------------------------------------------------------
+# Trusted construction: products, inverses, cubelet permutations and checked
+# decodes skip the public constructors' checks; each must still pass them
+
+
+def _rebuilt(x):
+    """x rebuilt through the public validating constructors."""
+    if isinstance(x, Permutation):
+        return Permutation(x.image)
+    if isinstance(x, G2Element):
+        return G2Element(x.twist, _rebuilt(x.perm))
+    return G3Element(x.flip, x.twist, tuple(map(_rebuilt, x.pair)))
+
+
+def _assert_valid(x):
+    assert _rebuilt(x) == x
+    assert hash(_rebuilt(x)) == hash(x)  # fields are tuples, as the rebuild's are
+
+
+WORDS = st.lists(st.tuples(st.sampled_from(cube.FACES), st.integers(1, 3)), max_size=24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(WORDS, WORDS)
+def test_trusted_elements_pass_the_public_constructors(a, b):
+    a, b = MoveWord(tuple(a)), MoveWord(tuple(b))
+    groups = ((2, encode_g2, g2_mul, g2_inv), (3, encode_g3, g3_mul, g3_inv))
+    for size, encode, mul, inv in groups:
+        x = encode(apply_word(CubeState.solved(size), a))
+        y = encode(apply_word(CubeState.solved(size), b))
+        for z in (x, y, mul(x, y), inv(x), mul(inv(y), x)):
+            _assert_valid(z)
+        assert mul(x, inv(x)).is_identity()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(*[st.permutations(range(1, n + 1)).map(Permutation)] * 2)
+))
+def test_trusted_permutations_pass_the_public_constructor(pair):
+    p, q = pair
+    for r in (compose(p, q), p * q, p.inverse(), p ** 3, q ** -2):
+        _assert_valid(r)

@@ -1,5 +1,7 @@
 """Differential tests against sympy: StabilizerChain against its
-PermutationGroup, and Permutation arithmetic against its Permutation.
+PermutationGroup, Permutation arithmetic against its Permutation,
+invariant factors against its Smith normal form, and CyclotomicInt
+arithmetic against its polynomials modulo cyclotomic_poly.
 
 sympy permutations are 0-based array forms, and its product ``p * q``
 applies ``p`` first, so ``compose(p, q)`` here corresponds to sympy's
@@ -11,8 +13,11 @@ import pytest
 sympy_comb = pytest.importorskip("sympy.combinatorics")
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Poly, cyclotomic_poly, diag, symbols
+from sympy.matrices.normalforms import smith_normal_form
 
-from cubereps import cube, verify
+from cubereps import abelian, cube, verify
+from cubereps.cyclotomic import CyclotomicInt
 from cubereps.perm import EDGE_LETTERS, Permutation, chain_build, compose
 from cubereps.structure import beta
 
@@ -139,3 +144,41 @@ def test_cycle_string_matches_sympy(one):
     letters = "".join("(" + "".join(EDGE_LETTERS[x] for x in c) + ")" for c in cycles)
     assert p.cycle_string(letters=True) == (letters or "()")
     assert Permutation.from_cycles(p.cycle_string(), p.degree) == p
+
+
+# ---------------------------------------------------------------------------
+# Invariant factors against sympy's Smith normal form, and cyclotomic
+# integer arithmetic against sympy polynomials reduced by cyclotomic_poly
+
+
+def test_invariant_factors_example_matches_sympy():
+    assert abelian.invariant_factors((4, 6, 9)) == (6, 36)
+    assert smith_normal_form(diag(4, 6, 9), domain=ZZ) == diag(1, 6, 36)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(2, 72), min_size=1, max_size=6))
+def test_invariant_factors_match_sympy_smith_form(orders):
+    snf = smith_normal_form(diag(*orders), domain=ZZ)
+    # the diagonal is a divisor chain; the unit entries lead it
+    chain = tuple(abs(snf[i, i]) for i in range(len(orders)) if abs(snf[i, i]) != 1)
+    assert abelian.invariant_factors(orders) == chain
+
+
+X = symbols("x")
+COEFFS = st.lists(st.integers(-6, 6), max_size=30)
+
+
+def _poly(coeffs) -> Poly:
+    """An ascending coefficient list as a sympy polynomial in X."""
+    return Poly(list(reversed(coeffs)) or [0], X, domain=ZZ)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), COEFFS, COEFFS)
+def test_cyclotomic_add_and_mul_match_sympy(r, a, b):
+    phi = Poly(cyclotomic_poly(r, X), X, domain=ZZ)
+    x, y = CyclotomicInt(r, a), CyclotomicInt(r, b)
+    assert _poly(x.coeffs) == _poly(a).rem(phi)
+    assert _poly((x + y).coeffs) == (_poly(a) + _poly(b)).rem(phi)
+    assert _poly((x * y).coeffs) == (_poly(a) * _poly(b)).rem(phi)
