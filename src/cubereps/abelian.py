@@ -225,8 +225,8 @@ def oracle_min_faithful(
             need += 1
         return need
 
-    def lower_bound(mask: int) -> int:
-        remaining = mask.bit_count()
+    def lower_bound(remaining: int) -> int:
+        """Fewest characters that shrink a kernel of ``remaining`` elements to 1."""
         if field == "complex":
             return steps_needed(remaining, R)
         # cost-1 characters halve at most; only cost-2 ones cut odd order
@@ -245,6 +245,9 @@ def oracle_min_faithful(
             y += 1
         return best_cost
 
+    # the bound reads only a mask's element count, 1 .. size (every kernel
+    # holds the identity, and 0 would never leave the real-field loop)
+    floor = [None, *map(lower_bound, range(1, size + 1))]
     full = (1 << size) - 1
     best: list[int | None] = [None]
     visited: dict[int, int] = {}
@@ -254,7 +257,7 @@ def oracle_min_faithful(
             if best[0] is None or cost < best[0]:
                 best[0] = cost
             return
-        if best[0] is not None and cost + lower_bound(mask) >= best[0]:
+        if best[0] is not None and cost + floor[mask.bit_count()] >= best[0]:
             return
         prev = visited.get(mask)
         if prev is not None and prev <= cost:

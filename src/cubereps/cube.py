@@ -286,6 +286,13 @@ class CubeState:
             raise ValueError("wrong sticker count")
 
     @classmethod
+    def _trusted(cls, size: int, stickers: tuple[int, ...]) -> "CubeState":
+        """A state whose size and sticker count hold by construction."""
+        state = object.__new__(cls)
+        state.__dict__.update(size=size, stickers=stickers)
+        return state
+
+    @classmethod
     def solved(cls, size: int) -> "CubeState":
         return cls(size, _SOLVED.get(size, ()))
 
@@ -312,8 +319,13 @@ def apply_word(
 ) -> CubeState:
     if isinstance(w, str):
         w = MoveWord.parse(w)
-    stickers = (tables or default_tables(state.size))._apply(state.stickers, w.tokens)
-    return CubeState(state.size, stickers)
+    tables = tables or default_tables(state.size)
+    if tables.size != state.size:
+        raise ValueError(
+            f"{tables.size}x{tables.size} move tables on a {state.size}x{state.size} state"
+        )
+    # a gather of a checked state through tables of its size keeps its length
+    return CubeState._trusted(state.size, tables._apply(state.stickers, w.tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +438,9 @@ def _per_size(kind: _CubeletKind, size: int, tables: dict):
 
 
 def _cubelets(kind: _CubeletKind, state: CubeState) -> list:
-    """(home, places) of the cubelet at each position, None where none matches."""
+    """(home, places) of the cubelet at each position, None where none matches.
+    The permutation and orientation readers below take this list, so a reader
+    of both (``structure.encode_g2``/``encode_g3``) looks the colours up once."""
     stickers, home = state.stickers, kind.home.get
     return [home(read(stickers)) for read in _per_size(kind, state.size, kind.read)]
 
@@ -436,12 +450,12 @@ def _unmatched(kind: _CubeletKind, position: int) -> CorruptedState:
     return CorruptedState(f"sticker {kind.group} at {at} matches no cubelet")
 
 
-def _permutation(kind: _CubeletKind, state: CubeState) -> Permutation:
+def _permutation(kind: _CubeletKind, found: list) -> Permutation:
     image = [0] * len(kind.order)
-    for position, found in enumerate(_cubelets(kind, state), 1):
-        if found is None:
+    for position, cubelet in enumerate(found, 1):
+        if cubelet is None:
             raise _unmatched(kind, position - 1)
-        home = found[0]
+        home = cubelet[0]
         if image[home - 1]:
             raise CorruptedState(
                 f"{kind.name} cubelet {kind.labels[home - 1]} appears twice"
@@ -452,11 +466,11 @@ def _permutation(kind: _CubeletKind, state: CubeState) -> Permutation:
 
 def corner_permutation(state: CubeState) -> Permutation:
     """Where each corner cubelet went: image[home] = current position."""
-    return _permutation(_CORNERS, state)
+    return _permutation(_CORNERS, _cubelets(_CORNERS, state))
 
 
 def edge_permutation(state: CubeState) -> Permutation:
-    return _permutation(_EDGES, state)
+    return _permutation(_EDGES, _cubelets(_EDGES, state))
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +517,7 @@ def reference_basis() -> OrientationBasis:
 REFERENCE_BASIS = reference_basis()
 
 
-def _orientation(kind: _CubeletKind, state: CubeState, marks) -> tuple[int, ...]:
-    found = _cubelets(kind, state)
+def _orientation(kind: _CubeletKind, found: list, marks) -> tuple[int, ...]:
     if None in found:
         raise _unmatched(kind, found.index(None))
     m = tuple(map(tuple.index, kind.order, marks))  # each mark's place in its turning order
@@ -517,14 +530,14 @@ def corner_orientation(
     state: CubeState, basis: OrientationBasis = REFERENCE_BASIS
 ) -> tuple[int, ...]:
     """Z_3 twist of each corner position, relative to the basis marks."""
-    return _orientation(_CORNERS, state, basis.corner_marks)
+    return _orientation(_CORNERS, _cubelets(_CORNERS, state), basis.corner_marks)
 
 
 def edge_orientation(
     state: CubeState, basis: OrientationBasis = REFERENCE_BASIS
 ) -> tuple[int, ...]:
     """Z_2 flip of each edge position, relative to the basis marks."""
-    return _orientation(_EDGES, state, basis.edge_marks)
+    return _orientation(_EDGES, _cubelets(_EDGES, state), basis.edge_marks)
 
 
 def invariant_s(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> int:
@@ -600,15 +613,42 @@ def state_of_sticker_perm(perm: tuple[int, ...], size: int) -> CubeState:
     return _permuted_state(perm, CubeState.solved(size))
 
 
+# Random draws.  On CPython, rng.randrange(n) reads k = n.bit_length() bits
+# by rng.getrandbits(k) and redraws while the value is >= n; drawing the
+# same way here gives the words and bases randrange would, and leaves the
+# generator in the same state, without randrange's argument handling.
+
+
+def _below(bits, n: int) -> int:
+    """``rng.randrange(n)``, drawn through ``bits = rng.getrandbits``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+# _TOKENS[f][t] is the token of face draw f < 6 and turn draw t < 3
+_TOKENS = tuple(tuple((face, turns) for turns in (1, 2, 3)) for face in FACES)
+
+
 def random_word(rng, length: int) -> MoveWord:
-    """Uniform random word over the 18 face-turn tokens."""
-    tokens = tuple(
-        (FACES[rng.randrange(6)], rng.randrange(1, 4)) for _ in range(length)
-    )
-    return MoveWord(tokens)
+    """Uniform random word over the 18 face-turn tokens, token by token as
+    ``(FACES[rng.randrange(6)], rng.randrange(1, 4))`` draws it."""
+    bits, tokens = rng.getrandbits, []
+    for _ in range(length):
+        face = bits(3)
+        while face >= 6:
+            face = bits(3)
+        turns = bits(2)
+        while turns == 3:
+            turns = bits(2)
+        tokens.append(_TOKENS[face][turns])
+    return MoveWord(tuple(tokens))
 
 
 def random_basis(rng) -> OrientationBasis:
-    corners = tuple(_normals(pos)[rng.randrange(3)] for pos in CORNER_POS.values())
-    edges = tuple(_normals(pos)[rng.randrange(2)] for pos in EDGE_POS.values())
+    bits = rng.getrandbits
+    corners = tuple(_normals(pos)[_below(bits, 3)] for pos in CORNER_POS.values())
+    edges = tuple(_normals(pos)[_below(bits, 2)] for pos in EDGE_POS.values())
     return OrientationBasis(corners, edges)

@@ -21,9 +21,7 @@ from .cube import (
     MoveWord,
     apply_word,
     commutator,
-    corner_orientation,
     corner_permutation,
-    edge_orientation,
     edge_permutation,
     product,
     word,
@@ -145,25 +143,30 @@ def encode_g2(state: CubeState, basis=cube.REFERENCE_BASIS) -> G2Element:
     """Read a 2x2 state off as a group element; raises on unreachable states."""
     if state.size != 2:
         raise ValueError("encode_g2 expects a 2x2 state")
-    twist = corner_orientation(state, basis)
+    # one colour lookup per cubelet serves both readers, which raise as
+    # corner_orientation and corner_permutation would, in that order
+    corners = cube._cubelets(cube._CORNERS, state)
+    twist = cube._orientation(cube._CORNERS, corners, basis.corner_marks)
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
-    return _trusted(G2Element, twist=twist, perm=corner_permutation(state))
+    return _trusted(G2Element, twist=twist, perm=cube._permutation(cube._CORNERS, corners))
 
 
 def encode_g3(state: CubeState, basis=cube.REFERENCE_BASIS) -> G3Element:
     if state.size != 3:
         raise ValueError("encode_g3 expects a 3x3 state")
-    twist = corner_orientation(state, basis)
+    corners = cube._cubelets(cube._CORNERS, state)
+    twist = cube._orientation(cube._CORNERS, corners, basis.corner_marks)
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
-    flip = edge_orientation(state, basis)
+    edges = cube._cubelets(cube._EDGES, state)
+    flip = cube._orientation(cube._EDGES, edges, basis.edge_marks)
     if sum(flip) % 2:
         raise UnreachableState("edge orientation sum is nonzero")
-    edges, corners = edge_permutation(state), corner_permutation(state)
-    if edges.sign() != corners.sign():
+    pair = (cube._permutation(cube._EDGES, edges), cube._permutation(cube._CORNERS, corners))
+    if pair[0].sign() != pair[1].sign():
         raise UnreachableState("edge and corner permutation signs differ")
-    return _trusted(G3Element, flip=flip, twist=twist, pair=(edges, corners))
+    return _trusted(G3Element, flip=flip, twist=twist, pair=pair)
 
 
 def word_element_g2(

@@ -294,7 +294,7 @@ def _(ctx: Context):
     trials, bad, where = _sampled(
         ctx, "basis-free", 100,
         lambda rng: (_random_word(rng, 30), cube.random_basis(rng),
-                     cube.random_basis(rng), 1 + rng.randrange(8)),
+                     cube.random_basis(rng), 1 + cube._below(rng.getrandbits, 8)),
         failures,
     )
     return bad == 0, f"0 failures in {trials}", f"{bad} failures{where}"
@@ -839,8 +839,9 @@ def _(ctx: Context):
 
 
 def _random_word(rng, stop: int) -> MoveWord:
-    """A random word of 1 .. stop - 1 tokens."""
-    return cube.random_word(rng, rng.randrange(1, stop))
+    """A random word of 1 .. stop - 1 tokens (its length drawn as
+    ``rng.randrange(1, stop)`` draws it)."""
+    return cube.random_word(rng, 1 + cube._below(rng.getrandbits, stop - 1))
 
 
 def _word_pair(stop: int):
@@ -872,7 +873,8 @@ def _conjugation_law(ctx, label, size, length, modulus, turn, permutation, orien
 
 
 def _random_sum_zero(rng, length: int, modulus: int) -> tuple[int, ...]:
-    values = [rng.randrange(modulus) for _ in range(length - 1)]
+    bits = rng.getrandbits
+    values = [cube._below(bits, modulus) for _ in range(length - 1)]
     values.append((-sum(values)) % modulus)
     return tuple(values)
 

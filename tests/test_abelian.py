@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubereps import abelian, cli
+from cubereps import abelian, cli, verify
 from cubereps.abelian import (
     FiniteAbelianGroup,
     OracleBoundExceeded,
@@ -104,6 +104,16 @@ def test_oracle_bound_and_field_validation():
         oracle_min_faithful(big, "complex")
     with pytest.raises(ValueError):
         oracle_min_faithful(FiniteAbelianGroup.of(2), "rational")
+
+
+def test_oracle_matches_the_formulas_on_the_order_200_sweep():
+    """The search prunes by a bound tabled per element count; its answers on
+    every group of the thm-4.2 sweep stay the formulas'."""
+    groups = list(verify._all_abelian_groups(200))
+    assert len(groups) == 388
+    for g in groups:
+        assert oracle_min_faithful(g, "complex") == mdim_complex_abelian(g), g
+        assert oracle_min_faithful(g, "real") == mdim_real_abelian(g), g
 
 
 def test_formula_equals_oracle_small():

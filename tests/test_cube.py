@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubereps import cube
+from cubereps import cube, structure
 from cubereps.cube import (
     CorruptedState,
     CubeState,
@@ -488,12 +488,83 @@ def test_corrupted_cubelets_keep_their_messages(size):
         corner_permutation(CubeState(size, tuple(stickers)))
 
 
+def _blank_cubelet(state, kind, position):
+    """Colour 0 on every sticker at a position: a set no cubelet has."""
+    stickers = list(state.stickers)
+    for i in kind.index[state.size][position - 1]:
+        stickers[i] = 0
+    return CubeState(state.size, tuple(stickers))
+
+
+def _swap_cubelets(state, kind, a, b):
+    """The cubelets at positions a and b trade places, in turning order."""
+    index = kind.index[state.size]
+    stickers = list(state.stickers)
+    for i, j in zip(index[a - 1], index[b - 1]):
+        stickers[i], stickers[j] = stickers[j], stickers[i]
+    return CubeState(state.size, tuple(stickers))
+
+
+def _sum_fixed(state):
+    """The state with corner 6 twisted and edge b flipped so both sums vanish."""
+    state = cube.twist_corner(state, 6, -sum(cube.corner_orientation(state)) % 3)
+    if state.size == 3 and sum(cube.edge_orientation(state)) % 2:
+        state = cube.flip_edge(state, 2)
+    return state
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_encode_raises_on_corrupted_states_in_reader_order(size):
+    """Unmatched colours, then the twist sum, then the flip sum, then a
+    duplicated cubelet, then the signs: the first that fails names the state."""
+    encode = structure.encode_g2 if size == 2 else structure.encode_g3
+    solved = CubeState.solved(size)
+    corners, edges = cube._CORNERS, cube._EDGES
+    doubled = _copy_cubelet(solved, corners, 3, 6)
+    unmatched = "^sticker triple at corner 8 matches no cubelet$"
+    cases = [
+        (_blank_cubelet(solved, corners, 8), CorruptedState, unmatched),
+        (_blank_cubelet(doubled, corners, 8), CorruptedState, unmatched),
+        (doubled, structure.UnreachableState, "^corner orientation sum is nonzero$"),
+        (_sum_fixed(doubled), CorruptedState, "^corner cubelet 3 appears twice$"),
+    ]
+    if size == 3:
+        doubled_edge = _copy_cubelet(solved, edges, 1, 2)
+        cases += [
+            (_blank_cubelet(_blank_cubelet(solved, corners, 8), edges, 5),
+             CorruptedState, unmatched),
+            (_blank_cubelet(doubled, edges, 5), structure.UnreachableState,
+             "^corner orientation sum is nonzero$"),
+            (_blank_cubelet(solved, edges, 5), CorruptedState,
+             "^sticker pair at edge e matches no cubelet$"),
+            (doubled_edge, structure.UnreachableState, "^edge orientation sum is nonzero$"),
+            (_sum_fixed(doubled_edge), CorruptedState, "^edge cubelet a appears twice$"),
+            (_sum_fixed(_copy_cubelet(doubled, edges, 1, 2)), CorruptedState,
+             "^edge cubelet a appears twice$"),
+            (_sum_fixed(_swap_cubelets(solved, corners, 1, 2)), structure.UnreachableState,
+             "^edge and corner permutation signs differ$"),
+        ]
+    for state, error, message in cases:
+        with pytest.raises(error, match=message):
+            encode(state)
+
+
 def test_orientation_readers_take_bases_held_in_lists():
     basis = random_basis(random.Random(5))
     listed = cube.OrientationBasis(list(basis.corner_marks), list(basis.edge_marks))
     state = apply_word(CubeState.solved(3), "R U F' L2 D B")
     assert corner_orientation(state, listed) == corner_orientation(state, basis)
     assert edge_orientation(state, listed) == edge_orientation(state, basis)
+
+
+@pytest.mark.parametrize("size, other", [(2, 3), (3, 2)])
+def test_apply_word_refuses_tables_of_the_other_size(size, other):
+    """A gather through tables of the state's size keeps its sticker count, so
+    apply_word skips the state's checks; other tables are refused first."""
+    message = f"^{other}x{other} move tables on a {size}x{size} state$"
+    for w in ("R U F'", ""):
+        with pytest.raises(ValueError, match=message):
+            apply_word(CubeState.solved(size), w, cube.default_tables(other))
 
 
 # ---------------------------------------------------------------------------

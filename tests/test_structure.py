@@ -325,29 +325,27 @@ def test_conjugation_law_by_simulation():
 
 
 def test_encode_reads_each_orientation_once(monkeypatch):
+    """encode_g2/encode_g3 look each cubelet kind's colours up once, and both
+    the orientation and the permutation are read off that one lookup."""
     calls = {"corner": 0, "edge": 0}
+    cubelets = cube._cubelets
 
-    def counted(kind, reader):
-        def wrapper(*args, **kwargs):
-            calls[kind] += 1
-            return reader(*args, **kwargs)
+    def counted(kind, state):
+        calls[kind.name] += 1
+        return cubelets(kind, state)
 
-        return wrapper
-
-    # count at both bindings, so a read through cube.invariant_s counts too
-    for kind in calls:
-        name = f"{kind}_orientation"
-        wrapper = counted(kind, getattr(cube, name))
-        monkeypatch.setattr(structure, name, wrapper)
-        monkeypatch.setattr(cube, name, wrapper)
+    monkeypatch.setattr(cube, "_cubelets", counted)
     state = apply_word(CubeState.solved(3), "F R U' L2 B")
     el = structure.encode_g3(state)
     assert calls == {"corner": 1, "edge": 1}
     assert el.twist == cube.corner_orientation(state)
     assert el.flip == cube.edge_orientation(state)
+    assert el.pair == (cube.edge_permutation(state), cube.corner_permutation(state))
     calls.update(corner=0, edge=0)
-    structure.encode_g2(apply_word(CubeState.solved(2), "F R U' L2 B"))
+    state = apply_word(CubeState.solved(2), "F R U' L2 B")
+    el = structure.encode_g2(state)
     assert calls == {"corner": 1, "edge": 0}
+    assert (el.twist, el.perm) == (cube.corner_orientation(state), cube.corner_permutation(state))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubereps import cli, cube, verify
 from cubereps.verify import Context, report_json, report_text, run_suite
@@ -112,9 +114,49 @@ def _first_failure(actual, seed, label):
     return int(match.group(1)), re.findall(r'"([^"]*)"', match.group(2))
 
 
+def _randrange_word(rng, length):
+    """A word drawn by ``randrange`` alone, as the sampled checks' stream is
+    specified, so a change to ``cube.random_word`` cannot replay itself."""
+    return cube.MoveWord(tuple(
+        (cube.FACES[rng.randrange(6)], rng.randrange(1, 4)) for _ in range(length)
+    ))
+
+
 def _replay(rng, count, stop):
     """The first ``count`` words a check drawing words below ``stop`` draws."""
-    return [cube.random_word(rng, rng.randrange(1, stop)) for _ in range(count)]
+    return [_randrange_word(rng, rng.randrange(1, stop)) for _ in range(count)]
+
+
+def _randrange_basis(rng):
+    corners = tuple(cube._normals(pos)[rng.randrange(3)] for pos in cube.CORNER_POS.values())
+    edges = tuple(cube._normals(pos)[rng.randrange(2)] for pos in cube.EDGE_POS.values())
+    return cube.OrientationBasis(corners, edges)
+
+
+def _randrange_sum_zero(rng, length, modulus):
+    values = [rng.randrange(modulus) for _ in range(length - 1)]
+    return (*values, -sum(values) % modulus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 80), st.integers(2, 81), st.sampled_from([2, 3]))
+def test_draws_match_randrange_draw_for_draw(seed, length, stop, modulus):
+    """Every sampled draw equals its ``randrange`` spelling and leaves the
+    generator in the same state, so the reports' words and trials stay put."""
+    fast, slow = random.Random(seed), random.Random(seed)
+    draws = [
+        (lambda rng: cube.random_word(rng, length), lambda rng: _randrange_word(rng, length)),
+        (cube.random_basis, _randrange_basis),
+        (lambda rng: verify._random_word(rng, stop),
+         lambda rng: _randrange_word(rng, rng.randrange(1, stop))),
+        (lambda rng: verify._random_sum_zero(rng, length + 1, modulus),
+         lambda rng: _randrange_sum_zero(rng, length + 1, modulus)),
+        (lambda rng: cube._below(rng.getrandbits, stop), lambda rng: rng.randrange(stop)),
+        (lambda rng: cube._below(rng.getrandbits, 8), lambda rng: rng.randrange(8)),
+    ]
+    for draw, reference in draws:
+        assert draw(fast) == reference(slow)
+        assert fast.getstate() == slow.getstate()
 
 
 def test_first_failure_names_a_replayable_word(capsys):
