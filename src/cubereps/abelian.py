@@ -7,7 +7,8 @@ invariant factors (a + b), over the reals a + 2b, where a counts factors
 equal to 2 and b the larger ones.  ``oracle_min_faithful`` recomputes both
 numbers by exhaustive search over character sets, independently of the
 invariant-factor route, on the socle alone (the elements of squarefree
-order): every nontrivial subgroup contains an element of prime order.
+order): every nontrivial subgroup contains an element of prime order, and
+each kernel there is a product of per-prime hyperplanes and whole parts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -142,13 +143,19 @@ def mdim_real_abelian(group: FiniteAbelianGroup) -> int:
 #
 # Any nontrivial subgroup contains an element of prime order (Cauchy), so a
 # set of characters is faithful iff its common kernel meets the socle
-# Omega(A) = sum_p A[p] trivially.  A factor Z_n with r = rad(n) meets Omega
-# in (n/r) Z_n; on Omega the character v depends only on u = v mod r, with
-# value sum_i (R/r_i) u_i t_i mod R, R = lcm r_i.  The oracle keeps one
-# Omega-kernel bitmask per u at the lowest cost of its lifts (real: 1 if
-# one has order <= 2, else 2; complex: 1) and minimizes the total cost by
-# depth-first search: branch only on kernels that miss the first surviving
-# non-zero element, prune with an exact logarithmic lower bound.
+# Omega(A) = sum_p Omega_p trivially, where Omega_p = A[p] = F_p^(n_p) has one
+# coordinate (n/p) Z_n per factor Z_n with p | n.  A character's kernel on
+# Omega is the product of the kernels of its p-parts, each a hyperplane of
+# Omega_p or all of it, so the kernels are the products of one option per
+# prime, one hyperplane per projective point.  Real cost: 1 if the character
+# lifts to one of order <= 2 (a 2-part alone, read on factors n = 2 mod 4),
+# else 2; complex cost: 1.  The oracle drops every kernel that contains
+# another of no greater cost, then minimizes the total cost by depth-first
+# search: branch only on kernels that miss the first surviving non-zero
+# element, and prune with a logarithmic lower bound.  A character cuts a node
+# M by the index [M : M n K], and by no more in any M' <= M, so the largest
+# index at M (per cost) bounds every cut below M.  The bound reads element
+# counts only; the per-prime rank, which it never reads, is the formula.
 
 
 class OracleBoundExceeded(ValueError):
@@ -166,33 +173,74 @@ def _radical(n: int) -> int:
     return out * n
 
 
+def _spread(count: int, stride: int) -> int:
+    """The mask of bits 0, stride, ..., (count - 1) * stride."""
+    return ((1 << count * stride) - 1) // ((1 << stride) - 1)
+
+
 @lru_cache(maxsize=16)
 def _socle_kernels(orders: tuple[int, ...]):
-    """(|Omega|, R, ((kernel mask on Omega, lowest real cost), ...)), both fields."""
+    """(|Omega|, R, ((kernel mask on Omega, lowest real cost), ...)), both fields.
+
+    Bit order: the p-parts in mixed radix, the largest prime's fastest; in
+    Omega_p the coordinates in factor order, the last fastest."""
     radicals = [_radical(n) for n in orders]
     R = lcm(*radicals)  # rad of the exponent, read off the orders
-    # restrictions of the characters of order <= 2: v_i in {0, n_i/2}
-    halves = ((0, n // 2) if n % 2 == 0 else (0,) for n in orders)
-    real = {tuple(c % r for c, r in zip(v, radicals))
-            for v in itertools.product(*halves)}
-    kernels: dict[int, int] = {}
-    seen = {tuple(0 for _ in radicals)}  # the trivial character: kernel all of Omega
-    for u in itertools.product(*(range(r) for r in radicals)):
-        if u in seen:
-            continue
-        # unit multiples of u define the same kernel
-        order_u = _element_order(u, radicals)
-        seen.update(tuple(k * c % r for c, r in zip(u, radicals))
-                    for k in range(2, order_u) if gcd(k, order_u) == 1)
-        values = [0]  # the value of u at every socle element, in product order
-        for c, r in zip(u, radicals):
-            step = R // r * c
-            values = [(a + step * t) % R for a in values for t in range(r)]
-        mask = int("".join("0" if a else "1" for a in reversed(values)), 2)
-        cost = 1 if u in real else 2
-        if cost < kernels.get(mask, 3):
-            kernels[mask] = cost
-    return prod(radicals), R, tuple(kernels.items())
+    primes = [d for d in range(2, R + 1) if R % d == 0 and all(d % q for q in range(2, d))]
+    kernels, stride = [(1, 0)], 1
+    for p in reversed(primes):
+        factors = [n for n, r in zip(orders, radicals) if r % p == 0]
+        size, step = p ** len(factors), stride
+        part = [(_spread(size, stride), 0)]  # the whole part
+        # classes[j][a]: where tails[j] . x = a, x in the coordinates after the lead
+        tails, classes = [()], [[1] + [0] * (p - 1)]
+        for lead in reversed(range(len(factors))):  # u = (0, .., 0, 1, tail)
+            free = _spread(p**lead, step * p)  # the coordinates before the lead
+            for tail, c in zip(tails, classes):
+                cheap = p == 2 and all(n % 4 == 2 for n, x in
+                                       zip(factors[lead:], (1, *tail)) if x)
+                part.append((sum(c[-t % p] << t * step for t in range(p)) * free,
+                             1 if cheap else 2))
+            if not lead:
+                break
+            tails = [(x, *tail) for x in range(p) for tail in tails]
+            classes = [[sum(c[(a - x * t) % p] << t * step for t in range(p))
+                        for a in range(p)] for x in range(p) for c in classes]
+            step *= p
+        # a kernel is the product of its parts: their bits interleave
+        kernels = [(k * m, max(c, d)) for k, c in kernels for m, d in part]
+        stride *= size
+    return stride, R, tuple(kernels[1:])  # [0] is the trivial character's
+
+
+def _steps(n: int, shrink: int):
+    """Fewest cuts by a factor of at most ``shrink`` that take n to 1."""
+    if shrink == 1:
+        return 0 if n == 1 else inf
+    need = 0
+    while n > 1:
+        n = -(-n // shrink)
+        need += 1
+    return need
+
+
+@lru_cache(maxsize=4096)
+def _least_cost(field: str, remaining: int, cut1: int, cut2: int):
+    """Least cost that cuts a kernel of ``remaining`` elements to 1 when one
+    character of cost 1 (2) cuts it by a factor of at most cut1 (cut2)."""
+    if field == "complex":
+        return _steps(remaining, cut1)
+    # cost-1 characters have order <= 2; only cost-2 ones cut odd order
+    odd = remaining // (remaining & -remaining)
+    if cut2 == 1:
+        return _steps(remaining, cut1) if odd == 1 else inf
+    best_cost, y = inf, _steps(odd, cut2)
+    while True:
+        shrunk = -(-remaining // cut2**y)
+        best_cost = min(best_cost, 2 * y + _steps(shrunk, cut1))
+        if shrunk == 1:
+            return best_cost
+        y += 1
 
 
 def oracle_min_faithful(
@@ -213,42 +261,20 @@ def oracle_min_faithful(
         return 0
     size, R, kernels = _socle_kernels(group.cyclic_orders)
     # cheap and sharply-shrinking kernels first, deterministic tiebreak
-    items = sorted(
-        ((mask, 1 if field == "complex" else cost) for mask, cost in kernels),
-        key=lambda kv: (kv[1], kv[0].bit_count(), kv[0]),
-    )
+    ranked = sorted((1 if field == "complex" else cost, mask.bit_count(), mask)
+                    for mask, cost in kernels)
+    # drop a kernel that holds a kept one, which costs no more and can replace it
+    least, items = min(n for _, n, _ in ranked), []
+    for cost, n, mask in ranked:
+        if n == least or all(k & mask != k for k, _ in items):  # least holds none
+            items.append((mask, cost))
+    by_cost = [[k for k, c in items if c == cost] for cost in (1, 2)]
 
-    def steps_needed(n: int, shrink: int) -> int:
-        need = 0
-        while n > 1:
-            n = -(-n // shrink)
-            need += 1
-        return need
-
-    def lower_bound(remaining: int) -> int:
-        """Fewest characters that shrink a kernel of ``remaining`` elements to 1."""
-        if field == "complex":
-            return steps_needed(remaining, R)
-        # cost-1 characters halve at most; only cost-2 ones cut odd order
-        odd = remaining
-        while odd % 2 == 0:
-            odd //= 2
-        best_cost = None
-        y = steps_needed(odd, R)
-        while True:
-            shrunk = max(1, -(-remaining // R**y))
-            cost = 2 * y + steps_needed(shrunk, 2)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-            if shrunk == 1:
-                break
-            y += 1
-        return best_cost
-
-    # the bound reads only a mask's element count, 1 .. size (every kernel
-    # holds the identity, and 0 would never leave the real-field loop)
-    floor = [None, *map(lower_bound, range(1, size + 1))]
-    full = (1 << size) - 1
+    # globally one character cuts by at most R, and one of order <= 2 by 2
+    # (tabled per subgroup order); node-local cuts are sharper for composite R
+    cuts = (R, 1) if field == "complex" else (2, R)
+    floor = {d: _least_cost(field, d, *cuts) for d in range(1, size + 1) if size % d == 0}
+    local = any(R % d == 0 for d in range(2, R))
     best: list[int | None] = [None]
     visited: dict[int, int] = {}
 
@@ -257,18 +283,24 @@ def oracle_min_faithful(
             if best[0] is None or cost < best[0]:
                 best[0] = cost
             return
-        if best[0] is not None and cost + floor[mask.bit_count()] >= best[0]:
+        n = mask.bit_count()
+        if best[0] is not None and cost + floor[n] >= best[0]:
             return
         prev = visited.get(mask)
         if prev is not None and prev <= cost:
             return
         visited[mask] = cost
+        if local and best[0] is not None:
+            here = (n // min(map(int.bit_count, map(mask.__and__, kers)), default=n)
+                    for kers in by_cost)
+            if cost + _least_cost(field, n, *here) >= best[0]:
+                return
         target = (mask >> 1 & -(mask >> 1)).bit_length()  # lowest nonzero elt
         for ker, c in items:
             if not ker >> target & 1:
                 dfs(mask & ker, cost + c)
 
-    dfs(full, 0)
+    dfs((1 << size) - 1, 0)
     if best[0] is None:
         raise AssertionError("no faithful character set found")
     return best[0]
@@ -278,29 +310,37 @@ def oracle_min_faithful(
 # Invariant factors of subgroups
 
 
-def _element_order(x, orders) -> int:
-    return lcm(*(n // gcd(n, c) if c else 1 for c, n in zip(x, orders)))
+@lru_cache(maxsize=16)
+def _group_tables(orders: tuple[int, ...]):
+    """(addition table, element orders) of the product of the Z_n, each
+    element coded by its index in ``FiniteAbelianGroup.elements()``."""
+    add, element_order = [[0]], [1]
+    for n in orders:
+        add = [[s * n + (a + b) % n for s in row for b in range(n)]
+               for row in add for a in range(n)]
+        element_order = [lcm(o, n // gcd(n, a)) for o in element_order for a in range(n)]
+    return add, element_order
 
 
 def subgroup_invariant_factors(group: FiniteAbelianGroup, generators) -> tuple[int, ...]:
     """Invariant factors of the subgroup generated by the given tuples,
     recovered from the element-order census of its closure."""
     orders = group.cyclic_orders
-    zero = tuple(0 for _ in orders)
-    members = {zero}
-    frontier = [zero]
-    gens = [tuple(g) for g in generators]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = tuple((a + b) % n for a, b, n in zip(x, g, orders))
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
+    add, element_order = _group_tables(orders)
+    members = {0}
+    for g in generators:  # <g_1, .., g_j> = <g_1, .., g_j-1> + <g_j>
+        index = 0
+        for c, n in zip(g, orders):
+            index = index * n + c % n
+        multiples, x = [0], index
+        while x:
+            multiples.append(x)
+            x = add[x][index]
+        members = {add[h][m] for h in members for m in multiples}
     size = len(members)
     if size == 1:
         return ()
-    element_orders = [_element_order(x, orders) for x in members]
+    element_orders = [element_order[x] for x in members]
     parts: list[int] = []
     for p in _factorize(size):
         # c_k = #elements of order dividing p^k = p^(sum_i min(e_i, k)),

@@ -116,6 +116,32 @@ def test_oracle_matches_the_formulas_on_the_order_200_sweep():
         assert oracle_min_faithful(g, "real") == mdim_real_abelian(g), g
 
 
+def test_oracle_matches_the_formulas_on_every_group_up_to_order_512():
+    groups = list(verify._all_abelian_groups(512))
+    assert len(groups) == 1059
+    for g in groups:
+        assert oracle_min_faithful(g, "complex") == mdim_complex_abelian(g), g
+        assert oracle_min_faithful(g, "real") == mdim_real_abelian(g), g
+
+
+@pytest.mark.parametrize("cheapened", ["every character", "order-3 characters"])
+def test_thm_4_2_fails_when_characters_cost_one_real_dimension(monkeypatch, cheapened):
+    socle_kernels = abelian._socle_kernels
+
+    def planted(orders):
+        size, R, kernels = socle_kernels(orders)
+        return size, R, tuple(
+            (mask, 1 if cheapened == "every character" or mask.bit_count() * 3 == size
+             else cost)
+            for mask, cost in kernels
+        )
+
+    monkeypatch.setattr(abelian, "_socle_kernels", planted)
+    [result] = verify.run_suite(verify.Context(seed=42), "thm-4.2-minabel")
+    assert result.status == "fail"
+    assert " mismatches: [('real', " in result.actual
+
+
 def test_formula_equals_oracle_small():
     def partitions(n, mx=None):
         if n == 0:
@@ -161,6 +187,58 @@ def test_subgroup_invariant_factors():
         3,
         3,
         9,
+    )
+
+
+def _tuple_subgroup_invariant_factors(group, generators):
+    """The tuple-arithmetic closure and element-order census that
+    ``subgroup_invariant_factors`` ran before it indexed the elements."""
+    orders = group.cyclic_orders
+    zero = tuple(0 for _ in orders)
+    members, frontier = {zero}, [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = tuple((a + b) % n for a, b, n in zip(x, g, orders))
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    if len(members) == 1:
+        return ()
+    element_orders = [math.lcm(*(n // math.gcd(n, c) for c, n in zip(x, orders)))
+                      for x in members]
+    parts = []
+    for p in abelian._factorize(len(members)):
+        logs = [0]
+        while True:
+            c_k = sum(1 for o in element_orders if p ** len(logs) % o == 0)
+            log_c = 0
+            while p**log_c < c_k:
+                log_c += 1
+            if log_c == logs[-1]:
+                break
+            logs.append(log_c)
+        conjugate = [b - a for a, b in zip(logs, logs[1:])]
+        for i in range(conjugate[0] if conjugate else 0):
+            parts.append(p ** sum(1 for lam in conjugate if lam > i))
+    return invariant_factors(parts)
+
+
+@st.composite
+def groups_with_generators(draw):
+    orders = []
+    for n in draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=4)):
+        if math.prod(orders) * n <= 216:
+            orders.append(n)
+    element = st.tuples(*(st.integers(-20, 20) for _ in orders))
+    return FiniteAbelianGroup(tuple(orders)), draw(st.lists(element, max_size=4))
+
+
+@given(groups_with_generators())
+def test_subgroup_invariant_factors_match_tuple_arithmetic(drawn):
+    group, generators = drawn
+    assert subgroup_invariant_factors(group, generators) == (
+        _tuple_subgroup_invariant_factors(group, generators)
     )
 
 
@@ -313,3 +391,61 @@ def test_oracle_does_not_depend_on_which_field_is_asked_first():
         for g in groups
         for dim in (mdim_complex_abelian, mdim_real_abelian)
     ]
+
+
+def _reference_socle_kernels(orders):
+    """The per-element construction the oracle ran before its per-prime
+    kernels: every character's value at every socle element, one kernel per
+    class of unit multiples, {kernel as a set of elements of A: lowest real
+    cost}."""
+    radicals = [abelian._radical(n) for n in orders]
+    R = math.lcm(*radicals)
+    halves = ((0, n // 2) if n % 2 == 0 else (0,) for n in orders)
+    real = {tuple(c % r for c, r in zip(v, radicals)) for v in itertools.product(*halves)}
+    elements = [tuple(t * (n // r) for t, n, r in zip(ts, orders, radicals))
+                for ts in itertools.product(*(range(r) for r in radicals))]
+    kernels = {}
+    seen = {tuple(0 for _ in radicals)}
+    for u in itertools.product(*(range(r) for r in radicals)):
+        if u in seen:
+            continue
+        order_u = math.lcm(*(r // math.gcd(r, c) for c, r in zip(u, radicals)))
+        seen.update(tuple(k * c % r for c, r in zip(u, radicals))
+                    for k in range(2, order_u) if math.gcd(k, order_u) == 1)
+        values = [0]
+        for c, r in zip(u, radicals):
+            step = R // r * c
+            values = [(a + step * t) % R for a in values for t in range(r)]
+        kernel = frozenset(x for x, a in zip(elements, values) if not a)
+        cost = 1 if u in real else 2
+        if cost < kernels.get(kernel, 3):
+            kernels[kernel] = cost
+    return len(elements), R, kernels
+
+
+def _socle_in_bit_order(orders):
+    """The socle element at each bit of ``_socle_kernels``' masks: the p-parts
+    in mixed radix, the largest prime's fastest; in a p-part the factors with
+    p | n in order, the last fastest, coordinate c at c * (n / p)."""
+    parts = []  # per prime, ascending: its p-part's elements as tuples on A
+    for p in range(2, max(orders) + 1):
+        if all(p % q for q in range(2, p)) and any(n % p == 0 for n in orders):
+            steps = [n // p if n % p == 0 else 0 for n in orders]
+            places = [range(p) if step else [0] for step in steps]
+            parts.append([tuple(c * step for c, step in zip(x, steps))
+                          for x in itertools.product(*places)])
+    return [tuple(sum(column) % n for column, n in zip(zip(*xs), orders))
+            for xs in itertools.product(*parts)]
+
+
+def test_socle_kernels_match_the_per_element_construction():
+    for g in verify._all_abelian_groups(512):
+        orders = g.cyclic_orders
+        size, R, kernels = abelian._socle_kernels(orders)
+        elements = _socle_in_bit_order(orders)
+        as_sets = {}
+        for mask, cost in kernels:
+            bits = map("1".__eq__, reversed(f"{mask:0{size}b}"))
+            as_sets[frozenset(itertools.compress(elements, bits))] = cost
+        assert len(as_sets) == len(kernels), g
+        assert (size, R, as_sets) == _reference_socle_kernels(orders), g

@@ -306,12 +306,19 @@ def test_cli_mdim_abelian(capsys):
 
 
 def test_cli_mdim_abelian_oracle_tail_finishes_quickly(capsys):
-    # |A| = 512 but its socle has 256 elements, and the oracle searches
-    # only the socle
-    start = time.perf_counter()
-    assert cli.main(["mdim", "abelian", "2,2,2,2,2,2,2,4"]) == 0
-    assert time.perf_counter() - start < 5
-    assert capsys.readouterr().out == "complex: 8\nreal: 9\nmethod: formula=oracle\n"
+    # Z2^7 x Z4: |A| = 512 but its socle has 256 elements, and the oracle
+    # searches only the socle; Z2^7 x Z3 and Z2 x Z3^5 are their own socles
+    for orders, complex_dim, real_dim in [
+        ("2,2,2,2,2,2,2,4", 8, 9),
+        ("2,2,2,2,2,2,2,3", 7, 8),
+        ("2,3,3,3,3,3", 5, 10),
+    ]:
+        start = time.perf_counter()
+        assert cli.main(["mdim", "abelian", orders]) == 0
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().out == (
+            f"complex: {complex_dim}\nreal: {real_dim}\nmethod: formula=oracle\n"
+        )
 
 
 def test_cli_mdim_failed_certificate_exits_one(capsys, monkeypatch):
