@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import abelian, cube, replib, verify
+from . import abelian, cube, verify
 from .cube import CubeState, MoveWord, apply_word
 
 # mdim factors cyclic orders by trial division, so it takes no more than
@@ -167,34 +167,24 @@ def _certify(ok: bool, name: str) -> None:
         raise CertificateError(f"mdim certificate failed: {name}")
 
 
+# the cube groups' and the exceptional example's answers, each certified
+# by the claim suite's checks of the theorem that states it:
+# name -> (complex, real, method, glob over check ids)
+_CERTIFIED = {
+    "g2": (8, 16, "split-bound+construction", "thm-5.1-*"),
+    "g3": (20, 28, "split-bound+case-table", "thm-5.2-*"),
+    "exceptional": (4, 6, "enumeration", "thm-5.3-exceptional"),
+}
+
+
 def _cmd_mdim(args) -> int:
     spec = args.spec
     kind = spec[0]
-    if kind == "g2":
-        payload = {"complex": 8, "real": 16, "method": "split-bound+construction"}
-        rep = replib.build_rep_g2()
-        _certify(replib.faithful_structural(rep), "g2 rep is faithful")
-        _certify(rep.degree == payload["complex"], "g2 rep degree")
-        _certify(replib.g2_real_case_analysis()["bound"] == payload["real"],
-                 "g2 real case analysis")
-    elif kind == "g3":
-        payload = {"complex": 20, "real": 28, "method": "split-bound+case-table"}
-        rep = replib.build_rep_g3()
-        _certify(replib.faithful_structural(rep), "g3 rep is faithful")
-        _certify(rep.degree == payload["complex"], "g3 rep degree")
-        _certify(replib.g3_real_case_table()["bound"] == payload["real"],
-                 "g3 real case table")
-    elif kind == "exceptional":
-        ex = replib.ExceptionalExample()
-        _certify(replib.faithful_enumerated(ex.rep4.of, ex.elements),
-                 "exceptional complex rep is faithful")
-        _certify(replib.faithful_enumerated(ex.rep6.of, ex.elements),
-                 "exceptional real rep is faithful")
-        payload = {
-            "complex": ex.rep4.degree,
-            "real": ex.rep6.real_dimension,
-            "method": "enumeration",
-        }
+    if kind in _CERTIFIED:
+        complex_dim, real_dim, method, checks = _CERTIFIED[kind]
+        for r in verify.run_suite(verify.Context(), checks):
+            _certify(r.status == "pass", r.id)
+        payload = {"complex": complex_dim, "real": real_dim, "method": method}
     elif kind == "abelian":
         group = _parse_group(spec)
         payload = {

@@ -377,11 +377,13 @@ class EdgeCycleWords:
     def _get(self, cycle: tuple[int, ...]) -> MoveWord:
         key = _canonical(cycle)
         if key not in self._stock:
-            # build one fixed orientation of each cycle and stock the other
-            # as its inverse, so that a word does not depend on which
-            # orientation was requested first
+            # build both orientations of each cycle, stock the shorter spelling
+            # (ties to the smaller key) and the other as its inverse, so that a
+            # word does not depend on which orientation was requested first
             built, other = sorted((key, _canonical((cycle[0], cycle[2], cycle[1]))))
-            w = self._build(built)
+            w, w_other = self._build(built), self._build(other)
+            if len(w_other) < len(w):
+                built, other, w = other, built, w_other
             self._stock[built] = w
             self._stock[other] = w.inverse()
         return self._stock[key]

@@ -14,7 +14,6 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 
 from . import abelian, cube, replib, structure
 from .cube import CubeState, MoveWord, apply_word, commutator, word
@@ -78,8 +77,8 @@ class Context:
             raise ValueError(f"trials must be at least 1, got {trials}")
         self.seed = seed
         self.trials = trials
-        self.tables2 = tables2 or cube.default_tables(2)
-        self.tables3 = tables3 or cube.default_tables(3)
+        self.tables = {2: tables2 or cube.default_tables(2),
+                       3: tables3 or cube.default_tables(3)}
         self._cache: dict[str, object] = {}
 
     def rng(self, label: str) -> random.Random:
@@ -96,12 +95,10 @@ class Context:
     # -- frequently used objects --------------------------------------
 
     def apply(self, size: int, w) -> CubeState:
-        tables = self.tables2 if size == 2 else self.tables3
-        return apply_word(CubeState.solved(size), w, tables)
+        return apply_word(CubeState.solved(size), w, self.tables[size])
 
     def sticker_perm(self, w, size: int) -> Permutation:
-        tables = self.tables2 if size == 2 else self.tables3
-        raw = cube.sticker_perm_of_word(w, size, tables)
+        raw = cube.sticker_perm_of_word(w, size, self.tables[size])
         return Permutation(tuple(v + 1 for v in raw))
 
     def g2_chain(self):
@@ -125,6 +122,13 @@ class Context:
         return self.cached(
             "p_chain",
             lambda: chain_build([pair_to_perm20(alpha(f)) for f in cube.FACES]),
+        )
+
+    def real_g2(self):
+        return self.cached(
+            "real_g2",
+            lambda: replib.realify(self.cached("rep_g2", replib.build_rep_g2), set(),
+                                   {f: word_element_g2(f) for f in cube.FACES}),
         )
 
 
@@ -399,22 +403,12 @@ def _(ctx: Context):
 
 @check("rem-2.11-center-g2", "the 2x2 group has trivial center", "rem-2.11")
 def _(ctx: Context):
-    # image g == g image on 0-based tuples, each side one C-level gather:
-    # itemgetter(*q)(p) is p after q
-    gens = []
-    for f in cube.FACES:
-        g = tuple(v - 1 for v in phi(f).image)
-        gens.append((g, itemgetter(*g)))
-    central = []
-    for image in itertools.permutations(range(8)):
-        after_image = itemgetter(*image)
-        if all(after_g(image) == after_image(g) for g, after_g in gens):
-            central.append(image)
-    identity = tuple(range(8))
-    perm_ok = central == [identity]
+    central = _centralizer(_face_images(ctx, 2, cube.corner_permutation))
+    perm_ok = central == [tuple(range(8))]
     twist_ok = all((8 * c) % 3 != 0 for c in (1, 2))
     ok = perm_ok and twist_ok
-    return ok, "only the identity centralizes the corner action; no constant twist", f"centralizer size {len(central)}, constant twists allowed: {not twist_ok}"
+    found = "corner action not transitive" if central is None else f"centralizer size {len(central)}"
+    return ok, "only the identity centralizes the corner action; no constant twist", f"{found}, constant twists allowed: {not twist_ok}"
 
 
 @check("cor-2.12-g2-order", "the 2x2 group has order 3^7 8! by two independent computations", "cor-2.12")
@@ -625,26 +619,28 @@ def _(ctx: Context):
 
 @check("rem-3.14-center-g3", "the center of the 3x3 group is generated by the all-edge flip", "rem-3.14")
 def _(ctx: Context):
-    sf = superflip_state()
-    sf_perm = _state_sticker_perm(sf)
-    face_perms = (cube.sticker_perm_of_word(f, 3, ctx.tables3) for f in cube.FACES)
+    sf_perm = _vector_sticker_perm(
+        (1,) * 12, lambda position, _: cube.sticker_perm_of_flip(position), 3)
+    face_perms = (cube.sticker_perm_of_word(f, 3, ctx.tables[3]) for f in cube.FACES)
     noncommuting = sum(cube.compose_sticker_perms(pg, sf_perm) != cube.compose_sticker_perms(sf_perm, pg)
                        for pg in face_perms)
     sf_el = superflip()
     involution = g3_mul(sf_el, sf_el).is_identity() and not sf_el.is_identity()
-    c12 = _centralizer_trivial(12)
-    c8 = _centralizer_trivial(8)
+    centrals = [_centralizer(_face_images(ctx, 3, read))
+                for read in (cube.edge_permutation, cube.corner_permutation)]
+    trivial = centrals == [[tuple(range(12))], [tuple(range(8))]]
     twist_free = all((8 * c) % 3 != 0 for c in (1, 2))
     flip_constants = [c for c in (0, 1) if (12 * c) % 2 == 0]
     ok = (
         noncommuting == 0
+        and cube.state_of_sticker_perm(sf_perm, 3) == superflip_state()
         and involution
-        and c12
-        and c8
+        and trivial
         and twist_free
         and flip_constants == [0, 1]
     )
-    return ok, "superflip central and unique", f"commute failures {noncommuting}, centralizers trivial {c12 and c8}, flip constants {flip_constants}"
+    note = "; edge or corner action not transitive" if None in centrals else ""
+    return ok, "superflip central and unique", f"commute failures {noncommuting}, centralizers trivial {trivial}, flip constants {flip_constants}{note}"
 
 
 @check("cor-3.15-g3-order", "the 3x3 group has order 2^11 3^7 12! 8!/2", "cor-3.15")
@@ -713,21 +709,14 @@ def _(ctx: Context):
 @check("thm-4.4-decorated", "the decorated permutation map is an injective homomorphism", "thm-4.4")
 def _(ctx: Context):
     ex = ctx.cached("exceptional", replib.ExceptionalExample)
-    perms24 = [x for x in ex.elements if not any(x.twist)]
-    images = set()
-    for x in perms24:
-        for y in perms24:
-            dx = replib.decorated_perm(ex.rep6.of(x))
-            dy = replib.decorated_perm(ex.rep6.of(y))
-            if replib.decorated_perm(ex.rep6.of(ex.mul(x, y))) != dx * dy:
+    # the product of two untwisted elements is untwisted, so d holds it
+    d = {x: replib.decorated_perm(ex.rep6.of(x)) for x in ex.elements if not any(x.twist)}
+    for x in d:
+        for y in d:
+            if d[ex.mul(x, y)] != d[x] * d[y]:
                 return False, "multiplicative on all of S_4", f"failed at {x.perm.cycle_string()},{y.perm.cycle_string()}"
-        images.add(replib.decorated_perm(ex.rep6.of(x)))
-    injective = len(images) == 24
-    rep = ctx.cached("rep_g2", replib.build_rep_g2)
-    real2 = ctx.cached(
-        "real_g2",
-        lambda: replib.realify(rep, set(), {f: word_element_g2(f) for f in cube.FACES}),
-    )
+    injective = len(set(d.values())) == 24
+    real2 = ctx.real_g2()
 
     def failures(sample):
         x, y = map(word_element_g2, sample)
@@ -749,10 +738,7 @@ def _(ctx: Context):
     faithful = replib.faithful_structural(rep)
     bound = replib.lower_bound_complex_split(("S", 8))
     cases = replib.g2_real_case_analysis()
-    real2 = ctx.cached(
-        "real_g2",
-        lambda: replib.realify(rep, set(), {f: word_element_g2(f) for f in cube.FACES}),
-    )
+    real2 = ctx.real_g2()
     # the permutation of the twist-group eigenlines induced by the
     # untwisted section is the identity embedding of S_8
     rng = ctx.rng("g2-eigenlines")
@@ -852,11 +838,9 @@ def _word_pair(stop: int):
 def _conjugation_law(ctx, label, size, length, modulus, turn, permutation, orientation):
     """eq-2.5/eq-3.8: for a random word g and the in-place turn k of a random
     sum-zero vector, g k g^-1 turns in place by the vector permuted by g."""
-    tables = ctx.tables2 if size == 2 else ctx.tables3
-
     def failures(sample):
         w, vector = sample
-        pg = cube.sticker_perm_of_word(w, size, tables)
+        pg = cube.sticker_perm_of_word(w, size, ctx.tables[size])
         conj = cube.compose_sticker_perms(
             cube.compose_sticker_perms(pg, _vector_sticker_perm(vector, turn, size)),
             cube.invert_sticker_perm(pg),
@@ -893,21 +877,6 @@ def _vector_sticker_perm(vector, turn, size: int):
         if amount:
             perm = cube.compose_sticker_perms(turn(position, amount), perm)
     return perm
-
-
-def _state_sticker_perm(state: CubeState):
-    """Sticker permutation of a synthetic 3x3 state built from in-place
-    twists and flips (well defined because each cubelet stays in place)."""
-    return cube.compose_sticker_perms(
-        _vector_sticker_perm(
-            cube.corner_orientation(state),
-            lambda position, amount: cube.sticker_perm_of_twist(position, amount, 3), 3,
-        ),
-        _vector_sticker_perm(
-            cube.edge_orientation(state),
-            lambda position, _: cube.sticker_perm_of_flip(position), 3,
-        ),
-    )
 
 
 def _rank_mod(vectors, modulus: int) -> int:
@@ -981,38 +950,32 @@ def _l_witness_word() -> MoveWord:
     return w
 
 
-def _centralizer_trivial(degree: int) -> bool:
-    """Only the identity commutes with the even cycle (1..degree-1) and the
-    three-cycle (123); candidates for the first are enumerated exactly via
-    the functional equation sigma(rho(x)) = rho(sigma(x))."""
-    rho = Permutation.from_cycles([tuple(range(1, degree))], degree)
-    three = Permutation.from_cycles("(123)", degree)
-    survivors = []
-    for target in range(1, degree + 1):
-        image = [0] * degree
-        x, y = 1, target
-        ok = True
-        for _ in range(degree - 1):
-            if image[x - 1]:
-                ok = False
-                break
-            image[x - 1] = y
-            x, y = rho(x), rho(y)
-        if not ok:
-            continue
-        missing = [v for v in range(1, degree + 1) if v not in image]
-        if len(missing) != 1 or image[degree - 1]:
-            continue
-        image[degree - 1] = missing[0]
-        try:
-            sigma = Permutation(image)
-        except Exception:
-            continue
-        if compose(sigma, rho) == compose(rho, sigma) and compose(
-            sigma, three
-        ) == compose(three, sigma):
-            survivors.append(sigma)
-    return len(survivors) == 1 and survivors[0].is_identity()
+def _face_images(ctx: Context, size: int, read) -> list[tuple[int, ...]]:
+    """0-based images of the six faces under ``read`` (a position reader of
+    the states that ctx's move tables reach)."""
+    return [tuple(v - 1 for v in read(ctx.apply(size, f)).image) for f in cube.FACES]
+
+
+def _centralizer(gens):
+    """Every permutation of range(n) commuting with the generators (0-based
+    image tuples), or None if they are not transitive.  A centralizing c is
+    fixed by t = c(0): c(g(x)) = g(c(x)) carries it over the orbit of 0, and
+    a map commuting with a transitive group is onto (Dixon and Mortimer,
+    Permutation Groups, 4.2)."""
+    n, central = len(gens[0]), []
+    for t in range(n):
+        c, orbit = {0: t}, [0]
+        for x in orbit:
+            for g in gens:
+                if g[x] not in c:
+                    c[g[x]] = g[c[x]]
+                    orbit.append(g[x])
+        if len(c) < n:
+            return None
+        image = tuple(c[x] for x in range(n))
+        if all(image[g[x]] == g[image[x]] for g in gens for x in range(n)):
+            central.append(image)
+    return central
 
 
 def _all_abelian_groups(max_order: int):

@@ -183,7 +183,7 @@ def test_edge_flip_pair_words():
 # is spelled or reduced shows up here.
 Q_LENGTHS = {
     2: 1078, 3: 1328, 4: 1510, 5: 276, 6: 403, 7: 188,
-    8: 772, 9: 834, 10: 4466, 11: 4284, 12: 8493,
+    8: 772, 9: 834, 10: 2056, 11: 1874, 12: 3906,
 }
 
 
@@ -191,7 +191,7 @@ def test_constructive_word_lengths():
     ts = build_transpositions()
     assert [len(ts[k]) for k in ("t1", "t2", "t3")] == [11, 13, 13]
     assert len(build_m()) == 64
-    assert len(structure.EdgeCycleWords().three_cycle("lkj")) == 2840
+    assert len(structure.EdgeCycleWords().three_cycle("lkj")) == 1665
     assert {x: len(edge_flip_pair_word(x)) for x in Q_LENGTHS} == Q_LENGTHS
 
 

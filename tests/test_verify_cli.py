@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubereps import cli, cube, verify
+from cubereps import cli, cube, replib, verify
 from cubereps.verify import Context, report_json, report_text, run_suite
 
 
@@ -242,6 +243,38 @@ def test_rank_checks_fail_on_a_trivial_generator(monkeypatch, trials):
         assert (result.status, result.actual) == ("fail", "rank 0"), check_id
 
 
+def _transitive(gens):
+    orbit = {0}
+    while (grown := orbit | {g[x] for g in gens for x in orbit}) != orbit:
+        orbit = grown
+    return len(orbit) == len(gens[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3)))
+def test_centralizer_matches_brute_force_over_s_n(gens):
+    n = len(gens[0])
+    brute = [c for c in itertools.permutations(range(n))
+             if all(c[g[x]] == g[c[x]] for g in gens for x in range(n))]
+    assert verify._centralizer(gens) == (brute if _transitive(gens) else None)
+
+
+def _all_faces_u(size):
+    """Every face turns as U does: the generated action is not transitive."""
+    u = cube.default_tables(size).face_tables["U"]
+    return cube.MoveTables(size, {f: u for f in cube.FACES})
+
+
+@pytest.mark.parametrize("size, id", [(2, "rem-2.11-center-g2"), (3, "rem-3.14-center-g3")])
+def test_centre_checks_fail_on_an_intransitive_action(size, id):
+    ctx = Context(seed=0, **{f"tables{size}": _all_faces_u(size)})
+    result = run_suite(ctx, id)[0]
+    assert result.status == "fail"
+    assert "not transitive" in result.actual
+    assert "Error" not in result.actual
+
+
 def test_report_text_contains_counts():
     ctx = Context(seed=0, trials=5)
     text = report_text(run_suite(ctx, "prop-2.6-*"))
@@ -357,6 +390,26 @@ def test_cli_mdim_exceptional(capsys):
     assert cli.main(["mdim", "exceptional", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["complex"] == 4 and payload["real"] == 6
+
+
+@pytest.mark.parametrize("group, complex_dim, real_dim, method", [
+    ("g2", 8, 16, "split-bound+construction"),
+    ("g3", 20, 28, "split-bound+case-table"),
+])
+def test_cli_mdim_cube_groups(capsys, group, complex_dim, real_dim, method):
+    assert cli.main(["mdim", group]) == 0
+    assert capsys.readouterr().out == f"complex: {complex_dim}\nreal: {real_dim}\nmethod: {method}\n"
+    assert cli.main(["mdim", group, "--json"]) == 0
+    assert capsys.readouterr().out == (
+        f'{{"complex":{complex_dim},"method":"{method}","real":{real_dim}}}\n')
+
+
+def test_cli_mdim_g2_fails_with_the_failing_thm_5_check(capsys, monkeypatch):
+    monkeypatch.setattr(replib, "build_rep_g2", replib.zeroed_corner_rep)
+    assert cli.main(["mdim", "g2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mdim certificate failed: thm-5.1-g2-mdim\n"
 
 
 def test_cli_mdim_bad_spec(capsys):
