@@ -15,7 +15,7 @@ rotation geometry at import time and frozen as module tables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from operator import itemgetter
 from typing import NamedTuple
@@ -105,9 +105,6 @@ _LAYOUT = {2: _build_layout(2), 3: _build_layout(3)}
 
 def sticker_count(size: int) -> int:
     return 24 if size == 2 else 48
-
-
-_SOLVED = {n: tuple(f for f in range(6) for _ in range(sticker_count(n) // 6)) for n in (2, 3)}
 
 
 def _build_move_table(size: int, face: str) -> tuple[int, ...]:
@@ -294,7 +291,8 @@ class CubeState:
 
     @classmethod
     def solved(cls, size: int) -> "CubeState":
-        return cls(size, _SOLVED.get(size, ()))
+        """The prebuilt solved state; other sizes raise as the constructor does."""
+        return _SOLVED[size] if size in _SOLVED else cls(size, ())
 
     def to_json(self) -> str:
         return json.dumps(
@@ -312,6 +310,12 @@ class CubeState:
         if sorted(state.stickers) != list(cls.solved(state.size).stickers):
             raise ValueError("sticker colours differ from the solved cube's")
         return state
+
+
+_SOLVED = {
+    n: CubeState._trusted(n, tuple(f for f in range(6) for _ in range(sticker_count(n) // 6)))
+    for n in (2, 3)
+}
 
 
 def apply_word(
@@ -385,9 +389,10 @@ _COLOR_OF_NORMAL = {n: FACES.index(f) for f, n in FACE_NORMAL.items()}
 # outward corner diagonal, seen from outside) or a flip of an edge cubelet
 # moves every sticker one step along this order.  Reading and turning a
 # cubelet both go through these import-time tables; no basis enters them.
-# Reading gathers each position's colours and looks up any ordering of a
-# solved colour set (reflected ones too): its home, and where in the read
-# tuple the colour of each of the home's normals, in turning order, sits.
+# Reading gathers the colours of every position in one go and looks each
+# position's run up as any ordering of a solved colour set (reflected ones
+# too): its home, and where in the run the colour of each of the home's
+# normals, in turning order, sits.
 
 
 class _CubeletKind(NamedTuple):
@@ -396,7 +401,7 @@ class _CubeletKind(NamedTuple):
     labels: tuple[str, ...]  # position names, for messages
     order: tuple[tuple[Vec, ...], ...]  # normals of each position, turning order
     index: dict[int, tuple[tuple[int, ...], ...]]  # per size: sticker indices
-    read: dict[int, tuple[itemgetter, ...]]  # per size: each position's colours
+    read: dict[int, itemgetter]  # per size: all colours, position by position
     home: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]  # colours -> home, places
 
 
@@ -410,7 +415,7 @@ def _cubelet_kind(name, group, labels, positions, order_of, sizes) -> _CubeletKi
         )
         for size in sizes
     }
-    read = {size: tuple(itemgetter(*i) for i in index[size]) for size in sizes}
+    read = {size: itemgetter(*(i for run in index[size] for i in run)) for size in sizes}
     home = {}
     for position, normals in enumerate(order, 1):
         solved = [_COLOR_OF_NORMAL[n] for n in normals]
@@ -441,8 +446,8 @@ def _cubelets(kind: _CubeletKind, state: CubeState) -> list:
     """(home, places) of the cubelet at each position, None where none matches.
     The permutation and orientation readers below take this list, so a reader
     of both (``structure.encode_g2``/``encode_g3``) looks the colours up once."""
-    stickers, home = state.stickers, kind.home.get
-    return [home(read(stickers)) for read in _per_size(kind, state.size, kind.read)]
+    it = iter(_per_size(kind, state.size, kind.read)(state.stickers))
+    return list(map(kind.home.get, zip(it, it, it) if kind is _CORNERS else zip(it, it)))
 
 
 def _unmatched(kind: _CubeletKind, position: int) -> CorruptedState:
@@ -480,7 +485,8 @@ def edge_permutation(state: CubeState) -> Permutation:
 # orientation at a position counts counterclockwise third-turns from the
 # marked direction to the marked sticker of the cubelet sitting there, that
 # is, steps along the turning order.  Edge bases mark one of the two facelet
-# directions; the local orientation is 0 or 1.
+# directions; the local orientation is 0 or 1.  A basis finds each mark's
+# place in its position's turning order once, when it is built.
 
 
 @dataclass(frozen=True)
@@ -489,65 +495,68 @@ class OrientationBasis:
 
     corner_marks: tuple[Vec, ...]  # one of the 3 normals at corner i+1
     edge_marks: tuple[Vec, ...]  # one of the 2 normals at edge i+1
+    corner_places: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    edge_places: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.corner_marks) != 8 or len(self.edge_marks) != 12:
             raise ValueError("a basis needs 8 corner marks and 12 edge marks")
-        for i, mark in enumerate(self.corner_marks):
-            if mark not in _normals(CORNER_POS[i + 1]):
-                raise ValueError(f"bad corner mark at position {i + 1}")
-        for i, mark in enumerate(self.edge_marks):
-            if mark not in _normals(EDGE_POS[i + 1]):
-                raise ValueError(f"bad edge mark at position {i + 1}")
+        for kind, marks in ((_CORNERS, self.corner_marks), (_EDGES, self.edge_marks)):
+            for i, (order, mark) in enumerate(zip(kind.order, marks)):
+                if mark not in order:
+                    raise ValueError(f"bad {kind.name} mark at position {i + 1}")
+            places = tuple(map(tuple.index, kind.order, marks))
+            object.__setattr__(self, f"{kind.name}_places", places)
 
 
 def reference_basis() -> OrientationBasis:
     """Marks the U/D sticker of every corner; for edges, the U/D sticker
     where present and the F/B sticker on the equator."""
     corners = tuple((0, pos[1], 0) for pos in CORNER_POS.values())
-    edges = []
-    for pos in EDGE_POS.values():
-        if pos[1]:
-            edges.append((0, pos[1], 0))
-        else:
-            edges.append((0, 0, pos[2]))
-    return OrientationBasis(corners, tuple(edges))
+    edges = tuple((0, pos[1], 0) if pos[1] else (0, 0, pos[2]) for pos in EDGE_POS.values())
+    return OrientationBasis(corners, edges)
 
 
 REFERENCE_BASIS = reference_basis()
 
 
-def _orientation(kind: _CubeletKind, found: list, marks) -> tuple[int, ...]:
+def _orientation(kind: _CubeletKind, found: list, m: tuple[int, ...]) -> tuple[int, ...]:
     if None in found:
         raise _unmatched(kind, found.index(None))
-    m = tuple(map(tuple.index, kind.order, marks))  # each mark's place in its turning order
     k = len(kind.order[0])
     # the home's marked colour sits at places[m[home - 1]]; count from m[p]
     return tuple([(places[m[home - 1]] - mp) % k for (home, places), mp in zip(found, m)])
+
+
+def _orientation_sum(kind: _CubeletKind, found: list, m: tuple[int, ...]) -> int:
+    """``sum(_orientation(kind, found, m)) % k``, summed term by term."""
+    if None in found:
+        raise _unmatched(kind, found.index(None))
+    return (sum([places[m[home - 1]] for home, places in found]) - sum(m)) % len(kind.order[0])
 
 
 def corner_orientation(
     state: CubeState, basis: OrientationBasis = REFERENCE_BASIS
 ) -> tuple[int, ...]:
     """Z_3 twist of each corner position, relative to the basis marks."""
-    return _orientation(_CORNERS, _cubelets(_CORNERS, state), basis.corner_marks)
+    return _orientation(_CORNERS, _cubelets(_CORNERS, state), basis.corner_places)
 
 
 def edge_orientation(
     state: CubeState, basis: OrientationBasis = REFERENCE_BASIS
 ) -> tuple[int, ...]:
     """Z_2 flip of each edge position, relative to the basis marks."""
-    return _orientation(_EDGES, _cubelets(_EDGES, state), basis.edge_marks)
+    return _orientation(_EDGES, _cubelets(_EDGES, state), basis.edge_places)
 
 
 def invariant_s(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> int:
     """Sum of corner twists in Z_3; basis-independent, 0 on reachable states."""
-    return sum(corner_orientation(state, basis)) % 3
+    return _orientation_sum(_CORNERS, _cubelets(_CORNERS, state), basis.corner_places)
 
 
 def invariant_t(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> int:
     """Sum of edge flips in Z_2; basis-independent, 0 on reachable states."""
-    return sum(edge_orientation(state, basis)) % 2
+    return _orientation_sum(_EDGES, _cubelets(_EDGES, state), basis.edge_places)
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,9 @@ class G2Element:
         return self.perm.is_identity() and not any(self.twist)
 
 
-# Products and inverses keep the laws __post_init__ checks (sum-zero twists
-# and flips, equal signs), and encode_g2/encode_g3 test them first, so only
-# these build through _trusted, which skips __post_init__.
+# Products, inverses, psi and section_g2_in_g3 keep the laws __post_init__
+# checks (sum-zero twists and flips, equal signs), and encode_g2/encode_g3 test
+# them first, so only these build through _trusted, which skips __post_init__.
 
 
 def _trusted(cls, **fields):
@@ -99,7 +99,7 @@ class G3Element:
             raise ValueError("flip must be 12 values in Z_2")
         if sum(self.flip) % 2:
             raise ValueError("flip entries must sum to zero")
-        if len(self.twist) != 8 or sum(self.twist) % 3:
+        if len(self.twist) != 8 or sum(self.twist) % 3 or not set(self.twist) <= {0, 1, 2}:
             raise ValueError("twist must be 8 values in Z_3 summing to zero")
         edges, corners = self.pair
         if edges.degree != 12 or corners.degree != 8:
@@ -146,7 +146,7 @@ def encode_g2(state: CubeState, basis=cube.REFERENCE_BASIS) -> G2Element:
     # one colour lookup per cubelet serves both readers, which raise as
     # corner_orientation and corner_permutation would, in that order
     corners = cube._cubelets(cube._CORNERS, state)
-    twist = cube._orientation(cube._CORNERS, corners, basis.corner_marks)
+    twist = cube._orientation(cube._CORNERS, corners, basis.corner_places)
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
     return _trusted(G2Element, twist=twist, perm=cube._permutation(cube._CORNERS, corners))
@@ -156,11 +156,11 @@ def encode_g3(state: CubeState, basis=cube.REFERENCE_BASIS) -> G3Element:
     if state.size != 3:
         raise ValueError("encode_g3 expects a 3x3 state")
     corners = cube._cubelets(cube._CORNERS, state)
-    twist = cube._orientation(cube._CORNERS, corners, basis.corner_marks)
+    twist = cube._orientation(cube._CORNERS, corners, basis.corner_places)
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
     edges = cube._cubelets(cube._EDGES, state)
-    flip = cube._orientation(cube._EDGES, edges, basis.edge_marks)
+    flip = cube._orientation(cube._EDGES, edges, basis.edge_places)
     if sum(flip) % 2:
         raise UnreachableState("edge orientation sum is nonzero")
     pair = (cube._permutation(cube._EDGES, edges), cube._permutation(cube._CORNERS, corners))
@@ -208,7 +208,7 @@ def psi_word(w: MoveWord | str) -> MoveWord:
 
 def psi(x: G3Element) -> G2Element:
     """Forget the edges of a 3x3 element."""
-    return G2Element(x.twist, x.pair[1])
+    return _trusted(G2Element, twist=x.twist, perm=x.pair[1])
 
 
 def alpha(g: G3Element | MoveWord | str) -> tuple[Permutation, Permutation]:
@@ -496,11 +496,12 @@ def _even_perm_mapping(constraints: dict[int, int]) -> Permutation:
 # Sections
 
 
+_SIGN_EDGES = {1: Permutation.identity(12), -1: Permutation.from_cycles("(bc)", 12)}
+
+
 def sign_embed(p8: Permutation) -> Permutation:
     """S_8 -> S_12 through the sign: odd maps to (bc), even to identity."""
-    if p8.sign() == 1:
-        return Permutation.identity(12)
-    return Permutation.from_cycles("(bc)", 12)
+    return _SIGN_EDGES[p8.sign()]
 
 
 def section_s8(sigma: Permutation) -> G2Element:
@@ -516,7 +517,7 @@ def section_p(pair: tuple[Permutation, Permutation]) -> G3Element:
 def section_g2_in_g3(x: G2Element) -> G3Element:
     """Embed a 2x2 element in the 3x3 group: corners act as x, edges by
     the sign of its corner permutation (swap b and c when odd)."""
-    return G3Element((0,) * 12, x.twist, (sign_embed(x.perm), x.perm))
+    return _trusted(G3Element, flip=(0,) * 12, twist=x.twist, pair=(sign_embed(x.perm), x.perm))
 
 
 def superflip() -> G3Element:

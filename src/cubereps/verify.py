@@ -405,7 +405,7 @@ def _(ctx: Context):
 def _(ctx: Context):
     central = _centralizer(_face_images(ctx, 2, cube.corner_permutation))
     perm_ok = central == [tuple(range(8))]
-    twist_ok = all((8 * c) % 3 != 0 for c in (1, 2))
+    twist_ok = _central_constants(ctx, 2, cube.corner_orientation, cube._CORNERS) == [0]
     ok = perm_ok and twist_ok
     found = "corner action not transitive" if central is None else f"centralizer size {len(central)}"
     return ok, "only the identity centralizes the corner action; no constant twist", f"{found}, constant twists allowed: {not twist_ok}"
@@ -583,13 +583,15 @@ def _(ctx: Context):
 
 @check("thm-3.12-g2-in-g3", "the 2x2 group embeds in the 3x3 group splitting the edge-forgetting map", "thm-3.12")
 def _(ctx: Context):
+    # even corner permutations fix the edges, odd ones swap b and c
+    edges = {1: Permutation.identity(12), -1: Permutation.from_cycles("(bc)", 12)}
+
     def failures(sample):
         x, y = map(word_element_g2, sample)
         img = section_g2_in_g3(x)
-        # even corner permutations fix the edges, odd ones swap b and c
-        edges = Permutation.from_cycles("(bc)" if x.perm.sign() == -1 else "", 12)
         return (section_g2_in_g3(g2_mul(x, y)) != g3_mul(img, section_g2_in_g3(y))
-                or psi(img) != x or not membership(SubgroupTag.P, img) or img.pair[0] != edges)
+                or psi(img) != x or not membership(SubgroupTag.P, img)
+                or img.pair[0] != edges[x.perm.sign()])
 
     trials, bad, where = _sampled(ctx, "g2-in-g3", 1000, _word_pair(12), failures)
     r2 = section_g2_in_g3(word_element_g2("R"))
@@ -629,8 +631,8 @@ def _(ctx: Context):
     centrals = [_centralizer(_face_images(ctx, 3, read))
                 for read in (cube.edge_permutation, cube.corner_permutation)]
     trivial = centrals == [[tuple(range(12))], [tuple(range(8))]]
-    twist_free = all((8 * c) % 3 != 0 for c in (1, 2))
-    flip_constants = [c for c in (0, 1) if (12 * c) % 2 == 0]
+    twist_free = _central_constants(ctx, 3, cube.corner_orientation, cube._CORNERS) == [0]
+    flip_constants = _central_constants(ctx, 3, cube.edge_orientation, cube._EDGES)
     ok = (
         noncommuting == 0
         and cube.state_of_sticker_perm(sf_perm, 3) == superflip_state()
@@ -954,6 +956,14 @@ def _face_images(ctx: Context, size: int, read) -> list[tuple[int, ...]]:
     """0-based images of the six faces under ``read`` (a position reader of
     the states that ctx's move tables reach)."""
     return [tuple(v - 1 for v in read(ctx.apply(size, f)).image) for f in cube.FACES]
+
+
+def _central_constants(ctx: Context, size: int, read, kind) -> list[int]:
+    """The c in Z_k whose constant vector, c at all n positions, sums to 0 and
+    so is a central element: n is the length of ``read`` (an orientation reader)
+    on the solved state through ctx, k the length of the kind's turning order."""
+    n, k = len(read(ctx.apply(size, ""))), len(kind.order[0])
+    return [c for c in range(k) if n * c % k == 0]
 
 
 def _centralizer(gens):

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -211,6 +212,16 @@ def test_solved_state_shape():
         CubeState(4, (0,) * 96)
     with pytest.raises(ValueError):
         CubeState(2, (0,) * 48)
+
+
+def test_solved_states_are_prebuilt_and_pass_the_constructor():
+    for size, solved in ((2, SOLVED2), (3, SOLVED3)):
+        assert CubeState.solved(size) is solved
+        assert CubeState(size, solved.stickers) == solved
+        assert hash(CubeState(size, solved.stickers)) == hash(solved)
+    for size in (1, 4):
+        with pytest.raises(ValueError, match=f"^unsupported cube size {size}$"):
+            CubeState.solved(size)
 
 
 def test_center_facelets_never_stored_but_fixed():
@@ -448,6 +459,106 @@ def test_readers_match_the_colour_index_reference(size, tokens, rng, twisted, fl
             perm, flip = _reference_read(cube._EDGES, state, basis.edge_marks)
             assert edge_permutation(state) == perm
             assert edge_orientation(state, basis) == flip
+
+
+# ---------------------------------------------------------------------------
+# The table-driven readers against a per-position reference: one gather and
+# one lookup per position, each mark's place found by tuple.index per call,
+# and the invariants summed from the orientation tuple
+
+
+def _per_position_cubelets(kind, state):
+    getters = [operator.itemgetter(*index) for index in kind.index[state.size]]
+    return [kind.home.get(read(state.stickers)) for read in getters]
+
+
+def _per_position_permutation(kind, state):
+    image = [0] * len(kind.order)
+    for position, cubelet in enumerate(_per_position_cubelets(kind, state), 1):
+        if cubelet is None:
+            raise CorruptedState(f"sticker {kind.group} at {kind.name} "
+                                 f"{kind.labels[position - 1]} matches no cubelet")
+        if image[cubelet[0] - 1]:
+            raise CorruptedState(f"{kind.name} cubelet {kind.labels[cubelet[0] - 1]} appears twice")
+        image[cubelet[0] - 1] = position
+    return Permutation(image)
+
+
+def _per_position_orientation(kind, state, marks):
+    found = _per_position_cubelets(kind, state)
+    if None in found:
+        position = found.index(None)
+        raise CorruptedState(f"sticker {kind.group} at {kind.name} "
+                             f"{kind.labels[position]} matches no cubelet")
+    m = tuple(map(tuple.index, kind.order, marks))
+    k = len(kind.order[0])
+    return tuple((places[m[home - 1]] - mp) % k for (home, places), mp in zip(found, m))
+
+
+def _per_position_encode(state, basis):
+    twist = _per_position_orientation(cube._CORNERS, state, basis.corner_marks)
+    if sum(twist) % 3:
+        raise structure.UnreachableState("corner orientation sum is nonzero")
+    if state.size == 2:
+        return structure.G2Element(twist, _per_position_permutation(cube._CORNERS, state))
+    flip = _per_position_orientation(cube._EDGES, state, basis.edge_marks)
+    if sum(flip) % 2:
+        raise structure.UnreachableState("edge orientation sum is nonzero")
+    pair = tuple(_per_position_permutation(kind, state) for kind in (cube._EDGES, cube._CORNERS))
+    if pair[0].sign() != pair[1].sign():
+        raise structure.UnreachableState("edge and corner permutation signs differ")
+    return structure.G3Element(flip, twist, pair)
+
+
+def _per_position_readers(size, basis):
+    """reader name -> (the package's reader, the reference) on one basis."""
+    corners, edges = cube._CORNERS, cube._EDGES
+    readers = {
+        "corner_permutation": (corner_permutation,
+                               lambda st: _per_position_permutation(corners, st)),
+        "corner_orientation": (lambda st: corner_orientation(st, basis),
+                               lambda st: _per_position_orientation(corners, st, basis.corner_marks)),
+        "invariant_s": (lambda st: invariant_s(st, basis),
+                        lambda st: sum(_per_position_orientation(corners, st, basis.corner_marks)) % 3),
+        "encode": (lambda st: (structure.encode_g2 if size == 2 else structure.encode_g3)(st, basis),
+                   lambda st: _per_position_encode(st, basis)),
+    }
+    if size == 3:
+        readers |= {
+            "edge_permutation": (edge_permutation,
+                                 lambda st: _per_position_permutation(edges, st)),
+            "edge_orientation": (lambda st: edge_orientation(st, basis),
+                                 lambda st: _per_position_orientation(edges, st, basis.edge_marks)),
+            "invariant_t": (lambda st: invariant_t(st, basis),
+                            lambda st: sum(_per_position_orientation(edges, st, basis.edge_marks)) % 2),
+        }
+    return readers
+
+
+def _outcome(read, state):
+    """The reader's value, or the type and message of what it raised."""
+    try:
+        return read(state)
+    except (CorruptedState, structure.UnreachableState) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3]), WORDS, st.randoms(use_true_random=False), st.integers(0, 2))
+def test_readers_match_the_per_position_reference(size, tokens, rng, swaps):
+    """Equal values on states reached by words, and on the same states with
+    one or two pairs of stickers swapped, the same exception and message."""
+    state = apply_word(CubeState.solved(size), MoveWord(tuple(tokens)))
+    stickers = list(state.stickers)
+    for _ in range(swaps):
+        i, j = rng.sample(range(len(stickers)), 2)
+        stickers[i], stickers[j] = stickers[j], stickers[i]
+    state = CubeState(size, tuple(stickers))
+    drawn = random_basis(rng)
+    listed = cube.OrientationBasis(list(drawn.corner_marks), list(drawn.edge_marks))
+    for basis in (cube.REFERENCE_BASIS, drawn, listed):
+        for name, (read, reference) in _per_position_readers(size, basis).items():
+            assert _outcome(read, state) == _outcome(reference, state), (name, basis)
 
 
 @pytest.mark.parametrize("size", [2, 3])

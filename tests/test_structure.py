@@ -137,6 +137,9 @@ def test_g3_element_invariants():
             (0,) * 8,
             (Permutation.from_cycles("(ab)", 12), Permutation.identity(8)),
         )
+    # a twist summing to 0 mod 3 must still hold values in Z_3, as psi's do
+    with pytest.raises(ValueError, match="twist must be 8 values in Z_3"):
+        G3Element((0,) * 12, (3,) + (0,) * 7, alpha(""))
 
 
 def test_edge_three_cycle_outputs():
@@ -423,6 +426,9 @@ def test_trusted_elements_pass_the_public_constructors(a, b):
         for z in (x, y, mul(x, y), inv(x), mul(inv(y), x)):
             _assert_valid(z)
         assert mul(x, inv(x)).is_identity()
+        # psi and the embedding of the 2x2 group skip the checks too
+        z = psi(x) if size == 3 else structure.section_g2_in_g3(x)
+        _assert_valid(z)
 
 
 @settings(max_examples=100, deadline=None)

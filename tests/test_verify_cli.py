@@ -275,6 +275,26 @@ def test_centre_checks_fail_on_an_intransitive_action(size, id):
     assert "Error" not in result.actual
 
 
+def _lengthened(read):
+    """An orientation reader that reports one position too many."""
+    return lambda state, *basis: read(state, *basis) + (0,)
+
+
+@pytest.mark.parametrize("reader, id, actual", [
+    ("corner_orientation", "rem-2.11-center-g2", "constant twists allowed: True"),
+    ("corner_orientation", "rem-3.14-center-g3", "flip constants [0, 1]"),
+    ("edge_orientation", "rem-3.14-center-g3", "flip constants [0]"),
+])
+def test_centre_checks_count_positions_on_the_decoded_state(monkeypatch, reader, id, actual):
+    """9 corners let every constant twist sum to 0 (a central twist), and 13
+    edges keep the all-edge flip out of the group: both checks must fail."""
+    assert run_suite(Context(seed=0), id)[0].status == "pass"
+    monkeypatch.setattr(cube, reader, _lengthened(getattr(cube, reader)))
+    result = run_suite(Context(seed=0), id)[0]
+    assert result.status == "fail"
+    assert result.actual.endswith(actual)
+
+
 def test_report_text_contains_counts():
     ctx = Context(seed=0, trials=5)
     text = report_text(run_suite(ctx, "prop-2.6-*"))
