@@ -26,7 +26,7 @@ from cubereps.verify import Context
 ctx = Context()
 
 print("Corner images of the six generators generate all of S_8:")
-print("  order of <phi(U), ..., phi(R)> =", ctx.corner_chain().order(), "= 8!")
+print("  order of <phi(U), ..., phi(R)> =", ctx.chain("corner-group").order(), "= 8!")
 
 ts = build_transpositions()
 print("\nWords realizing the three transposition classes of corners:")
@@ -51,10 +51,10 @@ print("\nThe word m flips exactly two edges in place:")
 print("  flips:", m.flip, " (positions c and g)")
 
 print("\nExact orders from stabilizer chains on the stickers:")
-print("  |G2| =", ctx.g2_chain().order(), "= 3^7 * 8! =", 3**7 * math.factorial(8))
-print("  |G3| =", ctx.g3_chain().order())
+print("  |G2| =", ctx.chain("g2").order(), "= 3^7 * 8! =", 3**7 * math.factorial(8))
+print("  |G3| =", ctx.chain("g3").order())
 print("        = 2^11 * 3^7 * 12! * 8!/2 =", 2**11 * 3**7 * math.factorial(12) * math.factorial(8) // 2)
-print("  |alpha(G3)| =", ctx.p_chain().order(), "= 12! * 8!/2")
+print("  |alpha(G3)| =", ctx.chain("p").order(), "= 12! * 8!/2")
 
 r2 = section_g2_in_g3(word_element_g2("R"))
 print("\nThe 2x2 group embeds in the 3x3 group; the image of the R turn")

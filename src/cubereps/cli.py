@@ -125,21 +125,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    ctx = verify.Context()
-    if args.target == "g2":
-        value = ctx.g2_chain().order()
-    elif args.target == "g3":
-        value = ctx.g3_chain().order()
-    elif args.target == "corner-group":
-        value = ctx.corner_chain().order()
-    elif args.target == "edge-group":
-        from .perm import chain_build
-        from .structure import beta
-
-        value = chain_build([beta(f) for f in cube.FACES]).order()
-    else:
-        value = ctx.p_chain().order()
-    print(value)
+    print(verify.Context().chain(args.target).order())
     return 0
 
 

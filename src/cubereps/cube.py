@@ -323,13 +323,17 @@ def apply_word(
 ) -> CubeState:
     if isinstance(w, str):
         w = MoveWord.parse(w)
-    tables = tables or default_tables(state.size)
-    if tables.size != state.size:
-        raise ValueError(
-            f"{tables.size}x{tables.size} move tables on a {state.size}x{state.size} state"
-        )
+    tables = _sized_tables(state.size, tables)
     # a gather of a checked state through tables of its size keeps its length
     return CubeState._trusted(state.size, tables._apply(state.stickers, w.tokens))
+
+
+def _sized_tables(size: int, tables: MoveTables | None) -> MoveTables:
+    """``tables``, or the default tables of ``size``; tables of another size raise."""
+    tables = tables or default_tables(size)
+    if tables.size != size:
+        raise ValueError(f"{tables.size}x{tables.size} move tables on a {size}x{size} state")
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +599,7 @@ def sticker_perm_of_word(
     """The whole-word sticker permutation: entry i is where sticker i goes."""
     if isinstance(w, str):
         w = MoveWord.parse(w)
-    tables = tables or default_tables(size)
+    tables = _sized_tables(size, tables)
     # run the word on the identity labelling: entry j is where j came from
     labels = tables._apply(tuple(range(sticker_count(size))), w.tokens)
     return invert_sticker_perm(labels)

@@ -173,16 +173,12 @@ def word_element_g2(
     w: MoveWord | str, tables: MoveTables | None = None
 ) -> G2Element:
     """Group element of a chronological word (the reversed token product)."""
-    if isinstance(w, str):
-        w = MoveWord.parse(w)
     return encode_g2(apply_word(CubeState.solved(2), w, tables))
 
 
 def word_element_g3(
     w: MoveWord | str, tables: MoveTables | None = None
 ) -> G3Element:
-    if isinstance(w, str):
-        w = MoveWord.parse(w)
     return encode_g3(apply_word(CubeState.solved(3), w, tables))
 
 
@@ -194,8 +190,6 @@ def phi(g: G2Element | MoveWord | str) -> Permutation:
     """Corner permutation of a 2x2 element or word."""
     if isinstance(g, G2Element):
         return g.perm
-    if isinstance(g, str):
-        g = MoveWord.parse(g)
     return corner_permutation(apply_word(CubeState.solved(2), g))
 
 
@@ -215,8 +209,6 @@ def alpha(g: G3Element | MoveWord | str) -> tuple[Permutation, Permutation]:
     """(edge permutation, corner permutation) of a 3x3 element or word."""
     if isinstance(g, G3Element):
         return g.pair
-    if isinstance(g, str):
-        g = MoveWord.parse(g)
     state = apply_word(CubeState.solved(3), g)
     return (edge_permutation(state), corner_permutation(state))
 

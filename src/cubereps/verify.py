@@ -26,7 +26,6 @@ from .structure import (
     build_transpositions,
     edge_flip_pair_word,
     edge_three_cycle,
-    encode_g2,
     g2_inv,
     g2_mul,
     g3_inv,
@@ -66,9 +65,21 @@ G3_ORDER = 2**11 * 3**7 * math.factorial(12) * math.factorial(8) // 2
 P_ORDER = math.factorial(12) * math.factorial(8) // 2
 
 
+# ``cubereps order`` target -> a face's image; the edge group is P's edge factor
+_FACE_IMAGES = {
+    "g2": lambda ctx, f: ctx.sticker_perm(f, 2),
+    "g3": lambda ctx, f: ctx.sticker_perm(f, 3),
+    "corner-group": lambda ctx, f: ctx.corners(f),
+    "edge-group": lambda ctx, f: ctx.pair(f)[0],
+    "p": lambda ctx, f: pair_to_perm20(ctx.pair(f)),
+}
+
+
 class Context:
     """Shared state for one verification run: seed, trial counts, move
-    tables (injectable for negative controls), and cached heavy objects."""
+    tables (injectable for negative controls), and cached heavy objects.
+    Checks read every word through these tables; only the library's
+    constructive words and representation builders use the defaults."""
 
     def __init__(self, seed: int = 0, trials: int | None = None,
                  tables2: cube.MoveTables | None = None,
@@ -79,6 +90,9 @@ class Context:
         self.trials = trials
         self.tables = {2: tables2 or cube.default_tables(2),
                        3: tables3 or cube.default_tables(3)}
+        for size, tables in self.tables.items():
+            if tables.size != size:
+                raise ValueError(f"tables{size} must be {size}x{size} move tables, got {tables.size}x{tables.size}")
         self._cache: dict[str, object] = {}
 
     def rng(self, label: str) -> random.Random:
@@ -97,38 +111,40 @@ class Context:
     def apply(self, size: int, w) -> CubeState:
         return apply_word(CubeState.solved(size), w, self.tables[size])
 
+    def element(self, size: int, w):
+        """The group element (G2Element or G3Element) of a word."""
+        read = word_element_g2 if size == 2 else word_element_g3
+        return read(w, self.tables[size])
+
+    def corners(self, w) -> Permutation:
+        """Corner permutation of the 2x2 state of a word."""
+        return cube.corner_permutation(self.apply(2, w))
+
+    def pair(self, w) -> tuple[Permutation, Permutation]:
+        """(edge permutation, corner permutation) of the 3x3 state of a word."""
+        state = self.apply(3, w)
+        return cube.edge_permutation(state), cube.corner_permutation(state)
+
     def sticker_perm(self, w, size: int) -> Permutation:
         raw = cube.sticker_perm_of_word(w, size, self.tables[size])
         return Permutation(tuple(v + 1 for v in raw))
 
-    def g2_chain(self):
-        return self.cached(
-            "g2_chain",
-            lambda: chain_build([self.sticker_perm(f, 2) for f in cube.FACES]),
-        )
+    def generators(self, target: str) -> list[Permutation]:
+        """The six face images generating the group ``cubereps order`` names."""
+        return [_FACE_IMAGES[target](self, f) for f in cube.FACES]
 
-    def g3_chain(self):
-        return self.cached(
-            "g3_chain",
-            lambda: chain_build([self.sticker_perm(f, 3) for f in cube.FACES]),
-        )
-
-    def corner_chain(self):
-        return self.cached(
-            "corner_chain", lambda: chain_build([phi(f) for f in cube.FACES])
-        )
+    def chain(self, target: str):
+        """The stabilizer chain of ``generators(target)``, built once."""
+        return self.cached(f"chain:{target}", lambda: chain_build(self.generators(target)))
 
     def p_chain(self):
-        return self.cached(
-            "p_chain",
-            lambda: chain_build([pair_to_perm20(alpha(f)) for f in cube.FACES]),
-        )
+        return self.chain("p")
 
     def real_g2(self):
         return self.cached(
             "real_g2",
             lambda: replib.realify(self.cached("rep_g2", replib.build_rep_g2), set(),
-                                   {f: word_element_g2(f) for f in cube.FACES}),
+                                   {f: self.element(2, f) for f in cube.FACES}),
         )
 
 
@@ -252,7 +268,7 @@ def _(ctx: Context):
 
 @check("prop-2.2-phi-surjective", "corner images of the generators generate all of S_8", "prop-2.2")
 def _(ctx: Context):
-    order = ctx.corner_chain().order()
+    order = ctx.chain("corner-group").order()
     return order == math.factorial(8), str(math.factorial(8)), str(order)
 
 
@@ -265,11 +281,11 @@ def _(ctx: Context):
 @check("prop-2.2-t2-t3", "conjugating t1 by l reaches the other transposition classes", "prop-2.2")
 def _(ctx: Context):
     ts = build_transpositions()
-    lw = phi("L")
-    got = (phi(ts["t2"]), phi(ts["t3"]))
+    lw = ctx.corners("L")
+    got = (ctx.corners(ts["t2"]), ctx.corners(ts["t3"]))
     want = (
-        conjugate(lw, phi(ts["t1"])),
-        conjugate(compose(lw, lw), phi(ts["t1"])),
+        conjugate(lw, ctx.corners(ts["t1"])),
+        conjugate(compose(lw, lw), ctx.corners(ts["t1"])),
     )
     kinds_ok = got[0].cycle_string() == "(14)" and got[1].cycle_string() == "(45)"
     return got == want and kinds_ok, f"{want[0].cycle_string()} {want[1].cycle_string()}", f"{got[0].cycle_string()} {got[1].cycle_string()}"
@@ -317,18 +333,18 @@ def _(ctx: Context):
 
 @check("prop-2.6-k-word", "the commutator word k twists corners without moving them", "prop-2.6")
 def _(ctx: Context):
-    el = encode_g2(ctx.apply(2, structure.WORD_K))
+    el = ctx.element(2, structure.WORD_K)
     ok = membership(SubgroupTag.K, el) and not el.is_identity()
     return ok, "nontrivial element with identity corner permutation", f"perm {el.perm.cycle_string()}, twist {el.twist}"
 
 
 @check("prop-2.6-k-maximal", "conjugates of k span the full sum-zero twist lattice", "prop-2.6")
 def _(ctx: Context):
-    k_el = word_element_g2(structure.WORD_K)
+    k_el = ctx.element(2, structure.WORD_K)
     vectors = [k_el.twist]
 
     def failures(w):
-        g = word_element_g2(w)
+        g = ctx.element(2, w)
         conj = g2_mul(g2_mul(g, k_el), g2_inv(g))
         vectors.append(conj.twist)
         return not conj.perm.is_identity()
@@ -336,7 +352,7 @@ def _(ctx: Context):
     _, bad, where = _sampled(ctx, "k-maximal", 40, lambda rng: _random_word(rng, 15), failures)
     if bad:
         return False, "conjugates stay in the kernel", f"{bad} conjugates moved corners{where}"
-    rank = _closed_rank(vectors, [phi(f) for f in cube.FACES], 3)
+    rank = _closed_rank(vectors, ctx.generators("corner-group"), 3)
     return rank == 7, "rank 7 over Z_3", f"rank {rank}"
 
 
@@ -344,8 +360,8 @@ def _(ctx: Context):
 def _(ctx: Context):
     def failures(sample):
         w1, w2 = sample
-        lhs = encode_g2(ctx.apply(2, w1.then(w2)))
-        return lhs != g2_mul(encode_g2(ctx.apply(2, w2)), encode_g2(ctx.apply(2, w1)))
+        lhs = ctx.element(2, w1.then(w2))
+        return lhs != g2_mul(ctx.element(2, w2), ctx.element(2, w1))
 
     trials, bad, where = _sampled(ctx, "g2-model", 1000, _word_pair(15), failures)
     return bad == 0, f"0 failures in {trials}", f"{bad} failures{where}"
@@ -367,10 +383,10 @@ def _(ctx: Context):
 
 @check("prop-2.8-normal-k", "conjugation keeps pure twists inside the twist kernel", "prop-2.8")
 def _(ctx: Context):
-    k_el = word_element_g2(structure.WORD_K)
+    k_el = ctx.element(2, structure.WORD_K)
 
     def failures(w):
-        g = word_element_g2(w)
+        g = ctx.element(2, w)
         return not membership(SubgroupTag.K, g2_mul(g2_mul(g, k_el), g2_inv(g)))
 
     _, bad, where = _sampled(ctx, "normal-k", 100, lambda rng: _random_word(rng, 20), failures)
@@ -393,7 +409,7 @@ def _(ctx: Context):
 def _(ctx: Context):
     def failures(w):
         quarter_turns = sum(t if t != 3 else 1 for _, t in w.tokens)
-        return (phi(w).sign() == 1) != (quarter_turns % 2 == 0)
+        return (ctx.corners(w).sign() == 1) != (quarter_turns % 2 == 0)
 
     _, bad, where = _sampled(ctx, "normal-l", 300, lambda rng: _random_word(rng, 25), failures)
     order = ctx.cached("commutator_chain", lambda: _commutator_subgroup_order(ctx))
@@ -413,8 +429,8 @@ def _(ctx: Context):
 
 @check("cor-2.12-g2-order", "the 2x2 group has order 3^7 8! by two independent computations", "cor-2.12")
 def _(ctx: Context):
-    via_cosets = 3**7 * ctx.corner_chain().order()
-    via_stickers = ctx.g2_chain().order()
+    via_cosets = 3**7 * ctx.chain("corner-group").order()
+    via_stickers = ctx.chain("g2").order()
     ok = via_cosets == via_stickers == G2_ORDER
     return ok, str(G2_ORDER), f"cosets {via_cosets}, stickers {via_stickers}"
 
@@ -449,14 +465,14 @@ def _(ctx: Context):
 
 @check("prop-3.3-edge-seed", "the word h three-cycles edges a,b,c and fixes corner positions", "prop-3.3")
 def _(ctx: Context):
-    edges, corners = alpha(structure.WORD_H1)
+    edges, corners = ctx.pair(structure.WORD_H1)
     ok = edges.cycle_string(letters=True) == "(abc)" and corners.is_identity()
     return ok, "((abc), 1)", f"(({edges.cycle_string(letters=True)}), {corners.cycle_string()})"
 
 
 @check("prop-3.4-abf", "the commutator of two seed words fixes corners and cycles a,b,f", "prop-3.4")
 def _(ctx: Context):
-    el = word_element_g3(edge_three_cycle("abf"))
+    el = ctx.element(3, edge_three_cycle("abf"))
     ok = (
         el.pair[0].cycle_string(letters=True) == "(abf)"
         and membership(SubgroupTag.N, el)
@@ -469,7 +485,7 @@ def _(ctx: Context):
     targets = ["abf", "cab", "dab", "gbf", "hcg", "eaf", "iaf", "jbf", "kcg", "ldh"]
     perms = []
     for t in targets:
-        el = word_element_g3(edge_three_cycle(t))
+        el = ctx.element(3, edge_three_cycle(t))
         if not membership(SubgroupTag.N, el) or el.pair[0].sign() != 1:
             return False, "all outputs even and corner-fixing", f"{t} failed"
         perms.append(el.pair[0])
@@ -481,12 +497,12 @@ def _(ctx: Context):
 @check("prop-3.5-match-sign", "edge and corner permutations always have equal sign", "prop-3.5")
 def _(ctx: Context):
     for f in cube.FACES:
-        edges, corners = alpha(f)
+        edges, corners = ctx.pair(f)
         if not (edges.sign() == corners.sign() == -1):
             return False, "generators odd on both factors", f"{f} signs {edges.sign()},{corners.sign()}"
 
     def failures(w):
-        edges, corners = alpha(w)
+        edges, corners = ctx.pair(w)
         return edges.sign() != corners.sign()
 
     _, bad, where = _sampled(ctx, "match-sign", 500, lambda rng: _random_word(rng, 25), failures)
@@ -515,7 +531,7 @@ def _(ctx: Context):
 
 @check("prop-3.9-m-word", "the word m flips exactly edges c and g in place", "prop-3.9")
 def _(ctx: Context):
-    el = word_element_g3(build_m())
+    el = ctx.element(3, build_m())
     flips = tuple(
         cube.EDGE_LETTERS[i] for i, v in enumerate(el.flip) if v
     )
@@ -529,18 +545,18 @@ def _(ctx: Context):
 @check("prop-3.9-m-maximal", "conjugates of m span the full sum-zero flip lattice", "prop-3.9")
 def _(ctx: Context):
     for x in (2, 5, 7, 9, 12):
-        el = word_element_g3(edge_flip_pair_word(x))
+        el = ctx.element(3, edge_flip_pair_word(x))
         if not membership(SubgroupTag.M, el):
             return False, "q_x words stay in M", f"q_{x} escaped M"
         want = tuple(1 if i + 1 in (1, x) else 0 for i in range(12))
         if el.flip != want:
             return False, f"q_{x} flips a and {cube.EDGE_LETTERS[x-1]}", str(el.flip)
-    m_el = word_element_g3(build_m())
+    m_el = ctx.element(3, build_m())
     # only m and its conjugates: closed under the moves, the q_x flips alone reach rank 11
     vectors = [m_el.flip]
 
     def failures(w):
-        g = word_element_g3(w)
+        g = ctx.element(3, w)
         conj = g3_mul(g3_mul(g, m_el), g3_inv(g))
         vectors.append(conj.flip)
         return not membership(SubgroupTag.M, conj)
@@ -548,7 +564,7 @@ def _(ctx: Context):
     _, bad, where = _sampled(ctx, "m-maximal", 30, lambda rng: _random_word(rng, 12), failures)
     if bad:
         return False, "conjugates of m stay in M", f"{bad} conjugates escaped M{where}"
-    rank = _closed_rank(vectors, [alpha(f)[0] for f in cube.FACES], 2)
+    rank = _closed_rank(vectors, ctx.generators("edge-group"), 2)
     return rank == 11, "rank 11 over Z_2", f"rank {rank}"
 
 
@@ -557,9 +573,9 @@ def _(ctx: Context):
     # abstract: the parametrization (0, t, (1,1)) -> (t, 1) is bijective;
     # concrete witness: a 3x3 word fixing edges completely with the twist
     # of the 2x2 word k
-    k_el = word_element_g2(structure.WORD_K)
-    witness = ctx.cached("l_witness", _l_witness_word)
-    el = word_element_g3(witness)
+    k_el = ctx.element(2, structure.WORD_K)
+    witness = ctx.cached("l_witness", lambda: _l_witness_word(ctx))
+    el = ctx.element(3, witness)
     ok = (
         membership(SubgroupTag.J, el)
         and not any(el.flip)
@@ -572,7 +588,7 @@ def _(ctx: Context):
 @check("prop-3.11-alphasplit", "the orientation-preserving pairs are a section of the pair map", "prop-3.11")
 def _(ctx: Context):
     def failures(sample):
-        p1, p2 = map(alpha, sample)
+        p1, p2 = map(ctx.pair, sample)
         prod = (compose(p1[0], p2[0]), compose(p1[1], p2[1]))
         return ((section_p(prod) != g3_mul(section_p(p1), section_p(p2)))
                 + (alpha(section_p(p1)) != p1))
@@ -587,21 +603,21 @@ def _(ctx: Context):
     edges = {1: Permutation.identity(12), -1: Permutation.from_cycles("(bc)", 12)}
 
     def failures(sample):
-        x, y = map(word_element_g2, sample)
+        x, y = (ctx.element(2, w) for w in sample)
         img = section_g2_in_g3(x)
         return (section_g2_in_g3(g2_mul(x, y)) != g3_mul(img, section_g2_in_g3(y))
                 or psi(img) != x or not membership(SubgroupTag.P, img)
                 or img.pair[0] != edges[x.perm.sign()])
 
     trials, bad, where = _sampled(ctx, "g2-in-g3", 1000, _word_pair(12), failures)
-    r2 = section_g2_in_g3(word_element_g2("R"))
+    r2 = section_g2_in_g3(ctx.element(2, "R"))
     ok = bad == 0 and r2.pair[0].cycle_string(letters=True) == "(bc)"
     return ok, f"0 failures in {trials}; r2 swaps edges b,c", f"{bad} failures{where}; r2 edges {r2.pair[0].cycle_string(letters=True)}"
 
 
 @check("prop-3.13-isom-type-p", "the pair image is exactly the sign-matched pairs, of order 12!8!/2", "prop-3.13")
 def _(ctx: Context):
-    order = ctx.p_chain().order()
+    order = ctx.chain("p").order()
 
     def draw(rng):
         s12, s8 = _random_perm(rng, 12), _random_perm(rng, 8)
@@ -611,8 +627,8 @@ def _(ctx: Context):
 
     def failures(sample):
         s12, s8, w = sample
-        return ((not ctx.p_chain().contains(pair_to_perm20((s12, s8))))
-                + (not membership(SubgroupTag.P, alpha(w))))
+        return ((not ctx.chain("p").contains(pair_to_perm20((s12, s8))))
+                + (not membership(SubgroupTag.P, ctx.pair(w))))
 
     _, bad, where = _sampled(ctx, "isom-p", 100, draw, failures)
     ok = order == P_ORDER and bad == 0
@@ -647,7 +663,7 @@ def _(ctx: Context):
 
 @check("cor-3.15-g3-order", "the 3x3 group has order 2^11 3^7 12! 8!/2", "cor-3.15")
 def _(ctx: Context):
-    order = ctx.g3_chain().order()
+    order = ctx.chain("g3").order()
     return order == G3_ORDER, str(G3_ORDER), str(order)
 
 
@@ -721,7 +737,7 @@ def _(ctx: Context):
     real2 = ctx.real_g2()
 
     def failures(sample):
-        x, y = map(word_element_g2, sample)
+        x, y = (ctx.element(2, w) for w in sample)
         dx, dy = replib.decorated_perm(real2.of(x)), replib.decorated_perm(real2.of(y))
         return replib.decorated_perm(real2.of(g2_mul(x, y))) != dx * dy
 
@@ -748,7 +764,7 @@ def _(ctx: Context):
         rep.of(section_s8(s)).perm == s
         for s in (_random_perm(rng, 8) for _ in range(20))
     )
-    trace = rep.of(word_element_g2(structure.WORD_K)).trace()
+    trace = rep.of(ctx.element(2, structure.WORD_K)).trace()
     got = (
         faithful,
         rep.degree,
@@ -771,7 +787,7 @@ def _(ctx: Context):
     real3 = ctx.cached(
         "real_g3",
         lambda: replib.realify(
-            rep, set(range(1, 13)), {f: word_element_g3(f) for f in cube.FACES}
+            rep, set(range(1, 13)), {f: ctx.element(3, f) for f in cube.FACES}
         ),
     )
     got = (faithful, rep.degree, bound, real3.real_dimension)
@@ -816,7 +832,7 @@ def _(ctx: Context):
 def _(ctx: Context):
     rep = replib.zeroed_corner_rep()
     unfaithful = not replib.faithful_structural(rep)
-    k_el = word_element_g2(structure.WORD_K)
+    k_el = ctx.element(2, structure.WORD_K)
     collapsed = rep.of(k_el).is_identity() and not k_el.is_identity()
     ok = unfaithful and collapsed
     return ok, "kernel contains the twist group", f"reported unfaithful {unfaithful}, twist collapsed {collapsed}"
@@ -922,7 +938,7 @@ def _commutator_subgroup_order(ctx: Context) -> int:
         for b in words:
             if a is not b:
                 gens.append(ctx.sticker_perm(commutator(a, b), 2))
-    face_perms = [ctx.sticker_perm(w, 2) for w in words]
+    face_perms = ctx.generators("g2")
     chain = chain_build(gens)
     changed = True
     while changed:
@@ -937,16 +953,16 @@ def _commutator_subgroup_order(ctx: Context) -> int:
     return chain.order()
 
 
-def _l_witness_word() -> MoveWord:
+def _l_witness_word(ctx: Context) -> MoveWord:
     """A 3x3 word fixing the edges completely whose corner twist equals the
     2x2 twist word k: h1 corrected by an edge cycle and flip words."""
     w = structure.WORD_H1.then(edge_three_cycle("abc").inverse())
-    el = word_element_g3(w)
+    el = ctx.element(3, w)
     flipped = [i + 1 for i, v in enumerate(el.flip) if v]
     for x in flipped:
         if x != 1:
             w = w.then(edge_flip_pair_word(x))
-    el = word_element_g3(w)
+    el = ctx.element(3, w)
     if el.flip[0]:
         raise AssertionError("flip correction failed")
     return w

@@ -106,12 +106,12 @@ def test_criterion_2_constructive_words():
 
 def test_criterion_3_orders_dual_method(ctx):
     start = time.time()
-    via_cosets = 3**7 * ctx.corner_chain().order()
-    via_stickers2 = ctx.g2_chain().order()
+    via_cosets = 3**7 * ctx.chain("corner-group").order()
+    via_stickers2 = ctx.chain("g2").order()
     ok_g2 = via_cosets == via_stickers2 == G2_ORDER == 88179840
-    via_stickers3 = ctx.g3_chain().order()
+    via_stickers3 = ctx.chain("g3").order()
     ok_g3 = via_stickers3 == G3_ORDER == 43252003274489856000
-    via_pairs = ctx.p_chain().order()
+    via_pairs = ctx.chain("p").order()
     ok_p = via_pairs == P_ORDER
     elapsed = time.time() - start
     _report(

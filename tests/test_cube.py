@@ -678,6 +678,16 @@ def test_apply_word_refuses_tables_of_the_other_size(size, other):
             apply_word(CubeState.solved(size), w, cube.default_tables(other))
 
 
+@pytest.mark.parametrize("size, other", [(2, 3), (3, 2)])
+def test_sticker_perm_of_word_refuses_tables_of_the_other_size(size, other):
+    """Tables of the other size would give a permutation of the wrong length
+    (2x2 tables on a 3x3) or index past their own stickers (3x3 on a 2x2)."""
+    message = f"^{other}x{other} move tables on a {size}x{size} state$"
+    for w in ("U", ""):
+        with pytest.raises(ValueError, match=message):
+            cube.sticker_perm_of_word(w, size, cube.default_tables(other))
+
+
 # ---------------------------------------------------------------------------
 # Two-token gathers: apply_word and sticker_perm_of_word fold a word two
 # tokens at a time; both must equal a token-by-token apply_token fold

@@ -367,7 +367,7 @@ def _sticker(raw: tuple[int, ...]) -> Permutation:
 @pytest.mark.parametrize("size", [2, 3])
 def test_chains_reject_one_twist_and_accept_a_twist_pair(ctx, size):
     # prop-2.4: reachable states have corner twist sum 0 mod 3
-    chain = ctx.g2_chain() if size == 2 else ctx.g3_chain()
+    chain = ctx.chain(f"g{size}")
     one = _sticker(cube.sticker_perm_of_twist(1, 1, size))
     pair = compose(one, _sticker(cube.sticker_perm_of_twist(2, 2, size)))
     assert not chain.contains(one)
@@ -376,7 +376,7 @@ def test_chains_reject_one_twist_and_accept_a_twist_pair(ctx, size):
 
 def test_g3_chain_rejects_one_flip_and_accepts_a_flip_pair(ctx):
     # prop-3.7: reachable states have edge flip sum 0 mod 2
-    chain = ctx.g3_chain()
+    chain = ctx.chain("g3")
     one = _sticker(cube.sticker_perm_of_flip(1))
     pair = compose(one, _sticker(cube.sticker_perm_of_flip(2)))
     assert not chain.contains(one)
@@ -385,7 +385,7 @@ def test_g3_chain_rejects_one_flip_and_accepts_a_flip_pair(ctx):
 
 def test_p_chain_rejects_a_sign_mismatched_pair(ctx):
     # prop-3.5: the edge and corner permutations have equal signs
-    chain = ctx.p_chain()
+    chain = ctx.chain("p")
     edge_swap = Permutation.from_cycles("(ab)", 12)
     corner_swap = Permutation.from_cycles("(12)", 8)
     mismatched = (edge_swap, Permutation.identity(8))

@@ -19,7 +19,6 @@ from sympy.matrices.normalforms import smith_normal_form
 from cubereps import abelian, cube, verify
 from cubereps.cyclotomic import CyclotomicInt
 from cubereps.perm import EDGE_LETTERS, Permutation, chain_build, compose
-from cubereps.structure import beta
 
 SympyPerm = sympy_comb.Permutation
 PermutationGroup = sympy_comb.PermutationGroup
@@ -70,24 +69,12 @@ def test_order_and_membership_match_sympy(data):
         assert chain.contains(p) == group.contains(to_sympy(p))
 
 
-def _cube_generator_sets():
-    """The five generator sets behind ``cubereps order``."""
-    ctx = verify.Context()
-    return {
-        "g2": [ctx.sticker_perm(f, 2) for f in cube.FACES],
-        "g3": [ctx.sticker_perm(f, 3) for f in cube.FACES],
-        "corner-group": [verify.phi(f) for f in cube.FACES],
-        "edge-group": [beta(f) for f in cube.FACES],
-        "p": [verify.pair_to_perm20(verify.alpha(f)) for f in cube.FACES],
-    }
-
-
 @pytest.mark.parametrize(
     "name, has_transpositions",
     [("g2", False), ("g3", False), ("corner-group", True), ("edge-group", True), ("p", False)],
 )
 def test_cube_chains_match_sympy(name, has_transpositions):
-    gens = _cube_generator_sets()[name]
+    gens = verify.Context().generators(name)  # the generators behind ``cubereps order``
     chain = chain_build(gens)
     group = PermutationGroup([to_sympy(g) for g in gens])
     assert chain.order() == group.order()

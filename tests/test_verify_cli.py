@@ -454,6 +454,44 @@ def test_context_rejects_trials_below_one():
     assert Context(trials=1).trials == 1 and Context().trials is None
 
 
+@pytest.mark.parametrize("size, other", [(2, 3), (3, 2)])
+def test_context_refuses_tables_of_the_other_size(size, other):
+    with pytest.raises(ValueError, match=f"^tables{size} must be {size}x{size} move tables"):
+        Context(**{f"tables{size}": cube.default_tables(other)})
+
+
+# the library's constructive words and representation builders, which read
+# the default tables; every other check reads its words through the Context
+LIBRARY_CONSTRUCTIONS = {
+    "cor-3.6-n-is-a12", "prop-3.4-abf", "prop-3.9-m-maximal", "prop-3.10-l-isom-k",
+    "thm-4.4-decorated", "thm-5.1-g2-mdim", "thm-5.2-g3-mdim", "thm-5.3-negative-control",
+}
+
+
+def test_checks_read_words_only_through_the_context_tables(monkeypatch):
+    ctx = Context(seed=0, trials=5, **{
+        f"tables{size}": cube.MoveTables(size, dict(cube.default_tables(size).face_tables))
+        for size in (2, 3)})
+
+    def refuse(size):
+        raise LookupError("default tables read")
+
+    monkeypatch.setattr(cube, "default_tables", refuse)
+    results = {r.id: r for r in run_suite(ctx)}
+    failed = {id for id, r in results.items() if r.status == "fail"}
+    assert failed <= LIBRARY_CONSTRUCTIONS, failed - LIBRARY_CONSTRUCTIONS
+    # the representation builders are built per Context, so the patch bites
+    assert "LookupError: default tables read" in results["thm-5.1-g2-mdim"].actual
+
+
+@pytest.mark.parametrize("id", ["prop-2.8-normal-k", "thm-3.12-g2-in-g3"])
+def test_element_checks_fail_on_a_tampered_table(id):
+    """Their words are read as elements through the Context's 2x2 tables, where
+    U also twists corner 1, so their states fail the twist-sum law."""
+    assert run_suite(Context(seed=42), id)[0].status == "pass"
+    assert run_suite(_tampered_u_context(42), id)[0].status == "fail"
+
+
 @pytest.mark.parametrize(
     "spec",
     [
