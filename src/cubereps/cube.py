@@ -20,7 +20,7 @@ from itertools import permutations
 from operator import itemgetter
 from typing import NamedTuple
 
-from .perm import EDGE_LETTERS, Permutation, _inv0, _mul0
+from .perm import EDGE_LETTERS, Permutation, _byte_table, _inv0, _mul0
 
 Vec = tuple[int, int, int]
 
@@ -125,42 +125,47 @@ class MoveTables:
 
     The default instances are derived from geometry; alternative tables can
     be injected to exercise negative controls in the verification suite.
+    Each of the faces U D F B L R needs a table that permutes the stickers.
     """
 
     def __init__(self, size: int, face_tables: dict[str, tuple[int, ...]]):
+        n = sticker_count(size)
+        for face in FACES:
+            if face not in face_tables:
+                raise ValueError(f"{size}x{size} move tables lack face {face}")
+            if sorted(face_tables[face]) != list(range(n)):
+                raise ValueError(f"{size}x{size} move table {face} does not permute 0..{n - 1}")
+        unknown = sorted(map(str, face_tables.keys() - set(FACES)))
+        if unknown:
+            raise ValueError(f"{size}x{size} move tables have unknown faces {unknown}")
         self.size = size
         self.face_tables = dict(face_tables)
-        n = sticker_count(size)
-        # _get[token] is a C-level gather: entry j of its result is the sticker
-        # that lands at j (power[i] is where sticker i goes)
-        self._get: dict[tuple[str, int], itemgetter] = {}
+        # _table[token] is a translate table: entry j is the sticker that
+        # lands at j (power[i] is where sticker i goes), the identity past n
+        self._table: dict[tuple[str, int], bytes] = {}
         for face, table in self.face_tables.items():
-            power = list(range(n))
+            power = range(n)
             for turns in (1, 2, 3):
                 power = [table[p] for p in power]
-                self._get[(face, turns)] = itemgetter(*_inv0(power))
-        # _pair[a][b] gathers as token a then token b do, so a word costs one
-        # gather per two tokens; it is read off by running a, b on the
-        # identity labelling.  Same-face pairs are kept for unreduced words.
-        labels = tuple(range(n))
-        self._pair: dict[tuple[str, int], dict[tuple[str, int], itemgetter]] = {}
-        for a, get_a in self._get.items():
-            after_a = get_a(labels)
-            self._pair[a] = {
-                b: itemgetter(*get_b(after_a)) for b, get_b in self._get.items()
-            }
+                self._table[(face, turns)] = _byte_table(_inv0(power))
+        self._start = bytes(range(n))
 
     def apply_token(self, stickers: tuple[int, ...], face: str, turns: int):
-        return self._get[(face, turns)](stickers)
+        return self._apply(stickers, ((face, turns),))
+
+    def _labels(self, tokens) -> bytes:
+        """Where each sticker of the word's result came from: entry j is the
+        sticker that lands at j.  Token a then b lands T_a[T_b[j]] at j, so
+        the tables are composed from the last token back."""
+        labels, table = self._start, self._table
+        for token in reversed(tokens):
+            labels = labels.translate(table[token])
+        return labels
 
     def _apply(self, stickers: tuple[int, ...], tokens) -> tuple[int, ...]:
-        """Gather stickers through the tokens in order, two at a time."""
-        pair, it = self._pair, iter(tokens)
-        for a, b in zip(it, it):
-            stickers = pair[a][b](stickers)
-        if len(tokens) % 2:
-            stickers = self._get[tokens[-1]](stickers)
-        return stickers
+        """Gather stickers through the tokens in order, in one gather; the
+        sticker values are carried, whatever ints they are."""
+        return itemgetter(*self._labels(tokens))(stickers)
 
 
 def _default_tables(size: int) -> MoveTables:
@@ -600,9 +605,7 @@ def sticker_perm_of_word(
     if isinstance(w, str):
         w = MoveWord.parse(w)
     tables = _sized_tables(size, tables)
-    # run the word on the identity labelling: entry j is where j came from
-    labels = tables._apply(tuple(range(sticker_count(size))), w.tokens)
-    return invert_sticker_perm(labels)
+    return invert_sticker_perm(tables._labels(w.tokens))
 
 
 def sticker_perm_of_twist(position: int, amount: int, size: int) -> tuple[int, ...]:

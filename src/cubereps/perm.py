@@ -246,21 +246,25 @@ def twisted_inv(k: int, v, p: Permutation):
 # Deterministic Schreier-Sims stabilizer chains (Seress, *Permutation Group
 # Algorithms*, sections 4.1-4.2).
 #
-# Internals work on 0-based image tuples and compose them with one C-level
-# gather, ``itemgetter(*q)(p)``: on CPython 3.11 it takes about 1.3 us at
-# degree 54, against 5 us for ``tuple(map(p.__getitem__, q))`` or a
-# generator expression.  Transversal entries are never replaced once
-# written, so every Schreier generator is examined exactly once and the
+# Internals hold each permutation as a 256-byte ``bytes.translate`` table:
+# entry i is the 0-based image of point i, and past the degree the table is
+# the identity.  ``q.translate(p)`` is then p after q in one C-level pass:
+# on CPython 3.11 it takes about 0.23 us at any degree, against 0.63 us at
+# degree 48 and 2.9 us at 256 for an ``itemgetter(*q)(p)`` gather.  So a
+# chain takes at most 256 points.  Transversal entries are never replaced
+# once written, so every Schreier generator is examined exactly once and the
 # construction is deterministic.
 #
 # Beside each transversal entry u_x the chain stores u_x^-1, written in the
 # same orbit step as (g u_p)^-1 = u_p^-1 g^-1 from the stored inverses of u_p
 # and of the strong generator g.  A sift step and a Schreier generator
-# u_{g(p)}^-1 g u_p then cost one or two gathers and no inversion.
+# u_{g(p)}^-1 g u_p then cost one or two translations and no inversion.
 #
 # A sift skips a level whose base point b the residue already fixes: u_b is
 # the identity, because it is the level's first entry and is never replaced,
 # so the skipped step u_b^-1 g is g itself.
+
+_IDENTITY = bytes(range(256))
 
 
 def _mul0(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -270,11 +274,17 @@ def _mul0(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return itemgetter(*q)(p)
 
 
-def _inv0(p: tuple[int, ...]) -> tuple[int, ...]:
+def _inv0(p: Sequence[int]) -> tuple[int, ...]:
     inv = [0] * len(p)
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
+
+
+def _byte_table(p: Sequence[int]) -> bytes:
+    """The translate table of a 0-based permutation p of at most 256 points,
+    the identity past len(p); ``_byte_table(_inv0(p))`` is its inverse's."""
+    return bytes(p) + _IDENTITY[len(p):]
 
 
 class StabilizerChain:
@@ -285,14 +295,15 @@ class StabilizerChain:
     """
 
     def __init__(self, degree: int):
+        if degree > 256:
+            raise PermError(f"degree {degree} is above the chain bound of 256 points")
         self.degree = degree
-        self._identity = tuple(range(degree))
         self.base: list[int] = []  # 0-based internally
         # strong generators per level, as (serial number, g, g^-1)
-        self._gens: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = []
+        self._gens: list[list[tuple[int, bytes, bytes]]] = []
         self._serials = 0
-        self._transversal: list[dict[int, tuple[int, ...]]] = []
-        self._inverse: list[dict[int, tuple[int, ...]]] = []  # u_x^-1 per u_x
+        self._transversal: list[dict[int, bytes]] = []
+        self._inverse: list[dict[int, bytes]] = []  # u_x^-1 per u_x
         # processed (orbit point, generator) pairs, keyed serial * degree +
         # point; sound to skip because transversal entries are never replaced
         self._done_pairs: list[set[int]] = []
@@ -307,8 +318,8 @@ class StabilizerChain:
                 raise PermError("generators must share one degree")
         chain = cls(degree)
         for g in generators:
-            residue, level = chain._sift(tuple(v - 1 for v in g.image))
-            if residue == chain._identity:
+            residue, level = chain._sift(_byte_table([v - 1 for v in g.image]))
+            if residue == _IDENTITY:
                 continue
             chain._insert(residue, level)
             for j in range(min(level, len(chain.base) - 1), -1, -1):
@@ -324,12 +335,11 @@ class StabilizerChain:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        residue = self._sift(tuple(v - 1 for v in p.image))[0]
-        return residue == self._identity
+        return self._sift(_byte_table([v - 1 for v in p.image]))[0] == _IDENTITY
 
     # -- internals ----------------------------------------------------
 
-    def _sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
+    def _sift(self, g: bytes, start: int = 0) -> tuple[bytes, int]:
         """Reduce g through levels >= start; return (residue, stop level)."""
         for level in range(start, len(self.base)):
             point = self.base[level]
@@ -339,10 +349,10 @@ class StabilizerChain:
             rep_inv = self._inverse[level].get(img)
             if rep_inv is None:
                 return g, level
-            g = _mul0(rep_inv, g)
+            g = g.translate(rep_inv)
         return g, len(self.base)
 
-    def _insert(self, residue: tuple[int, ...], level: int) -> None:
+    def _insert(self, residue: bytes, level: int) -> None:
         """Record a sifted non-identity residue as a strong generator.
 
         The residue fixes base[:level]; a new base point is opened when it
@@ -352,13 +362,13 @@ class StabilizerChain:
             point = min(i for i, v in enumerate(residue) if v != i)
             self.base.append(point)
             self._gens.append([])
-            self._transversal.append({point: self._identity})
-            self._inverse.append({point: self._identity})
+            self._transversal.append({point: _IDENTITY})
+            self._inverse.append({point: _IDENTITY})
             self._done_pairs.append(set())
-        self._gens[level].append((self._serials, residue, _inv0(residue)))
+        self._gens[level].append((self._serials, residue, _byte_table(_inv0(residue))))
         self._serials += 1
 
-    def _strong(self, level: int) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    def _strong(self, level: int) -> list[tuple[int, bytes, bytes]]:
         """The strong generators of levels >= level, shallowest first."""
         return [s for lvl in range(level, len(self.base)) for s in self._gens[lvl]]
 
@@ -376,8 +386,8 @@ class StabilizerChain:
             for _, g, g_inv in gens:
                 img = g[point]
                 if img not in trans:
-                    trans[img] = _mul0(g, rep)
-                    inverse[img] = _mul0(rep_inv, g_inv)
+                    trans[img] = rep.translate(g)
+                    inverse[img] = g_inv.translate(rep_inv)
                     frontier.append(img)
 
     def _complete(self, level: int) -> None:
@@ -404,11 +414,11 @@ class StabilizerChain:
                     done.add(key)
                     # u_{g(p)}^-1 g u_p
                     target_inv = inverse[g[point]]
-                    schreier = _mul0(target_inv, _mul0(g, rep))
-                    if schreier == self._identity:
+                    schreier = rep.translate(g).translate(target_inv)
+                    if schreier == _IDENTITY:
                         continue
                     residue, lvl = self._sift(schreier, level + 1)
-                    if residue == self._identity:
+                    if residue == _IDENTITY:
                         continue
                     self._insert(residue, lvl)
                     for j in range(min(lvl, len(self.base) - 1), level, -1):

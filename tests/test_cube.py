@@ -419,6 +419,41 @@ def test_every_default_face_table_has_order_four(size):
             assert (power == identity) == (exponent == 4), (face, exponent)
 
 
+def _zero_u(tables):
+    tables["U"] = (0,) * len(tables["U"])
+
+
+def _drop_r(tables):
+    del tables["R"]
+
+
+def _big_f(tables):
+    tables["F"] = cube.default_tables(3).face_tables["F"]
+
+
+def _extra_x(tables):
+    tables["X"] = tables["U"]
+
+
+@pytest.mark.parametrize(
+    "size, spoil, message",
+    [
+        (2, _zero_u, r"2x2 move table U does not permute 0\.\.23"),
+        (3, _drop_r, r"3x3 move tables lack face R"),
+        (2, _big_f, r"2x2 move table F does not permute 0\.\.23"),
+        (3, _extra_x, r"3x3 move tables have unknown faces \['X'\]"),
+    ],
+    ids=["zero-u", "missing-r", "3x3-f-on-2x2", "unknown-x"],
+)
+def test_move_tables_refuse_face_tables_that_are_not_the_six_permutations(size, spoil, message):
+    """A table that is no bijection would give sticker 'permutations' with
+    repeats, and a missing face would fail only when a word turns it."""
+    tables = dict(cube.default_tables(size).face_tables)
+    spoil(tables)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cube.MoveTables(size, tables)
+
+
 # ---------------------------------------------------------------------------
 # The readers against a reference decode that matches colour sets directly
 # and counts orientation by colour index, with no lookup tables
@@ -689,8 +724,9 @@ def test_sticker_perm_of_word_refuses_tables_of_the_other_size(size, other):
 
 
 # ---------------------------------------------------------------------------
-# Two-token gathers: apply_word and sticker_perm_of_word fold a word two
-# tokens at a time; both must equal a token-by-token apply_token fold
+# The word runner: apply_word, apply_token and sticker_perm_of_word compose
+# translate tables; all must equal a quarter-turn by quarter-turn fold through
+# the face tables themselves
 
 
 def _u_inverted(size):
@@ -712,20 +748,25 @@ TABLES = {
 @example((3, False), ())
 @example((2, True), (("U", 1),))
 @example((3, True), (("U", 1), ("U", 3), ("R", 2)))
-def test_pair_gathers_match_a_token_by_token_fold(key, tokens):
+def test_word_runner_matches_a_quarter_turn_fold(key, tokens):
     size, _ = key
     tables = TABLES[key]
     n = cube.sticker_count(size)
-    labelled = CubeState(size, tuple(range(n)))  # distinct labels, unlike colours
-    stickers = labelled.stickers
-    for face, turns in tokens:
-        stickers = tables.apply_token(stickers, face, turns)
-    w = MoveWord(tokens)
-    assert apply_word(labelled, w, tables).stickers == stickers
-    # where each sticker goes, turn by turn through the face tables themselves
+    # where each sticker goes, turn by turn through the face tables
     goes = list(range(n))
     for face, turns in tokens:
         for _ in range(turns):
             goes = [tables.face_tables[face][i] for i in goes]
+    w = MoveWord(tokens)
     assert cube.sticker_perm_of_word(w, size, tables) == tuple(goes)
-    assert cube.invert_sticker_perm(tuple(goes)) == stickers
+    # distinct labels, unlike colours, and values no byte holds: each is carried
+    for values in (range(n), range(1000, 1000 + n), range(-1, -1 - n, -1)):
+        values = tuple(values)
+        expected = [None] * n
+        for i, j in enumerate(goes):
+            expected[j] = values[i]
+        assert apply_word(CubeState(size, values), w, tables).stickers == tuple(expected)
+        stickers = values
+        for face, turns in tokens:
+            stickers = tables.apply_token(stickers, face, turns)
+        assert stickers == tuple(expected)

@@ -1,0 +1,26 @@
+"""Smoke test of tools/layer_times.py, the per-layer timer."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_times.py"
+
+LAYERS = {
+    "apply_word_2x2_20", "apply_word_2x2_40", "apply_word_3x3_20", "apply_word_3x3_40",
+    "sticker_perm_of_word_3x3_20", "encode_g2", "encode_g3", "invariant_s",
+    "invariant_t", "g3_mul", "chain_g3_48", "chain_p_20",
+}
+
+
+def test_layer_times_prints_one_json_line_with_every_layer():
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "--repeat", "1"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    (line,) = run.stdout.splitlines()
+    report = json.loads(line)
+    assert report["repeat"] == 1
+    assert set(report["times"]) == LAYERS
+    assert all(t > 0 for t in report["times"].values())

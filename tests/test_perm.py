@@ -203,3 +203,20 @@ def test_zero_based_helpers_match_compose_and_inverse(pair):
     p0, q0 = (tuple(v - 1 for v in x.image) for x in pair)
     assert _mul0(p0, q0) == tuple(v - 1 for v in compose(p, q).image)
     assert _inv0(p0) == tuple(v - 1 for v in p.inverse().image)
+
+
+def test_a_chain_takes_256_points():
+    """Chains hold permutations as 256-byte translate tables, so degree 256
+    is the largest they take; permutations of another degree are no members."""
+    cycle = Permutation(list(range(2, 257)) + [1])
+    chain = chain_build([cycle])
+    assert chain.order() == 256
+    assert chain_contains(chain, cycle**255)
+    assert not chain_contains(chain, Permutation.from_cycles([(1, 2)], 256))
+    for degree in (255, 257):
+        assert not chain_contains(chain, Permutation.identity(degree))
+
+
+def test_a_chain_refuses_257_points():
+    with pytest.raises(PermError, match="^degree 257 is above the chain bound of 256 points$"):
+        chain_build([Permutation(list(range(2, 258)) + [1])])

@@ -1,0 +1,114 @@
+"""Per-call times of the cubereps layers, as one JSON line.
+
+    python3 tools/layer_times.py [--repeat N]
+
+Each layer runs over a fixed pool of seeded inputs (random words, the
+states and elements they reach), passed through enough times for each
+repeat to last about 20 ms; the reported figure is the fastest repeat's
+time per call, in microseconds.  A single run on a shared machine can read
+twice the quiet figure, so the minimum of at least five repeats is the
+default, and the repeats go round all layers in turn.  The chain builds
+start from the six face generators of each group.
+
+Standard library only; the package is imported from the checkout's
+``src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import platform
+import random
+import sys
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from cubereps import cube, structure  # noqa: E402
+from cubereps.cube import CubeState  # noqa: E402
+from cubereps.perm import StabilizerChain  # noqa: E402
+from cubereps.verify import Context  # noqa: E402
+
+POOL = 200  # inputs per layer, seeded
+MIN_REPEAT_S = 0.02
+
+
+def _words(size: int, length: int) -> list:
+    rng = random.Random(f"layer-times:{size}:{length}")
+    return [cube.random_word(rng, length) for _ in range(POOL)]
+
+
+def _layers() -> dict:
+    """name -> (function of one input, inputs)."""
+    solved = {n: CubeState.solved(n) for n in (2, 3)}
+    states = {n: [cube.apply_word(solved[n], w) for w in _words(n, 20)] for n in (2, 3)}
+    elements = [structure.encode_g3(s) for s in states[3]]
+    ctx = Context()
+    layers = {
+        f"apply_word_{n}x{n}_{length}": (
+            lambda w, start=solved[n]: cube.apply_word(start, w), _words(n, length)
+        )
+        for n in (2, 3)
+        for length in (20, 40)
+    }
+    layers.update({
+        "sticker_perm_of_word_3x3_20": (
+            lambda w: cube.sticker_perm_of_word(w, 3), _words(3, 20)
+        ),
+        "encode_g2": (structure.encode_g2, states[2]),
+        "encode_g3": (structure.encode_g3, states[3]),
+        "invariant_s": (cube.invariant_s, states[3]),
+        "invariant_t": (cube.invariant_t, states[3]),
+        "g3_mul": (lambda xy: structure.g3_mul(*xy), list(zip(elements, elements[1:]))),
+        "chain_g3_48": (StabilizerChain.from_generators, [ctx.generators("g3")]),
+        "chain_p_20": (StabilizerChain.from_generators, [ctx.generators("p")]),
+    })
+    return layers
+
+
+def _timer(fn, inputs: list):
+    """A function timing one repeat of a layer, and the calls it makes: the
+    pool passed through often enough to last about MIN_REPEAT_S, as a first
+    (warm-up) pass measures it."""
+    def one_pass() -> float:
+        start = perf_counter()
+        for x in inputs:
+            fn(x)
+        return perf_counter() - start
+
+    passes = max(1, math.ceil(MIN_REPEAT_S / one_pass()))
+    return lambda: sum(one_pass() for _ in range(passes)), passes * len(inputs)
+
+
+def _min_times_us(repeat: int) -> dict:
+    """Per-call time of each layer, the fastest of ``repeat`` repeats.  The
+    repeats go round the layers in turn, so that a slow spell of a shared
+    machine costs each layer one repeat, not all of them."""
+    timers = {name: _timer(fn, inputs) for name, (fn, inputs) in _layers().items()}
+    best = dict.fromkeys(timers, float("inf"))
+    for _ in range(repeat):
+        for name, (run, _) in timers.items():
+            best[name] = min(best[name], run())
+    return {name: round(best[name] / calls * 1e6, 2) for name, (_, calls) in timers.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=5, help="repeats per layer (min is kept)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    print(json.dumps({
+        "python": platform.python_version(),
+        "repeat": args.repeat,
+        "unit": "us per call, min over repeats",
+        "times": _min_times_us(args.repeat),
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
