@@ -158,8 +158,12 @@ def mdim_real_abelian(group: FiniteAbelianGroup) -> int:
 # counts only; the per-prime rank, which it never reads, is the formula.
 
 
+# the largest group order the oracle and subgroup_factor_check take
+ORACLE_BOUND = 512
+
+
 class OracleBoundExceeded(ValueError):
-    pass
+    """A group above ORACLE_BOUND given to a brute-force routine."""
 
 
 def _radical(n: int) -> int:
@@ -243,9 +247,7 @@ def _least_cost(field: str, remaining: int, cut1: int, cut2: int):
         y += 1
 
 
-def oracle_min_faithful(
-    group: FiniteAbelianGroup, field: str, bound: int = 512
-) -> int:
+def oracle_min_faithful(group: FiniteAbelianGroup, field: str) -> int:
     """Exhaustive minimum dimension of a faithful representation.
 
     ``field`` is "complex" or "real".  Independent of the invariant-factor
@@ -255,8 +257,8 @@ def oracle_min_faithful(
     """
     if field not in ("complex", "real"):
         raise ValueError("field must be 'complex' or 'real'")
-    if group.order > bound:
-        raise OracleBoundExceeded(f"group order {group.order} exceeds bound {bound}")
+    if group.order > ORACLE_BOUND:
+        raise OracleBoundExceeded(f"group order {group.order} exceeds bound {ORACLE_BOUND}")
     if not group.cyclic_orders:
         return 0
     size, R, kernels = _socle_kernels(group.cyclic_orders)
@@ -362,17 +364,15 @@ def subgroup_invariant_factors(group: FiniteAbelianGroup, generators) -> tuple[i
     return invariant_factors(parts)
 
 
-def subgroup_factor_check(
-    group: FiniteAbelianGroup, trials: int, rng, bound: int = 512
-) -> list[str]:
+def subgroup_factor_check(group: FiniteAbelianGroup, trials: int, rng) -> list[str]:
     """Check the divisor-ladder constraint on random subgroups.
 
     For each random subgroup B of A with chains (dbar_1 | ... | dbar_t) and
     (d_1 | ... | d_s): t <= s and dbar_{t-i} divides d_{s-i}.  Returns a
     list of failure descriptions (empty when all pass).
     """
-    if group.order > bound:
-        raise OracleBoundExceeded(f"group order {group.order} exceeds bound {bound}")
+    if group.order > ORACLE_BOUND:
+        raise OracleBoundExceeded(f"group order {group.order} exceeds bound {ORACLE_BOUND}")
     failures = []
     chain = group.invariant_factors
     s = len(chain)

@@ -100,11 +100,15 @@ def _build_layout(size: int):
     return index, stickers
 
 
+# the one list of cube sizes: sticker counts, solved states and default
+# tables are read from it, and every other size is refused
 _LAYOUT = {2: _build_layout(2), 3: _build_layout(3)}
 
 
 def sticker_count(size: int) -> int:
-    return 24 if size == 2 else 48
+    if size not in _LAYOUT:
+        raise ValueError(f"unsupported cube size {size}")
+    return len(_LAYOUT[size][1])
 
 
 def _build_move_table(size: int, face: str) -> tuple[int, ...]:
@@ -168,20 +172,15 @@ class MoveTables:
         return itemgetter(*self._labels(tokens))(stickers)
 
 
-def _default_tables(size: int) -> MoveTables:
-    return MoveTables(size, {f: _build_move_table(size, f) for f in FACES})
-
-
-MOVES2 = _default_tables(2)
-MOVES3 = _default_tables(3)
+_DEFAULT_TABLES = {
+    size: MoveTables(size, {f: _build_move_table(size, f) for f in FACES}) for size in _LAYOUT
+}
 
 
 def default_tables(size: int) -> MoveTables:
-    if size == 2:
-        return MOVES2
-    if size == 3:
-        return MOVES3
-    raise ValueError(f"unsupported cube size {size}")
+    if size not in _DEFAULT_TABLES:
+        raise ValueError(f"unsupported cube size {size}")
+    return _DEFAULT_TABLES[size]
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +281,6 @@ class CubeState:
     stickers: tuple[int, ...]
 
     def __post_init__(self):
-        if self.size not in (2, 3):
-            raise ValueError(f"unsupported cube size {self.size}")
         if len(self.stickers) != sticker_count(self.size):
             raise ValueError("wrong sticker count")
 
@@ -319,7 +316,7 @@ class CubeState:
 
 _SOLVED = {
     n: CubeState._trusted(n, tuple(f for f in range(6) for _ in range(sticker_count(n) // 6)))
-    for n in (2, 3)
+    for n in _LAYOUT
 }
 
 
@@ -440,7 +437,7 @@ def _corner_order(pos: Vec) -> list[Vec]:
 
 
 _CORNERS = _cubelet_kind(
-    "corner", "triple", map(str, CORNER_POS), CORNER_POS, _corner_order, (2, 3)
+    "corner", "triple", map(str, CORNER_POS), CORNER_POS, _corner_order, tuple(_LAYOUT)
 )
 _EDGES = _cubelet_kind("edge", "pair", EDGE_LETTERS, EDGE_POS, _normals, (3,))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .abelian import FiniteAbelianGroup, mdim_real_abelian, zk0m
 from .cyclotomic import CyclotomicInt
@@ -111,20 +112,29 @@ def _root_exponent(value: CyclotomicInt) -> int:
     raise ValueError(f"{value!r} is not a root of unity")
 
 
+def _shared_sizes(generators: dict, *fields: str) -> tuple[int, ...]:
+    """The named sizes of the generator images, which must all agree."""
+    found = set(map(attrgetter(*fields), generators.values()))
+    if not found:
+        raise ValueError("a representation needs at least one generator image")
+    if len(found) > 1:
+        raise ValueError(f"generator images disagree on their sizes {sorted(found)}")
+    return found.pop()
+
+
 class MonomialRep:
     """A homomorphism into monomial matrices, given elementwise.
 
     ``of`` maps group elements to MonomialMap; ``generators`` holds the
-    images of the named generators; ``embeddings`` lists, per coordinate
-    range, the modulus of the twist data stored there and the multiplier
-    embedding it into Z_root_order (used by the structural faithfulness
-    check).
+    images of the named generators, whose degree and root order are the
+    representation's; ``embeddings`` lists, per coordinate range, the
+    modulus of the twist data stored there and the multiplier embedding
+    it into Z_root_order (used by the structural faithfulness check).
     """
 
-    def __init__(self, degree, root_order, generators, of, embeddings):
-        self.degree = degree
-        self.root_order = root_order
+    def __init__(self, generators, of, embeddings):
         self.generators = dict(generators)
+        self.degree, self.root_order = _shared_sizes(self.generators, "degree", "root_order")
         self.of = of
         self.embeddings = tuple(embeddings)
 
@@ -149,7 +159,7 @@ def build_rep_g2() -> MonomialRep:
         return MonomialMap(3, x.perm, x.twist)
 
     generators = {f: of(word_element_g2(f)) for f in "UDFBLR"}
-    return MonomialRep(8, 3, generators, of, [(3, 1, 8)])
+    return MonomialRep(generators, of, [(3, 1, 8)])
 
 
 def build_rep_g3() -> MonomialRep:
@@ -162,7 +172,7 @@ def build_rep_g3() -> MonomialRep:
         return MonomialMap(6, pair_to_perm20(x.pair), exps)
 
     generators = {f: of(word_element_g3(f)) for f in "UDFBLR"}
-    return MonomialRep(20, 6, generators, of, [(2, 3, 12), (3, 2, 8)])
+    return MonomialRep(generators, of, [(2, 3, 12), (3, 2, 8)])
 
 
 def zeroed_corner_rep() -> MonomialRep:
@@ -173,7 +183,7 @@ def zeroed_corner_rep() -> MonomialRep:
         return MonomialMap(3, x.perm, (0,) * 8)
 
     generators = {f: of(word_element_g2(f)) for f in "UDFBLR"}
-    return MonomialRep(8, 3, generators, of, [(3, 0, 8)])
+    return MonomialRep(generators, of, [(3, 0, 8)])
 
 
 def faithful_structural(rep: MonomialRep) -> bool:
@@ -319,13 +329,13 @@ class ConjMonomialMap:
 
 
 class ConjMonomialRep:
-    """A homomorphism into conjugate-monomial block maps."""
+    """A homomorphism into conjugate-monomial block maps, sized by its generator images."""
 
-    def __init__(self, sign_count, rot_count, root_order, generators, of):
-        self.sign_count = sign_count
-        self.rot_count = rot_count
-        self.root_order = root_order
+    def __init__(self, generators, of):
         self.generators = dict(generators)
+        self.sign_count, self.rot_count, self.root_order = _shared_sizes(
+            self.generators, "sign_perm.degree", "rot_perm.degree", "root_order"
+        )
         self.of = of
 
     @property
@@ -363,7 +373,6 @@ def realify(rep: MonomialRep, real_coords: set[int], generator_elements) -> Conj
     rot = [i for i in range(1, rep.degree + 1) if i not in real_coords]
     real_index = {c: i + 1 for i, c in enumerate(real)}
     rot_index = {c: i + 1 for i, c in enumerate(rot)}
-    half = rep.root_order // 2
 
     def of(x) -> ConjMonomialMap:
         img = rep.of(x)
@@ -375,7 +384,8 @@ def realify(rep: MonomialRep, real_coords: set[int], generator_elements) -> Conj
             dst = img.perm(src)
             e = img.exps[dst - 1]
             if src in real_index:
-                if dst not in real_index or e not in (0, half):
+                # a sign line takes w^e = 1 (e = 0) or -1 (2e = root_order)
+                if dst not in real_index or (e and 2 * e != rep.root_order):
                     raise ValueError("group action does not preserve the split")
                 sign_image[real_index[src] - 1] = real_index[dst]
                 signs[real_index[dst] - 1] = 1 if e == 0 else -1
@@ -394,7 +404,7 @@ def realify(rep: MonomialRep, real_coords: set[int], generator_elements) -> Conj
         )
 
     generators = {name: of(x) for name, x in generator_elements.items()}
-    return ConjMonomialRep(len(real), len(rot), rep.root_order, generators, of)
+    return ConjMonomialRep(generators, of)
 
 
 @dataclass(frozen=True)
@@ -573,9 +583,7 @@ class ExceptionalExample:
         def rep4_of(x: TwistPerm) -> MonomialMap:
             return MonomialMap(3, x.perm, x.twist)
 
-        self.rep4 = MonomialRep(
-            4, 3, {n: rep4_of(x) for n, x in named.items()}, rep4_of, [(3, 1, 4)]
-        )
+        self.rep4 = MonomialRep({n: rep4_of(x) for n, x in named.items()}, rep4_of, [(3, 1, 4)])
 
         # block data of each permutation: how it permutes the three pair
         # partitions and whether it reverses each plane's orientation
@@ -598,9 +606,7 @@ class ExceptionalExample:
             )
             return rotation * block
 
-        self.rep6 = ConjMonomialRep(
-            0, 3, 3, {n: rep6_of(x) for n, x in named.items()}, rep6_of
-        )
+        self.rep6 = ConjMonomialRep({n: rep6_of(x) for n, x in named.items()}, rep6_of)
 
     @staticmethod
     def _solve_blocks(p: Permutation) -> tuple[Permutation, tuple[int, int, int]]:

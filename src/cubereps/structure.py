@@ -139,28 +139,28 @@ def g3_inv(x: G3Element) -> G3Element:
 # Encoding states and words
 
 
-def encode_g2(state: CubeState, basis=cube.REFERENCE_BASIS) -> G2Element:
+def encode_g2(state: CubeState) -> G2Element:
     """Read a 2x2 state off as a group element; raises on unreachable states."""
     if state.size != 2:
         raise ValueError("encode_g2 expects a 2x2 state")
     # one colour lookup per cubelet serves both readers, which raise as
     # corner_orientation and corner_permutation would, in that order
     corners = cube._cubelets(cube._CORNERS, state)
-    twist = cube._orientation(cube._CORNERS, corners, basis.corner_places)
+    twist = cube._orientation(cube._CORNERS, corners, cube.REFERENCE_BASIS.corner_places)
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
     return _trusted(G2Element, twist=twist, perm=cube._permutation(cube._CORNERS, corners))
 
 
-def encode_g3(state: CubeState, basis=cube.REFERENCE_BASIS) -> G3Element:
+def encode_g3(state: CubeState) -> G3Element:
     if state.size != 3:
         raise ValueError("encode_g3 expects a 3x3 state")
     corners = cube._cubelets(cube._CORNERS, state)
-    twist = cube._orientation(cube._CORNERS, corners, basis.corner_places)
+    twist = cube._orientation(cube._CORNERS, corners, cube.REFERENCE_BASIS.corner_places)
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
     edges = cube._cubelets(cube._EDGES, state)
-    flip = cube._orientation(cube._EDGES, edges, basis.edge_places)
+    flip = cube._orientation(cube._EDGES, edges, cube.REFERENCE_BASIS.edge_places)
     if sum(flip) % 2:
         raise UnreachableState("edge orientation sum is nonzero")
     pair = (cube._permutation(cube._EDGES, edges), cube._permutation(cube._CORNERS, corners))

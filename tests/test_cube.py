@@ -224,6 +224,21 @@ def test_solved_states_are_prebuilt_and_pass_the_constructor():
             CubeState.solved(size)
 
 
+def test_sizes_outside_the_layout_table_are_refused():
+    """Sticker counts are read off the layout table, so 3x3 tables cannot
+    pass as tables of a size it does not list."""
+    assert [cube.sticker_count(size) for size in (2, 3)] == [24, 48]
+    tables3 = dict(cube.default_tables(3).face_tables)
+    for size in (1, 4):
+        message = f"^unsupported cube size {size}$"
+        with pytest.raises(ValueError, match=message):
+            cube.sticker_count(size)
+        with pytest.raises(ValueError, match=message):
+            cube.MoveTables(size, tables3)
+        with pytest.raises(ValueError, match=message):
+            cube.default_tables(size)
+
+
 def test_center_facelets_never_stored_but_fixed():
     # every 3x3 generator table only moves the stored 48 stickers of its
     # own face layer; centers are implicit and untouched by construction
@@ -555,9 +570,10 @@ def _per_position_readers(size, basis):
                                lambda st: _per_position_orientation(corners, st, basis.corner_marks)),
         "invariant_s": (lambda st: invariant_s(st, basis),
                         lambda st: sum(_per_position_orientation(corners, st, basis.corner_marks)) % 3),
-        "encode": (lambda st: (structure.encode_g2 if size == 2 else structure.encode_g3)(st, basis),
-                   lambda st: _per_position_encode(st, basis)),
     }
+    if basis is cube.REFERENCE_BASIS:  # the encoders read orientations in this basis
+        readers["encode"] = (structure.encode_g2 if size == 2 else structure.encode_g3,
+                             lambda st: _per_position_encode(st, basis))
     if size == 3:
         readers |= {
             "edge_permutation": (edge_permutation,

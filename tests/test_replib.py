@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -10,8 +11,10 @@ from cubereps.cyclotomic import CyclotomicInt, cyclotomic_polynomial
 from cubereps.perm import Permutation
 from cubereps.replib import (
     ConjMonomialMap,
+    ConjMonomialRep,
     ExceptionalExample,
     MonomialMap,
+    MonomialRep,
     build_rep_g2,
     build_rep_g3,
     character_norm,
@@ -251,6 +254,62 @@ def test_rep_json_export():
     assert payload["generators"]["U"]["exps"] == [0] * 8
 
 
+def _realified(build, size, real_coords):
+    encode = word_element_g2 if size == 2 else word_element_g3
+    return lambda: realify(build(), real_coords, {f: encode(f) for f in "UDFBLR"})
+
+
+# each representation's sizes, as its to_json() header reads them, and the
+# sha256 of its whole to_json() string
+_REP_JSON = {
+    "g2": (build_rep_g2, {"degree": 8, "root_order": 3},
+           "4d193680322dd53a35219d0f9e841310afb6dd15a7b50e4090bf416e25f9394d"),
+    "g3": (build_rep_g3, {"degree": 20, "root_order": 6},
+           "a9fc0d0e6ff0589b352a894d75a939a7b3a4405fedbb93e0f69fc095a0c32fcb"),
+    "zeroed": (zeroed_corner_rep, {"degree": 8, "root_order": 3},
+               "c927c7f1fe8c8ccb855e8de3867ce2eda9717be3933bd132037c2463765ecbf8"),
+    "rep4": (lambda: ExceptionalExample().rep4, {"degree": 4, "root_order": 3},
+             "8a310a573f8e6e085f40fd02890afe6c3ea325ec304be4261d46b2fbe7b4a93b"),
+    "rep6": (lambda: ExceptionalExample().rep6,
+             {"sign_blocks": 0, "rotation_blocks": 3, "root_order": 3},
+             "b6a96bc52e129c39a17922821bd55778c74aea0f8e34112e4947f8908a46ff10"),
+    "real-g2": (_realified(build_rep_g2, 2, set()),
+                {"sign_blocks": 0, "rotation_blocks": 8, "root_order": 3},
+                "26025827767764e48f182ef4bc826094785d029b29a185fecd2e63be9baa1c05"),
+    "real-g3": (_realified(build_rep_g3, 3, set(range(1, 13))),
+                {"sign_blocks": 12, "rotation_blocks": 8, "root_order": 6},
+                "d5262793ad5210c50ee7fcc52110f5904eb0b544d2bd056e075cb9fd94547f31"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REP_JSON))
+def test_rep_sizes_are_read_off_the_generator_images(name):
+    """The sizes every thm-5 check prints come from the matrices; the whole
+    export is pinned, so no image changes either."""
+    build, sizes, digest = _REP_JSON[name]
+    text = build().to_json()
+    payload = json.loads(text)
+    del payload["generators"]
+    assert payload == sizes
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_reps_refuse_no_images_and_images_of_mixed_sizes():
+    u = MonomialMap(3, Permutation.identity(2), (1, 2))
+    for images in ({}, {"u": u, "v": MonomialMap(3, Permutation.identity(3), (0, 0, 0))},
+                   {"u": u, "v": MonomialMap(6, Permutation.identity(2), (0, 0))}):
+        message = "at least one generator image" if not images else "disagree on their sizes"
+        with pytest.raises(ValueError, match=message):
+            MonomialRep(images, lambda x: x, [])
+    r = ConjMonomialMap.identity(1, 2, 3)
+    for images in ({}, {"r": r, "s": ConjMonomialMap.identity(2, 2, 3)},
+                   {"r": r, "s": ConjMonomialMap.identity(1, 3, 3)},
+                   {"r": r, "s": ConjMonomialMap.identity(1, 2, 6)}):
+        message = "at least one generator image" if not images else "disagree on their sizes"
+        with pytest.raises(ValueError, match=message):
+            ConjMonomialRep(images, lambda x: x)
+
+
 def test_matrix_text_rendering():
     rep = build_rep_g2()
     text = rep.of(word_element_g2(structure.WORD_K)).matrix_text()
@@ -281,6 +340,11 @@ def test_realify_validates_the_split():
     with pytest.raises(ValueError):
         # mixing edge and corner coordinates breaks the block split
         realify(rep3, {1}, gens3)
+    # w^1 of an odd root order is no sign: realifying w on one coordinate
+    # of root order 3 as a sign line must fail, not read it as -1
+    w = MonomialMap(3, Permutation.identity(1), (1,))
+    with pytest.raises(ValueError, match="^group action does not preserve the split$"):
+        realify(MonomialRep({"w": w}, lambda x: x, []), {1}, {"w": w})
 
 
 def test_realified_rep_is_homomorphism():

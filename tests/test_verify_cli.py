@@ -311,6 +311,7 @@ def test_cli_verify_filter(capsys):
 def test_cli_verify_unknown_filter(capsys):
     code = cli.main(["verify", "--filter", "nope"])
     assert code == 2
+    assert capsys.readouterr().err == "error: \"no check matches 'nope'\"\n"
 
 
 def test_cli_apply(capsys):
