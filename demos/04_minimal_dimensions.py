@@ -18,7 +18,7 @@ from cubereps.replib import (
     lower_bound_complex_split,
     mu,
 )
-from cubereps.structure import WORD_K, word_element_g2, word_element_g3
+from cubereps.structure import WORD_K, word_element_g2
 
 rep2 = build_rep_g2()
 print("The degree-8 monomial representation of the 2x2 group:")
@@ -31,7 +31,7 @@ cases = g2_real_case_analysis()
 print("\nReal case analysis for the 2x2 group:")
 print("  all planes:", cases["q_case"], " lines forced by S_8:", cases["p_case"])
 print("  minimal real dimension:", cases["bound"])
-real2 = realify(rep2, set(), {f: word_element_g2(f) for f in "UDFBLR"})
+real2 = realify(rep2, set())
 print("  realified construction dimension:", real2.real_dimension)
 
 rep3 = build_rep_g3()
@@ -46,5 +46,5 @@ for i, (kp, kq, p, q, dim) in enumerate(table["rows"]):
     note = f"  (refined to >= {table['refined'][i]})" if i in table["refined"] else ""
     print(f"  {kp:<10}{kq:<10}{p:>4}{q:>4}{dim:>6}{note}")
 print("  minimal real dimension:", table["bound"])
-real3 = realify(rep3, set(range(1, 13)), {f: word_element_g3(f) for f in "UDFBLR"})
+real3 = realify(rep3, set(range(1, 13)))
 print("  realified construction dimension:", real3.real_dimension)

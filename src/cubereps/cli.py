@@ -19,6 +19,7 @@ from .cube import CubeState, MoveWord, apply_word
 # this many cyclic factors, each of order at most MAX_CYCLIC_ORDER
 MAX_CYCLIC_FACTORS = 64
 MAX_CYCLIC_ORDER = 10**9
+MAX_TRIALS = 10_000  # verify --trials: the largest default count (prop-2.4, prop-3.7)
 
 
 class CertificateError(Exception):
@@ -82,6 +83,8 @@ def main(argv=None) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials is not None and args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials takes at most {MAX_TRIALS}, got {args.trials}")
     ctx = verify.Context(seed=args.seed, trials=args.trials)
     results = verify.run_suite(ctx, args.filter)
     if args.as_json:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .abelian import FiniteAbelianGroup, mdim_real_abelian, zk0m
+from .cube import FACES, MoveTables
 from .cyclotomic import CyclotomicInt
 from .perm import Permutation, act, compose, twisted_inv, twisted_mul
 from .structure import (
@@ -125,15 +126,16 @@ def _shared_sizes(generators: dict, *fields: str) -> tuple[int, ...]:
 class MonomialRep:
     """A homomorphism into monomial matrices, given elementwise.
 
-    ``of`` maps group elements to MonomialMap; ``generators`` holds the
-    images of the named generators, whose degree and root order are the
-    representation's; ``embeddings`` lists, per coordinate range, the
-    modulus of the twist data stored there and the multiplier embedding
+    ``of`` maps group elements to MonomialMap; ``elements`` holds the named
+    generators and ``generators`` their images, whose degree and root order
+    are the representation's; ``embeddings`` lists, per coordinate range,
+    the modulus of the twist data stored there and the multiplier embedding
     it into Z_root_order (used by the structural faithfulness check).
     """
 
-    def __init__(self, generators, of, embeddings):
-        self.generators = dict(generators)
+    def __init__(self, elements, of, embeddings):
+        self.elements = dict(elements)
+        self.generators = {name: of(x) for name, x in self.elements.items()}
         self.degree, self.root_order = _shared_sizes(self.generators, "degree", "root_order")
         self.of = of
         self.embeddings = tuple(embeddings)
@@ -150,7 +152,7 @@ class MonomialRep:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def build_rep_g2() -> MonomialRep:
+def build_rep_g2(tables: MoveTables | None = None) -> MonomialRep:
     """The faithful degree-8 monomial representation of the 2x2 group:
     corner twists as diagonal cube roots of unity, corner permutations as
     permutation matrices."""
@@ -158,11 +160,10 @@ def build_rep_g2() -> MonomialRep:
     def of(x: G2Element) -> MonomialMap:
         return MonomialMap(3, x.perm, x.twist)
 
-    generators = {f: of(word_element_g2(f)) for f in "UDFBLR"}
-    return MonomialRep(generators, of, [(3, 1, 8)])
+    return MonomialRep({f: word_element_g2(f, tables) for f in FACES}, of, [(3, 1, 8)])
 
 
-def build_rep_g3() -> MonomialRep:
+def build_rep_g3(tables: MoveTables | None = None) -> MonomialRep:
     """The faithful degree-20 monomial representation of the 3x3 group:
     edge flips as diagonal signs (w6^3), corner twists as cube roots
     (w6^2), the sign-matched permutation pair acting on coordinates."""
@@ -171,19 +172,17 @@ def build_rep_g3() -> MonomialRep:
         exps = tuple(3 * v for v in x.flip) + tuple(2 * v for v in x.twist)
         return MonomialMap(6, pair_to_perm20(x.pair), exps)
 
-    generators = {f: of(word_element_g3(f)) for f in "UDFBLR"}
-    return MonomialRep(generators, of, [(2, 3, 12), (3, 2, 8)])
+    return MonomialRep({f: word_element_g3(f, tables) for f in FACES}, of, [(2, 3, 12), (3, 2, 8)])
 
 
-def zeroed_corner_rep() -> MonomialRep:
+def zeroed_corner_rep(tables: MoveTables | None = None) -> MonomialRep:
     """Negative control: the 2x2 representation with corner exponents
     forced to zero; its kernel contains every pure twist."""
 
     def of(x: G2Element) -> MonomialMap:
         return MonomialMap(3, x.perm, (0,) * 8)
 
-    generators = {f: of(word_element_g2(f)) for f in "UDFBLR"}
-    return MonomialRep(generators, of, [(3, 0, 8)])
+    return MonomialRep({f: word_element_g2(f, tables) for f in FACES}, of, [(3, 0, 8)])
 
 
 def faithful_structural(rep: MonomialRep) -> bool:
@@ -329,10 +328,11 @@ class ConjMonomialMap:
 
 
 class ConjMonomialRep:
-    """A homomorphism into conjugate-monomial block maps, sized by its generator images."""
+    """A homomorphism into conjugate-monomial block maps, held as a MonomialRep is."""
 
-    def __init__(self, generators, of):
-        self.generators = dict(generators)
+    def __init__(self, elements, of):
+        self.elements = dict(elements)
+        self.generators = {name: of(x) for name, x in self.elements.items()}
         self.sign_count, self.rot_count, self.root_order = _shared_sizes(
             self.generators, "sign_perm.degree", "rot_perm.degree", "root_order"
         )
@@ -361,13 +361,13 @@ class ConjMonomialRep:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def realify(rep: MonomialRep, real_coords: set[int], generator_elements) -> ConjMonomialRep:
+def realify(rep: MonomialRep, real_coords: set[int]) -> ConjMonomialRep:
     """Restrict scalars: designated real coordinates become sign blocks,
     all others become rotation planes (the coordinate plus its conjugate).
 
     ``real_coords`` is a set of 1-based coordinates on which every group
     element acts by +-1; the group permutation must preserve the split,
-    which is validated on the given generator elements.
+    which is validated on the representation's generator elements.
     """
     real = sorted(real_coords)
     rot = [i for i in range(1, rep.degree + 1) if i not in real_coords]
@@ -403,8 +403,7 @@ def realify(rep: MonomialRep, real_coords: set[int], generator_elements) -> Conj
             (0,) * len(rot),
         )
 
-    generators = {name: of(x) for name, x in generator_elements.items()}
-    return ConjMonomialRep(generators, of)
+    return ConjMonomialRep(rep.elements, of)
 
 
 @dataclass(frozen=True)
@@ -583,7 +582,7 @@ class ExceptionalExample:
         def rep4_of(x: TwistPerm) -> MonomialMap:
             return MonomialMap(3, x.perm, x.twist)
 
-        self.rep4 = MonomialRep({n: rep4_of(x) for n, x in named.items()}, rep4_of, [(3, 1, 4)])
+        self.rep4 = MonomialRep(named, rep4_of, [(3, 1, 4)])
 
         # block data of each permutation: how it permutes the three pair
         # partitions and whether it reverses each plane's orientation
@@ -606,7 +605,7 @@ class ExceptionalExample:
             )
             return rotation * block
 
-        self.rep6 = ConjMonomialRep({n: rep6_of(x) for n, x in named.items()}, rep6_of)
+        self.rep6 = ConjMonomialRep(named, rep6_of)
 
     @staticmethod
     def _solve_blocks(p: Permutation) -> tuple[Permutation, tuple[int, int, int]]:

@@ -305,14 +305,16 @@ def _cycle_perm(cycle: tuple[int, ...]) -> Permutation:
 
 
 class EdgeCycleWords:
-    """Words in the corner-fixing kernel realizing edge three-cycles."""
+    """Words in the corner-fixing kernel realizing edge three-cycles, found
+    and checked on the given 3x3 move tables (the defaults if None)."""
 
-    def __init__(self):
+    def __init__(self, tables: MoveTables | None = None):
+        self._tables = tables
         self._seeds: dict[tuple[int, ...], MoveWord] = {}
         for main in cube.FACES:
             for side in _ADJACENT[main]:
                 w = word(f"{main}2 {side}' {main}2 {side} {main} {side}' {main} {side}")
-                cyc = _cycle_of_perm(beta(w))
+                cyc = _cycle_of_perm(beta_of_factors(w, tables))
                 if cyc is None:
                     raise AssertionError(f"seed {main}/{side} is not a 3-cycle")
                 self._seeds[_canonical(cyc)] = w
@@ -331,10 +333,7 @@ class EdgeCycleWords:
     def three_cycle(self, targets: tuple[int, int, int] | str) -> MoveWord:
         """A word fixing the corners entirely whose edge action is the
         3-cycle (e1 x y) on the given labels (letters a..l or 1..12)."""
-        if isinstance(targets, str):
-            labels = tuple(_EDGE_OF_LETTER[ch] for ch in targets)
-        else:
-            labels = tuple(targets)
+        labels = _labels(targets) if isinstance(targets, str) else tuple(targets)
         if len(set(labels)) != 3:
             raise ValueError("need three distinct edge labels")
         return self._get(labels)
@@ -360,9 +359,17 @@ class EdgeCycleWords:
         out = MoveWord(())
         for cyc in reversed(factors):
             out = out.then(self.three_cycle(cyc).inverse())
-        if beta_of_factors(out) != sigma:
+        if beta_of_factors(out, self._tables) != sigma:
             raise AssertionError(f"even edge word does not realize {sigma.cycle_string()}")
         return out
+
+    def flip_pair_word(self, x: int) -> MoveWord:
+        """Word flipping edges a and x in place (the basis vectors q_x): m,
+        which flips c and g, conjugated to carry c to a and g to x."""
+        if not 2 <= x <= 12:
+            raise ValueError("x must be an edge position 2..12")
+        conj = self.even_edge_word(_even_perm_mapping({3: 1, 7: x}))
+        return product(conj, build_m(), conj.inverse())
 
     # -- growing procedure ---------------------------------------------
 
@@ -432,9 +439,9 @@ def _labels(letters: str) -> tuple[int, ...]:
     return tuple(_EDGE_OF_LETTER[ch] for ch in letters)
 
 
-def beta_of_factors(w: MoveWord) -> Permutation:
+def beta_of_factors(w: MoveWord, tables: MoveTables | None = None) -> Permutation:
     """Edge action of a word computed by simulation."""
-    return edge_permutation(apply_word(CubeState.solved(3), w))
+    return edge_permutation(apply_word(CubeState.solved(3), w, tables))
 
 
 _EDGE_CYCLES: EdgeCycleWords | None = None
@@ -454,13 +461,7 @@ def edge_three_cycle(targets: tuple[int, int, int] | str) -> MoveWord:
 
 def edge_flip_pair_word(x: int) -> MoveWord:
     """Word flipping edges a and x in place (the basis vectors q_x)."""
-    if not 2 <= x <= 12:
-        raise ValueError("x must be an edge position 2..12")
-    m = build_m()
-    c_pos, g_pos = 3, 7
-    sigma = _even_perm_mapping({c_pos: 1, g_pos: x})
-    conj = edge_cycle_words().even_edge_word(sigma)
-    return product(conj, m, conj.inverse())
+    return edge_cycle_words().flip_pair_word(x)
 
 
 def _even_perm_mapping(constraints: dict[int, int]) -> Permutation:

@@ -24,8 +24,6 @@ from .structure import (
     alpha,
     build_m,
     build_transpositions,
-    edge_flip_pair_word,
-    edge_three_cycle,
     g2_inv,
     g2_mul,
     g3_inv,
@@ -78,8 +76,8 @@ _FACE_IMAGES = {
 class Context:
     """Shared state for one verification run: seed, trial counts, move
     tables (injectable for negative controls), and cached heavy objects.
-    Checks read every word through these tables; only the library's
-    constructive words and representation builders use the defaults."""
+    Checks read every word through these tables, and the constructive
+    words and representations they certify are built on them too."""
 
     def __init__(self, seed: int = 0, trials: int | None = None,
                  tables2: cube.MoveTables | None = None,
@@ -140,12 +138,18 @@ class Context:
     def p_chain(self):
         return self.chain("p")
 
-    def real_g2(self):
-        return self.cached(
-            "real_g2",
-            lambda: replib.realify(self.cached("rep_g2", replib.build_rep_g2), set(),
-                                   {f: self.element(2, f) for f in cube.FACES}),
-        )
+    def edge_cycles(self) -> structure.EdgeCycleWords:
+        return self.cached("edge_cycles", lambda: structure.EdgeCycleWords(self.tables[3]))
+
+    def rep(self, size: int) -> replib.MonomialRep:
+        """The degree-8 or degree-20 monomial representation."""
+        build = replib.build_rep_g2 if size == 2 else replib.build_rep_g3
+        return self.cached(f"rep:{size}", lambda: build(self.tables[size]))
+
+    def real(self, size: int) -> replib.ConjMonomialRep:
+        """The realified rep(size): the 3x3 edge coordinates are sign lines."""
+        coords = set() if size == 2 else set(range(1, 13))
+        return self.cached(f"real:{size}", lambda: replib.realify(self.rep(size), coords))
 
 
 @dataclass
@@ -472,7 +476,7 @@ def _(ctx: Context):
 
 @check("prop-3.4-abf", "the commutator of two seed words fixes corners and cycles a,b,f", "prop-3.4")
 def _(ctx: Context):
-    el = ctx.element(3, edge_three_cycle("abf"))
+    el = ctx.element(3, ctx.edge_cycles().three_cycle("abf"))
     ok = (
         el.pair[0].cycle_string(letters=True) == "(abf)"
         and membership(SubgroupTag.N, el)
@@ -485,7 +489,7 @@ def _(ctx: Context):
     targets = ["abf", "cab", "dab", "gbf", "hcg", "eaf", "iaf", "jbf", "kcg", "ldh"]
     perms = []
     for t in targets:
-        el = ctx.element(3, edge_three_cycle(t))
+        el = ctx.element(3, ctx.edge_cycles().three_cycle(t))
         if not membership(SubgroupTag.N, el) or el.pair[0].sign() != 1:
             return False, "all outputs even and corner-fixing", f"{t} failed"
         perms.append(el.pair[0])
@@ -545,7 +549,7 @@ def _(ctx: Context):
 @check("prop-3.9-m-maximal", "conjugates of m span the full sum-zero flip lattice", "prop-3.9")
 def _(ctx: Context):
     for x in (2, 5, 7, 9, 12):
-        el = ctx.element(3, edge_flip_pair_word(x))
+        el = ctx.element(3, ctx.edge_cycles().flip_pair_word(x))
         if not membership(SubgroupTag.M, el):
             return False, "q_x words stay in M", f"q_{x} escaped M"
         want = tuple(1 if i + 1 in (1, x) else 0 for i in range(12))
@@ -734,7 +738,7 @@ def _(ctx: Context):
             if d[ex.mul(x, y)] != d[x] * d[y]:
                 return False, "multiplicative on all of S_4", f"failed at {x.perm.cycle_string()},{y.perm.cycle_string()}"
     injective = len(set(d.values())) == 24
-    real2 = ctx.real_g2()
+    real2 = ctx.real(2)
 
     def failures(sample):
         x, y = (ctx.element(2, w) for w in sample)
@@ -752,11 +756,10 @@ def _(ctx: Context):
 
 @check("thm-5.1-g2-mdim", "the 2x2 group has minimal dimensions 8 complex and 16 real", "thm-5.1")
 def _(ctx: Context):
-    rep = ctx.cached("rep_g2", replib.build_rep_g2)
+    rep = ctx.rep(2)
     faithful = replib.faithful_structural(rep)
     bound = replib.lower_bound_complex_split(("S", 8))
     cases = replib.g2_real_case_analysis()
-    real2 = ctx.real_g2()
     # the permutation of the twist-group eigenlines induced by the
     # untwisted section is the identity embedding of S_8
     rng = ctx.rng("g2-eigenlines")
@@ -771,7 +774,7 @@ def _(ctx: Context):
         bound,
         cases["bound"],
         cases["p_case"],
-        real2.real_dimension,
+        ctx.real(2).real_dimension,
         not trace.is_real(),
         embed_ok,
     )
@@ -781,16 +784,10 @@ def _(ctx: Context):
 
 @check("thm-5.2-g3-mdim", "the 3x3 group has minimal dimensions 20 complex and 28 real", "thm-5.2")
 def _(ctx: Context):
-    rep = ctx.cached("rep_g3", replib.build_rep_g3)
+    rep = ctx.rep(3)
     faithful = replib.faithful_structural(rep)
     bound = replib.lower_bound_complex_split(("x", [("A", 8), ("A", 12)]))
-    real3 = ctx.cached(
-        "real_g3",
-        lambda: replib.realify(
-            rep, set(range(1, 13)), {f: ctx.element(3, f) for f in cube.FACES}
-        ),
-    )
-    got = (faithful, rep.degree, bound, real3.real_dimension)
+    got = (faithful, rep.degree, bound, ctx.real(3).real_dimension)
     want = (True, 20, 20, 28)
     return got == want, str(want), str(got)
 
@@ -830,7 +827,7 @@ def _(ctx: Context):
 
 @check("thm-5.3-negative-control", "zeroing the twist exponents destroys faithfulness", "thm-5.3")
 def _(ctx: Context):
-    rep = replib.zeroed_corner_rep()
+    rep = replib.zeroed_corner_rep(ctx.tables[2])
     unfaithful = not replib.faithful_structural(rep)
     k_el = ctx.element(2, structure.WORD_K)
     collapsed = rep.of(k_el).is_identity() and not k_el.is_identity()
@@ -956,12 +953,12 @@ def _commutator_subgroup_order(ctx: Context) -> int:
 def _l_witness_word(ctx: Context) -> MoveWord:
     """A 3x3 word fixing the edges completely whose corner twist equals the
     2x2 twist word k: h1 corrected by an edge cycle and flip words."""
-    w = structure.WORD_H1.then(edge_three_cycle("abc").inverse())
+    w = structure.WORD_H1.then(ctx.edge_cycles().three_cycle("abc").inverse())
     el = ctx.element(3, w)
     flipped = [i + 1 for i, v in enumerate(el.flip) if v]
     for x in flipped:
         if x != 1:
-            w = w.then(edge_flip_pair_word(x))
+            w = w.then(ctx.edge_cycles().flip_pair_word(x))
     el = ctx.element(3, w)
     if el.flip[0]:
         raise AssertionError("flip correction failed")

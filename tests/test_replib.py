@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cubereps import structure
+from cubereps import cube, structure
 from cubereps.abelian import FiniteAbelianGroup
 from cubereps.cube import random_word
 from cubereps.cyclotomic import CyclotomicInt, cyclotomic_polynomial
@@ -254,9 +254,8 @@ def test_rep_json_export():
     assert payload["generators"]["U"]["exps"] == [0] * 8
 
 
-def _realified(build, size, real_coords):
-    encode = word_element_g2 if size == 2 else word_element_g3
-    return lambda: realify(build(), real_coords, {f: encode(f) for f in "UDFBLR"})
+def _realified(build, real_coords):
+    return lambda: realify(build(), real_coords)
 
 
 # each representation's sizes, as its to_json() header reads them, and the
@@ -273,10 +272,10 @@ _REP_JSON = {
     "rep6": (lambda: ExceptionalExample().rep6,
              {"sign_blocks": 0, "rotation_blocks": 3, "root_order": 3},
              "b6a96bc52e129c39a17922821bd55778c74aea0f8e34112e4947f8908a46ff10"),
-    "real-g2": (_realified(build_rep_g2, 2, set()),
+    "real-g2": (_realified(build_rep_g2, set()),
                 {"sign_blocks": 0, "rotation_blocks": 8, "root_order": 3},
                 "26025827767764e48f182ef4bc826094785d029b29a185fecd2e63be9baa1c05"),
-    "real-g3": (_realified(build_rep_g3, 3, set(range(1, 13))),
+    "real-g3": (_realified(build_rep_g3, set(range(1, 13))),
                 {"sign_blocks": 12, "rotation_blocks": 8, "root_order": 6},
                 "d5262793ad5210c50ee7fcc52110f5904eb0b544d2bd056e075cb9fd94547f31"),
 }
@@ -320,37 +319,47 @@ def test_matrix_text_rendering():
 
 
 def test_realify_dimensions():
-    rep2 = build_rep_g2()
-    gens2 = {f: word_element_g2(f) for f in "UDFBLR"}
-    real2 = realify(rep2, set(), gens2)
+    real2 = realify(build_rep_g2(), set())
     assert real2.real_dimension == 16  # all 8 planes doubled
-    rep3 = build_rep_g3()
-    gens3 = {f: word_element_g3(f) for f in "UDFBLR"}
-    real3 = realify(rep3, set(range(1, 13)), gens3)
+    real3 = realify(build_rep_g3(), set(range(1, 13)))
     assert real3.real_dimension == 12 + 2 * 8 == 28
     assert real3.sign_count == 12 and real3.rot_count == 8
 
 
+def test_reps_are_built_on_the_tables_they_are_given():
+    """On criterion 9's 2x2 tables U turns the other way, and the rep, its
+    control and its real form all read that turn."""
+    tables = dict(cube.default_tables(2).face_tables)
+    inverse_u = [0] * len(tables["U"])
+    for i, j in enumerate(tables["U"]):
+        inverse_u[j] = i
+    tables["U"] = tuple(inverse_u)
+    rep = build_rep_g2(cube.MoveTables(2, tables))
+    assert rep.generators["U"].perm.cycle_string() == "(1243)"
+    assert rep.elements["U"] == word_element_g2("U'")
+    assert zeroed_corner_rep(cube.MoveTables(2, tables)).elements == rep.elements
+    real = realify(rep, set())
+    assert real.elements == rep.elements
+    assert real.generators["U"].rot_perm == rep.generators["U"].perm
+
+
 def test_realify_validates_the_split():
     rep3 = build_rep_g3()
-    gens3 = {f: word_element_g3(f) for f in "UDFBLR"}
     with pytest.raises(ValueError):
         # corner coordinates rotate by cube roots: not a sign block
-        realify(rep3, {13}, gens3)
+        realify(rep3, {13})
     with pytest.raises(ValueError):
         # mixing edge and corner coordinates breaks the block split
-        realify(rep3, {1}, gens3)
+        realify(rep3, {1})
     # w^1 of an odd root order is no sign: realifying w on one coordinate
     # of root order 3 as a sign line must fail, not read it as -1
     w = MonomialMap(3, Permutation.identity(1), (1,))
     with pytest.raises(ValueError, match="^group action does not preserve the split$"):
-        realify(MonomialRep({"w": w}, lambda x: x, []), {1}, {"w": w})
+        realify(MonomialRep({"w": w}, lambda x: x, []), {1})
 
 
 def test_realified_rep_is_homomorphism():
-    rep3 = build_rep_g3()
-    gens3 = {f: word_element_g3(f) for f in "UDFBLR"}
-    real3 = realify(rep3, set(range(1, 13)), gens3)
+    real3 = realify(build_rep_g3(), set(range(1, 13)))
     rng = random.Random(5)
     for _ in range(50):
         x = word_element_g3(random_word(rng, 6))

@@ -232,9 +232,25 @@ def test_even_edge_word_rejects_a_wrong_edge_action(monkeypatch):
     """The realized edge action is checked by an explicit test, not an assert."""
     cycles = structure.EdgeCycleWords()
     sigma = Permutation.from_cycles("(abc)", 12)
-    monkeypatch.setattr(structure, "beta_of_factors", lambda w: Permutation.identity(12))
+    monkeypatch.setattr(structure, "beta_of_factors", lambda w, tables: Permutation.identity(12))
     with pytest.raises(AssertionError, match="does not realize"):
         cycles.even_edge_word(sigma)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    triples=st.lists(st.permutations(range(1, 13)).map(lambda p: tuple(p[:3])),
+                     min_size=1, max_size=8),
+    flips=st.permutations(range(2, 13)),
+)
+def test_edge_cycle_words_depend_only_on_the_table_contents(triples, flips):
+    """A builder on a copy of the default tables, asked in another order,
+    spells every word as the default builder does."""
+    copy = structure.EdgeCycleWords(cube.MoveTables(3, dict(cube.default_tables(3).face_tables)))
+    default = structure.EdgeCycleWords()
+    got = [copy.three_cycle(t) for t in triples]
+    assert got == [default.three_cycle(t) for t in reversed(triples)][::-1]
+    assert [copy.flip_pair_word(x) for x in flips] == [edge_flip_pair_word(x) for x in flips]
 
 
 def test_section_g2_in_g3():

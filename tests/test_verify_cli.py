@@ -461,28 +461,21 @@ def test_context_refuses_tables_of_the_other_size(size, other):
         Context(**{f"tables{size}": cube.default_tables(other)})
 
 
-# the library's constructive words and representation builders, which read
-# the default tables; every other check reads its words through the Context
-LIBRARY_CONSTRUCTIONS = {
-    "cor-3.6-n-is-a12", "prop-3.4-abf", "prop-3.9-m-maximal", "prop-3.10-l-isom-k",
-    "thm-4.4-decorated", "thm-5.1-g2-mdim", "thm-5.2-g3-mdim", "thm-5.3-negative-control",
-}
-
-
 def test_checks_read_words_only_through_the_context_tables(monkeypatch):
-    ctx = Context(seed=0, trials=5, **{
-        f"tables{size}": cube.MoveTables(size, dict(cube.default_tables(size).face_tables))
-        for size in (2, 3)})
+    """Every check, the constructive words and representations it certifies
+    included, reads the Context's tables and never the defaults."""
+    tables = {f"tables{size}": cube.MoveTables(size, dict(cube.default_tables(size).face_tables))
+              for size in (2, 3)}
 
     def refuse(size):
         raise LookupError("default tables read")
 
     monkeypatch.setattr(cube, "default_tables", refuse)
-    results = {r.id: r for r in run_suite(ctx)}
-    failed = {id for id, r in results.items() if r.status == "fail"}
-    assert failed <= LIBRARY_CONSTRUCTIONS, failed - LIBRARY_CONSTRUCTIONS
-    # the representation builders are built per Context, so the patch bites
-    assert "LookupError: default tables read" in results["thm-5.1-g2-mdim"].actual
+    for seed, trials in ((0, 5), (42, None)):
+        results = run_suite(Context(seed=seed, trials=trials, **tables))
+        assert len(results) == len(verify._CHECKS) == 42
+        failed = {r.id: r.actual for r in results if r.status == "fail"}
+        assert not failed, (seed, failed)
 
 
 @pytest.mark.parametrize("id", ["prop-2.8-normal-k", "thm-3.12-g2-in-g3"])
@@ -507,6 +500,14 @@ def test_cli_mdim_rejects_unfactorable_input(capsys, spec):
     assert cli.main(["mdim", *spec]) == 2
     assert time.perf_counter() - start < 1
     assert "at most 64 cyclic factors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", [cli.MAX_TRIALS + 1, 10**9])
+def test_cli_verify_rejects_trials_above_the_bound(capsys, trials):
+    start = time.perf_counter()
+    assert cli.main(["verify", "--trials", str(trials), "--filter", "prop-2.4-invariant-s"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: --trials takes at most 10000, got {trials}\n"
 
 
 @pytest.mark.parametrize(
