@@ -165,6 +165,9 @@ _CERTIFIED = {
 def _cmd_mdim(args) -> int:
     spec = args.spec
     kind = spec[0]
+    extra = spec[2 if kind == "abelian" else 1:]
+    if extra:
+        raise ValueError(f"unexpected words after the mdim spec: {' '.join(extra)}")
     if kind in _CERTIFIED:
         complex_dim, real_dim, method, checks = _CERTIFIED[kind]
         for r in verify.run_suite(verify.Context(), checks):

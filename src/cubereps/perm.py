@@ -242,6 +242,13 @@ def twisted_inv(k: int, v, p: Permutation):
     return tuple(-a % k for a in act(inv, v)), inv
 
 
+def wreath_points(k: int, p: Permutation, v: Sequence) -> tuple[int, ...]:
+    """(v, p) as a 0-based permutation of the k*n points k*j + a = (j, a):
+    (j, a) goes to (p(j), a + v_p(j) mod k).  Only the identity fixes every
+    point, and points(twisted_mul(v, p, w, q)) is points(v, p) after points(w, q)."""
+    return tuple(k * (i - 1) + (a + v[i - 1]) % k for i in p.image for a in range(k))
+
+
 # ---------------------------------------------------------------------------
 # Deterministic Schreier-Sims stabilizer chains (Seress, *Permutation Group
 # Algorithms*, sections 4.1-4.2).

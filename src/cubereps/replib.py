@@ -21,7 +21,7 @@ from operator import attrgetter
 from .abelian import FiniteAbelianGroup, mdim_real_abelian, zk0m
 from .cube import FACES, MoveTables
 from .cyclotomic import CyclotomicInt
-from .perm import Permutation, act, compose, twisted_inv, twisted_mul
+from .perm import Permutation, act, compose, twisted_inv, twisted_mul, wreath_points
 from .structure import (
     G2Element,
     G3Element,
@@ -90,27 +90,13 @@ class MonomialMap:
         return out
 
     def matrix_text(self) -> str:
+        cols = self.perm.inverse()
         rows = []
-        for row in self.matrix():
-            cells = []
-            for entry in row:
-                if entry.is_zero():
-                    cells.append(".")
-                elif entry == 1:
-                    cells.append("1")
-                elif entry == -1:
-                    cells.append("-1")
-                else:
-                    cells.append(f"w^{_root_exponent(entry)}")
+        for i, e in enumerate(self.exps, 1):
+            cells = ["."] * self.degree
+            cells[cols(i) - 1] = "1" if e == 0 else "-1" if 2 * e == self.root_order else f"w^{e}"
             rows.append(" ".join(f"{c:>4}" for c in cells))
         return "\n".join(rows)
-
-
-def _root_exponent(value: CyclotomicInt) -> int:
-    for k in range(value.order):
-        if value == CyclotomicInt.root_power(value.order, k):
-            return k
-    raise ValueError(f"{value!r} is not a root of unity")
 
 
 def _shared_sizes(generators: dict, *fields: str) -> tuple[int, ...]:
@@ -128,17 +114,14 @@ class MonomialRep:
 
     ``of`` maps group elements to MonomialMap; ``elements`` holds the named
     generators and ``generators`` their images, whose degree and root order
-    are the representation's; ``embeddings`` lists, per coordinate range,
-    the modulus of the twist data stored there and the multiplier embedding
-    it into Z_root_order (used by the structural faithfulness check).
+    are the representation's.
     """
 
-    def __init__(self, elements, of, embeddings):
+    def __init__(self, elements, of):
         self.elements = dict(elements)
         self.generators = {name: of(x) for name, x in self.elements.items()}
         self.degree, self.root_order = _shared_sizes(self.generators, "degree", "root_order")
         self.of = of
-        self.embeddings = tuple(embeddings)
 
     def to_json(self) -> str:
         payload = {
@@ -160,7 +143,7 @@ def build_rep_g2(tables: MoveTables | None = None) -> MonomialRep:
     def of(x: G2Element) -> MonomialMap:
         return MonomialMap(3, x.perm, x.twist)
 
-    return MonomialRep({f: word_element_g2(f, tables) for f in FACES}, of, [(3, 1, 8)])
+    return MonomialRep({f: word_element_g2(f, tables) for f in FACES}, of)
 
 
 def build_rep_g3(tables: MoveTables | None = None) -> MonomialRep:
@@ -172,7 +155,7 @@ def build_rep_g3(tables: MoveTables | None = None) -> MonomialRep:
         exps = tuple(3 * v for v in x.flip) + tuple(2 * v for v in x.twist)
         return MonomialMap(6, pair_to_perm20(x.pair), exps)
 
-    return MonomialRep({f: word_element_g3(f, tables) for f in FACES}, of, [(2, 3, 12), (3, 2, 8)])
+    return MonomialRep({f: word_element_g3(f, tables) for f in FACES}, of)
 
 
 def zeroed_corner_rep(tables: MoveTables | None = None) -> MonomialRep:
@@ -182,32 +165,55 @@ def zeroed_corner_rep(tables: MoveTables | None = None) -> MonomialRep:
     def of(x: G2Element) -> MonomialMap:
         return MonomialMap(3, x.perm, (0,) * 8)
 
-    return MonomialRep({f: word_element_g2(f, tables) for f in FACES}, of, [(3, 0, 8)])
+    return MonomialRep({f: word_element_g2(f, tables) for f in FACES}, of)
+
+
+def _points(x) -> tuple[int, ...]:
+    """An element's faithful ``wreath_points`` action: G3 on 24 edge then 24 corner points, a (twist, perm) pair on 3n."""
+    if isinstance(x, G3Element):
+        return wreath_points(2, x.pair[0], x.flip) + tuple(24 + i for i in wreath_points(3, x.pair[1], x.twist))
+    return wreath_points(3, x.perm, x.twist)
+
+
+def _carried(x0: int, y0: int, model: list, image: list) -> dict[int, int] | None:
+    """x0 -> y0 carried over x0's orbit by phi(model_f(x)) = image_f(phi(x)); None on a clash."""
+    phi, stack = {x0: y0}, [x0]
+    while stack:
+        x = stack.pop()
+        for m, i in zip(model, image):
+            if m[x] not in phi:
+                stack.append(m[x])
+            if phi.setdefault(m[x], i[phi[x]]) != i[phi[x]]:
+                return None
+    return phi
 
 
 def faithful_structural(rep: MonomialRep) -> bool:
-    """Exact kernel-triviality for semidirect monomial representations.
+    """Faithfulness, proved from the generator elements and their images.
 
-    The image is the identity matrix only when the permutation part is
-    trivial and every exponent vanishes; the representation is faithful
-    exactly when each twist modulus embeds injectively into the root
-    group, i.e. multiplication by the stated multiplier is injective
-    mod root_order.
+    An injective phi from element points (``_points``, a faithful action) to
+    image points (``wreath_points``) with phi(x_f(p)) = image_f(phi(p)) for
+    every generator, meeting every coordinate, proves it: each pair in
+    <(x_f, image_f)> acts on phi's points as its element does, and an image
+    fixing a point of every coordinate is the identity.  phi is grown orbit by
+    orbit; False (always, for an unfaithful rep) means it found none.
     """
-    for modulus, multiplier, _count in rep.embeddings:
-        images = {(multiplier * t) % rep.root_order for t in range(modulus)}
-        if len(images) != modulus:
+    model = [_points(x) for x in rep.elements.values()]
+    image = [wreath_points(rep.root_order, g.perm, g.exps) for g in rep.generators.values()]
+    phi: dict[int, int] = {}
+    for x0 in (x for x in range(len(model[0])) if x not in phi):
+        used = set(phi.values())
+        orbits = (_carried(x0, y0, model, image) for y0 in range(len(image[0])) if y0 not in used)
+        orbit = next((o for o in orbits if o and len(set(o.values()) - used) == len(o)), None)
+        if orbit is None:
             return False
-    return True
+        phi.update(orbit)
+    return {y // rep.root_order for y in phi.values()} == set(range(rep.degree))
 
 
 def faithful_enumerated(rep_of, elements) -> bool:
     """Only the identity element maps to the identity matrix."""
-    hits = 0
-    for x in elements:
-        if rep_of(x).is_identity():
-            hits += 1
-    return hits == 1
+    return sum(rep_of(x).is_identity() for x in elements) == 1
 
 
 def character_norm(rep_of, elements) -> int:
@@ -582,7 +588,7 @@ class ExceptionalExample:
         def rep4_of(x: TwistPerm) -> MonomialMap:
             return MonomialMap(3, x.perm, x.twist)
 
-        self.rep4 = MonomialRep(named, rep4_of, [(3, 1, 4)])
+        self.rep4 = MonomialRep(named, rep4_of)
 
         # block data of each permutation: how it permutes the three pair
         # partitions and whether it reverses each plane's orientation

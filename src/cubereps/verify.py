@@ -345,18 +345,15 @@ def _(ctx: Context):
 @check("prop-2.6-k-maximal", "conjugates of k span the full sum-zero twist lattice", "prop-2.6")
 def _(ctx: Context):
     k_el = ctx.element(2, structure.WORD_K)
-    vectors = [k_el.twist]
 
     def failures(w):
         g = ctx.element(2, w)
-        conj = g2_mul(g2_mul(g, k_el), g2_inv(g))
-        vectors.append(conj.twist)
-        return not conj.perm.is_identity()
+        return not g2_mul(g2_mul(g, k_el), g2_inv(g)).perm.is_identity()
 
     _, bad, where = _sampled(ctx, "k-maximal", 40, lambda rng: _random_word(rng, 15), failures)
     if bad:
         return False, "conjugates stay in the kernel", f"{bad} conjugates moved corners{where}"
-    rank = _closed_rank(vectors, ctx.generators("corner-group"), 3)
+    rank = _closed_rank([k_el.twist], ctx.generators("corner-group"), 3)
     return rank == 7, "rank 7 over Z_3", f"rank {rank}"
 
 
@@ -556,19 +553,16 @@ def _(ctx: Context):
         if el.flip != want:
             return False, f"q_{x} flips a and {cube.EDGE_LETTERS[x-1]}", str(el.flip)
     m_el = ctx.element(3, build_m())
-    # only m and its conjugates: closed under the moves, the q_x flips alone reach rank 11
-    vectors = [m_el.flip]
 
     def failures(w):
         g = ctx.element(3, w)
-        conj = g3_mul(g3_mul(g, m_el), g3_inv(g))
-        vectors.append(conj.flip)
-        return not membership(SubgroupTag.M, conj)
+        return not membership(SubgroupTag.M, g3_mul(g3_mul(g, m_el), g3_inv(g)))
 
     _, bad, where = _sampled(ctx, "m-maximal", 30, lambda rng: _random_word(rng, 12), failures)
     if bad:
         return False, "conjugates of m stay in M", f"{bad} conjugates escaped M{where}"
-    rank = _closed_rank(vectors, ctx.generators("edge-group"), 2)
+    # m alone, closed under the moves, reaches its conjugates; the q_x flips alone would reach rank 11
+    rank = _closed_rank([m_el.flip], ctx.generators("edge-group"), 2)
     return rank == 11, "rank 11 over Z_2", f"rank {rank}"
 
 

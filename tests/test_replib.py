@@ -3,12 +3,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubereps import cube, structure
+from cubereps import cube, replib, structure
 from cubereps.abelian import FiniteAbelianGroup
 from cubereps.cube import random_word
 from cubereps.cyclotomic import CyclotomicInt, cyclotomic_polynomial
-from cubereps.perm import Permutation
+from cubereps.perm import Permutation, chain_build, wreath_points
 from cubereps.replib import (
     ConjMonomialMap,
     ConjMonomialRep,
@@ -210,6 +212,70 @@ def test_rep_g2_faithful_and_negative_control():
     assert bad.of(k_el).is_identity() and not k_el.is_identity()
 
 
+G2_ORDER, G3_ORDER = 88_179_840, 43_252_003_274_489_856_000
+
+
+def _chain_orders(rep):
+    """|G|, |D| and |I| by Schreier-Sims, on the element points, the diagonal
+    <(x_f, image_f)> and the image points: |D| = |G| iff the images extend to
+    a homomorphism, which is then injective iff |I| = |G|."""
+    model = [replib._points(x) for x in rep.elements.values()]
+    image = [wreath_points(rep.root_order, g.perm, g.exps) for g in rep.generators.values()]
+    diagonal = [m + tuple(len(m) + i for i in g) for m, g in zip(model, image)]
+    return tuple(chain_build([Permutation(i + 1 for i in p) for p in gens]).order()
+                 for gens in (model, diagonal, image))
+
+
+def _with_a_coordinate_only_u_turns(rep):
+    """rep plus one coordinate that U's image alone multiplies by w: no
+    homomorphism, though the old coordinates still carry a copy of G2."""
+    u = rep.elements["U"]
+
+    def of(x):
+        img = rep.of(x)
+        perm = Permutation(img.perm.image + (img.degree + 1,))
+        return MonomialMap(img.root_order, perm, img.exps + (int(x == u),))
+
+    return MonomialRep(rep.elements, of)
+
+
+def test_the_certificate_agrees_with_exact_chain_orders(bumped_u_rep):
+    cases = [(build_rep_g2(), (G2_ORDER,) * 3), (build_rep_g3(), (G3_ORDER,) * 3),
+             (zeroed_corner_rep(), (G2_ORDER, G2_ORDER, 40_320)),  # a homomorphism onto S_8
+             (ExceptionalExample().rep4, (648,) * 3)]
+    for rep, orders in cases:
+        assert _chain_orders(rep) == orders
+        assert faithful_structural(rep) is (len(set(orders)) == 1)
+    rep2, u = build_rep_g2(), build_rep_g2().elements["U"]
+    inverted_u = MonomialRep(rep2.elements, lambda x: rep2.of(x).inverse() if x == u else rep2.of(x))
+    for rep in (bumped_u_rep(), _with_a_coordinate_only_u_turns(rep2), inverted_u):
+        group, diagonal, _ = _chain_orders(rep)
+        assert diagonal > group == G2_ORDER  # no homomorphism
+        assert not faithful_structural(rep)
+
+
+_WORDS = st.lists(st.sampled_from([f + turn for f in cube.FACES for turn in ("", "'", "2")]),
+                  max_size=12).map(" ".join)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_WORDS, _WORDS)
+def test_point_actions_of_products_compose(w1, w2):
+    """For g2_mul, g3_mul and MonomialMap.__mul__, the points of x * y are x's
+    points after y's, so a map that commutes with the generators' points
+    commutes with every product's."""
+    def after(p, q):
+        return tuple(p[i] for i in q)
+
+    for read, mul, rep in ((word_element_g2, g2_mul, build_rep_g2()),
+                           (word_element_g3, g3_mul, build_rep_g3())):
+        x, y = read(w1), read(w2)
+        assert replib._points(mul(x, y)) == after(replib._points(x), replib._points(y))
+        points = [wreath_points(rep.root_order, m.perm, m.exps)
+                  for m in (rep.of(x), rep.of(y), rep.of(x) * rep.of(y))]
+        assert points[2] == after(points[0], points[1])
+
+
 def test_rep_g2_character_not_real():
     rep = build_rep_g2()
     trace = rep.of(word_element_g2(structure.WORD_K)).trace()
@@ -299,7 +365,7 @@ def test_reps_refuse_no_images_and_images_of_mixed_sizes():
                    {"u": u, "v": MonomialMap(6, Permutation.identity(2), (0, 0))}):
         message = "at least one generator image" if not images else "disagree on their sizes"
         with pytest.raises(ValueError, match=message):
-            MonomialRep(images, lambda x: x, [])
+            MonomialRep(images, lambda x: x)
     r = ConjMonomialMap.identity(1, 2, 3)
     for images in ({}, {"r": r, "s": ConjMonomialMap.identity(2, 2, 3)},
                    {"r": r, "s": ConjMonomialMap.identity(1, 3, 3)},
@@ -312,7 +378,22 @@ def test_reps_refuse_no_images_and_images_of_mixed_sizes():
 def test_matrix_text_rendering():
     rep = build_rep_g2()
     text = rep.of(word_element_g2(structure.WORD_K)).matrix_text()
-    assert "w^" in text and "." in text
+    assert text.splitlines() == [
+        " w^2    .    .    .    .    .    .    .",
+        "   .  w^2    .    .    .    .    .    .",
+        "   .    .    1    .    .    .    .    .",
+        "   .    .    .  w^2    .    .    .    .",
+        "   .    .    .    .    1    .    .    .",
+        "   .    .    .    .    .    1    .    .",
+        "   .    .    .    .    .    .    1    .",
+        "   .    .    .    .    .    .    .    1",
+    ]
+    twist = ExceptionalExample().rep4.generators["twist"].matrix_text()
+    assert twist == " w^1    .    .    .\n   .  w^2    .    .\n   .    .    1    .\n   .    .    .    1"
+    # -1 entries (edge flips at root order 6) beside w^2 and 1
+    text3 = build_rep_g3().of(word_element_g3("R U F")).matrix_text()
+    assert hashlib.sha256(text3.encode()).hexdigest() == (
+        "0b13c405b3bf102b3a7002df76426ac4973d4ebcca7b474f6f7c3703d31ab8b1")
 
 
 # -- realification -----------------------------------------------------------
@@ -355,7 +436,7 @@ def test_realify_validates_the_split():
     # of root order 3 as a sign line must fail, not read it as -1
     w = MonomialMap(3, Permutation.identity(1), (1,))
     with pytest.raises(ValueError, match="^group action does not preserve the split$"):
-        realify(MonomialRep({"w": w}, lambda x: x, []), {1})
+        realify(MonomialRep({"w": w}, lambda x: x), {1})
 
 
 def test_realified_rep_is_homomorphism():
@@ -526,6 +607,14 @@ def test_frobenius_schur_small_cases():
 def test_exceptional_enumeration(exceptional):
     assert len(exceptional.elements) == 648
     assert len({(x.twist, x.perm.image) for x in exceptional.elements}) == 648
+
+
+def test_structural_and_enumerated_faithfulness_agree_on_rep4(exceptional):
+    """Two routes to kernel triviality: the point-map certificate and all 648 elements."""
+    zeroed = MonomialRep(exceptional.rep4.elements, lambda x: MonomialMap(3, x.perm, (0,) * 4))
+    for rep, faithful in ((exceptional.rep4, True), (zeroed, False)):
+        assert faithful_structural(rep) is faithful
+        assert faithful_enumerated(rep.of, exceptional.elements) is faithful
 
 
 def test_exceptional_rep4(exceptional):

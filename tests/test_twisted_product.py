@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubereps.perm import Permutation, act, compose, twisted_inv, twisted_mul
+from cubereps.perm import Permutation, act, compose, twisted_inv, twisted_mul, wreath_points
 
 
 @st.composite
@@ -57,3 +57,15 @@ def test_twisted_inv_is_two_sided(setting):
     w, q = twisted_inv(k, v, p)
     assert twisted_mul(k, v, p, w, q) == identity
     assert twisted_mul(k, w, q, v, p) == identity
+
+
+@given(settings(2))
+def test_wreath_points_is_a_faithful_action(setting):
+    """The points of a product are the first factor's points after the second's,
+    and only the identity fixes every point."""
+    k, n, [(v, p), (w, q)] = setting
+    first, second = wreath_points(k, p, v), wreath_points(k, q, w)
+    u, r = twisted_mul(k, v, p, w, q)
+    assert wreath_points(k, r, u) == tuple(first[i] for i in second)
+    identity = not any(v) and p == Permutation.identity(n)
+    assert (first == tuple(range(k * n))) == identity

@@ -433,6 +433,31 @@ def test_cli_mdim_g2_fails_with_the_failing_thm_5_check(capsys, monkeypatch):
     assert captured.err == "error: mdim certificate failed: thm-5.1-g2-mdim\n"
 
 
+@pytest.mark.parametrize("fault, got", [
+    ("zeroed", (False, 8, 8, 16, 22, 16, False, True)),
+    ("bumped", (False, 8, 8, 16, 22, 16, True, True)),  # only faithfulness fails
+])
+def test_thm_5_1_and_mdim_g2_fail_on_an_unfaithful_rep(capsys, monkeypatch, bumped_u_rep, fault, got):
+    """The faithfulness conjunct is computed from the images, not declared."""
+    build = {"zeroed": replib.zeroed_corner_rep, "bumped": bumped_u_rep}[fault]
+    rep = Context.rep
+    monkeypatch.setattr(Context, "rep", lambda self, size: build(self.tables[2]) if size == 2 else rep(self, size))
+    result = run_suite(Context(seed=42), "thm-5.1-g2-mdim")[0]
+    assert (result.status, result.actual) == ("fail", str(got))
+    assert cli.main(["mdim", "g2"]) == 1
+    assert capsys.readouterr().err == "error: mdim certificate failed: thm-5.1-g2-mdim\n"
+
+
+@pytest.mark.parametrize("spec", [
+    ["abelian", "2,3", "5"], ["g2", "junk"], ["zk0m:3,8", "x"], ["exceptional", "extra", "words"],
+])
+def test_cli_mdim_rejects_words_after_the_spec(capsys, spec):
+    assert cli.main(["mdim", *spec]) == 2
+    captured = capsys.readouterr()
+    extra = " ".join(spec[2 if spec[0] == "abelian" else 1:])
+    assert (captured.out, captured.err) == ("", f"error: unexpected words after the mdim spec: {extra}\n")
+
+
 def test_cli_mdim_bad_spec(capsys):
     assert cli.main(["mdim", "quaternion"]) == 2
 

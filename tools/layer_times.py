@@ -8,7 +8,8 @@ repeat to last about 20 ms; the reported figure is the fastest repeat's
 time per call, in microseconds.  A single run on a shared machine can read
 twice the quiet figure, so the minimum of at least five repeats is the
 default, and the repeats go round all layers in turn.  The chain builds
-start from the six face generators of each group.
+start from the six face generators of each group, and the faithfulness
+certificates take the degree-8 and degree-20 representations.
 
 Standard library only; the package is imported from the checkout's
 ``src``.
@@ -27,7 +28,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cubereps import cube, structure  # noqa: E402
+from cubereps import cube, replib, structure  # noqa: E402
 from cubereps.cube import CubeState  # noqa: E402
 from cubereps.perm import StabilizerChain  # noqa: E402
 from cubereps.verify import Context  # noqa: E402
@@ -65,6 +66,8 @@ def _layers() -> dict:
         "g3_mul": (lambda xy: structure.g3_mul(*xy), list(zip(elements, elements[1:]))),
         "chain_g3_48": (StabilizerChain.from_generators, [ctx.generators("g3")]),
         "chain_p_20": (StabilizerChain.from_generators, [ctx.generators("p")]),
+        "faithful_g2": (replib.faithful_structural, [ctx.rep(2)]),
+        "faithful_g3": (replib.faithful_structural, [ctx.rep(3)]),
     })
     return layers
 
