@@ -5,7 +5,8 @@ diagonal and corner permutations on the coordinates; no smaller faithful
 complex representation exists.  Realifying doubles every rotation plane,
 and a short case analysis shows 16 real dimensions is optimal.  The 3x3
 story is the same with 12 sign coordinates and 8 rotation planes: 20
-complex, 28 real.
+complex, 28 real.  Realifying finds the sign coordinates itself: those
+the generators keep among themselves with entries +-1.
 
 Run:  python demos/04_minimal_dimensions.py
 """
@@ -31,7 +32,8 @@ cases = g2_real_case_analysis()
 print("\nReal case analysis for the 2x2 group:")
 print("  all planes:", cases["q_case"], " lines forced by S_8:", cases["p_case"])
 print("  minimal real dimension:", cases["bound"])
-real2 = realify(rep2, set())
+real2 = realify(rep2)
+print("  derived sign lines:", real2.sign_count, " rotation planes:", real2.rot_count)
 print("  realified construction dimension:", real2.real_dimension)
 
 rep3 = build_rep_g3()
@@ -46,5 +48,6 @@ for i, (kp, kq, p, q, dim) in enumerate(table["rows"]):
     note = f"  (refined to >= {table['refined'][i]})" if i in table["refined"] else ""
     print(f"  {kp:<10}{kq:<10}{p:>4}{q:>4}{dim:>6}{note}")
 print("  minimal real dimension:", table["bound"])
-real3 = realify(rep3, set(range(1, 13)))
+real3 = realify(rep3)
+print("  derived sign lines:", real3.sign_count, " rotation planes:", real3.rot_count)
 print("  realified construction dimension:", real3.real_dimension)

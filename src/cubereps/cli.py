@@ -47,9 +47,7 @@ def main(argv=None) -> int:
     p_apply.add_argument("--json", action="store_true", dest="as_json")
 
     p_order = sub.add_parser("order", help="print an exact group order")
-    p_order.add_argument(
-        "target", choices=("g2", "g3", "corner-group", "edge-group", "p")
-    )
+    p_order.add_argument("target", choices=tuple(verify._FACE_IMAGES))
 
     p_mdim = sub.add_parser("mdim", help="minimal faithful dimensions")
     p_mdim.add_argument(
@@ -74,7 +72,8 @@ def main(argv=None) -> int:
         if args.command == "mdim":
             return _cmd_mdim(args)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -128,11 +127,21 @@ def _cmd_order(args) -> int:
     return 0
 
 
+def _ints(spec: str, text: str, form: str, count: int | None = None) -> tuple[int, ...]:
+    """The comma-separated integers of ``text``, ``count`` of them if given;
+    otherwise a ValueError naming the mdim spec as given and its form."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or count not in (None, len(values)):
+        raise ValueError(f"mdim spec {spec!r} is not of the form {form}")
+    return values
+
+
 def _parse_group(spec_parts: list[str]) -> abelian.FiniteAbelianGroup:
-    text = spec_parts[1] if len(spec_parts) > 1 else ""
-    if not text:
-        raise ValueError("expected a comma list of cyclic orders")
-    orders = tuple(int(x) for x in text.split(","))
+    orders = _ints(" ".join(spec_parts), spec_parts[1] if len(spec_parts) > 1 else "",
+                   "abelian N,N,... with integers N")
     _check_factorable(len(orders), max(orders))
     return abelian.FiniteAbelianGroup(orders)
 
@@ -186,7 +195,7 @@ def _cmd_mdim(args) -> int:
                 _certify(abelian.oracle_min_faithful(group, field) == payload[field],
                          f"{field} oracle equals the formula")
     elif kind.startswith("zk0m:"):
-        k, m = (int(x) for x in kind.split(":", 1)[1].split(","))
+        k, m = _ints(kind, kind.split(":", 1)[1], "zk0m:K,M with integers K and M", 2)
         _check_factorable(m - 1, k)  # Z_k^(m-1)
         group, _ = abelian.zk0m(k, m)
         payload = {

@@ -112,9 +112,6 @@ class CyclotomicInt:
             out[(self.order - k) % self.order] += c
         return CyclotomicInt(self.order, out)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_integer(self) -> bool:
         return len(self.coeffs) <= 1
 

@@ -249,6 +249,21 @@ def wreath_points(k: int, p: Permutation, v: Sequence) -> tuple[int, ...]:
     return tuple(k * (i - 1) + (a + v[i - 1]) % k for i in p.image for a in range(k))
 
 
+def carried(x0: int, y0: int, model: Sequence, image: Sequence) -> dict[int, int] | None:
+    """The map c on x0's orbit under the 0-based ``model`` permutations with
+    c(x0) = y0 and c(model_f(x)) = image_f(c(x)) for every f, carried along
+    the orbit; None on a clash, when no such map exists."""
+    c, stack = {x0: y0}, [x0]
+    while stack:
+        x = stack.pop()
+        for m, i in zip(model, image):
+            if m[x] not in c:
+                stack.append(m[x])
+            if c.setdefault(m[x], i[c[x]]) != i[c[x]]:
+                return None
+    return c
+
+
 # ---------------------------------------------------------------------------
 # Deterministic Schreier-Sims stabilizer chains (Seress, *Permutation Group
 # Algorithms*, sections 4.1-4.2).

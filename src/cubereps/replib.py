@@ -21,7 +21,7 @@ from operator import attrgetter
 from .abelian import FiniteAbelianGroup, mdim_real_abelian, zk0m
 from .cube import FACES, MoveTables
 from .cyclotomic import CyclotomicInt
-from .perm import Permutation, act, compose, twisted_inv, twisted_mul, wreath_points
+from .perm import Permutation, act, carried, compose, twisted_inv, twisted_mul, wreath_points
 from .structure import (
     G2Element,
     G3Element,
@@ -78,16 +78,6 @@ class MonomialMap:
             if self.perm(i) == i:
                 total = total + CyclotomicInt.root_power(self.root_order, self.exps[i - 1])
         return total
-
-    def matrix(self) -> list[list[CyclotomicInt]]:
-        zero = CyclotomicInt.zero(self.root_order)
-        out = [[zero] * self.degree for _ in range(self.degree)]
-        inv = self.perm.inverse()
-        for i in range(1, self.degree + 1):
-            out[i - 1][inv(i) - 1] = CyclotomicInt.root_power(
-                self.root_order, self.exps[i - 1]
-            )
-        return out
 
     def matrix_text(self) -> str:
         cols = self.perm.inverse()
@@ -175,19 +165,6 @@ def _points(x) -> tuple[int, ...]:
     return wreath_points(3, x.perm, x.twist)
 
 
-def _carried(x0: int, y0: int, model: list, image: list) -> dict[int, int] | None:
-    """x0 -> y0 carried over x0's orbit by phi(model_f(x)) = image_f(phi(x)); None on a clash."""
-    phi, stack = {x0: y0}, [x0]
-    while stack:
-        x = stack.pop()
-        for m, i in zip(model, image):
-            if m[x] not in phi:
-                stack.append(m[x])
-            if phi.setdefault(m[x], i[phi[x]]) != i[phi[x]]:
-                return None
-    return phi
-
-
 def faithful_structural(rep: MonomialRep) -> bool:
     """Faithfulness, proved from the generator elements and their images.
 
@@ -196,14 +173,15 @@ def faithful_structural(rep: MonomialRep) -> bool:
     every generator, meeting every coordinate, proves it: each pair in
     <(x_f, image_f)> acts on phi's points as its element does, and an image
     fixing a point of every coordinate is the identity.  phi is grown orbit by
-    orbit; False (always, for an unfaithful rep) means it found none.
+    orbit (``perm.carried``); False (always, for an unfaithful rep) means it
+    found none.
     """
     model = [_points(x) for x in rep.elements.values()]
     image = [wreath_points(rep.root_order, g.perm, g.exps) for g in rep.generators.values()]
     phi: dict[int, int] = {}
     for x0 in (x for x in range(len(model[0])) if x not in phi):
         used = set(phi.values())
-        orbits = (_carried(x0, y0, model, image) for y0 in range(len(image[0])) if y0 not in used)
+        orbits = (carried(x0, y0, model, image) for y0 in range(len(image[0])) if y0 not in used)
         orbit = next((o for o in orbits if o and len(set(o.values()) - used) == len(o)), None)
         if orbit is None:
             return False
@@ -367,45 +345,47 @@ class ConjMonomialRep:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def realify(rep: MonomialRep, real_coords: set[int]) -> ConjMonomialRep:
-    """Restrict scalars: designated real coordinates become sign blocks,
-    all others become rotation planes (the coordinate plus its conjugate).
+def _sign_lines(img: MonomialMap, lines: set[int]) -> set[int]:
+    """The coordinates in ``lines`` that img maps into ``lines`` with an entry
+    w^e = +-1 (2e = 0 mod the root order)."""
+    image, exps = img.perm.image, img.exps
+    return {src for src in lines
+            if image[src - 1] in lines and not 2 * exps[image[src - 1] - 1] % img.root_order}
 
-    ``real_coords`` is a set of 1-based coordinates on which every group
-    element acts by +-1; the group permutation must preserve the split,
-    which is validated on the representation's generator elements.
+
+def realify(rep: MonomialRep) -> ConjMonomialRep:
+    """Restrict scalars: sign lines stay one-dimensional blocks and every
+    other coordinate becomes a rotation plane (the coordinate plus its
+    conjugate).
+
+    The sign lines are the largest set of coordinates that every generator
+    image maps into itself with entries +-1, reached from all coordinates by
+    removing offending ones until none offends.  Every element of the generated group
+    then keeps the split, and restricting scalars is injective and
+    multiplicative on maps that keep it, so the real form of a faithful rep
+    is faithful.  ``of`` refuses an element that breaks the split.
     """
-    real = sorted(real_coords)
-    rot = [i for i in range(1, rep.degree + 1) if i not in real_coords]
-    real_index = {c: i + 1 for i, c in enumerate(real)}
-    rot_index = {c: i + 1 for i, c in enumerate(rot)}
+    lines = set(range(1, rep.degree + 1))
+    while lines != (kept := set.intersection(
+            *(_sign_lines(img, lines) for img in rep.generators.values()))):
+        lines = kept
+    real = sorted(lines)
+    rot = sorted(set(range(1, rep.degree + 1)) - lines)
+    place = {c: i for part in (real, rot) for i, c in enumerate(part, 1)}  # 1-based, within its part
 
     def of(x) -> ConjMonomialMap:
         img = rep.of(x)
-        sign_image = [0] * len(real)
-        rot_image = [0] * len(rot)
-        signs = [1] * len(real)
-        exps = [0] * len(rot)
-        for src in range(1, rep.degree + 1):
-            dst = img.perm(src)
-            e = img.exps[dst - 1]
-            if src in real_index:
-                # a sign line takes w^e = 1 (e = 0) or -1 (2e = root_order)
-                if dst not in real_index or (e and 2 * e != rep.root_order):
-                    raise ValueError("group action does not preserve the split")
-                sign_image[real_index[src] - 1] = real_index[dst]
-                signs[real_index[dst] - 1] = 1 if e == 0 else -1
-            else:
-                if dst not in rot_index:
-                    raise ValueError("group action does not preserve the split")
-                rot_image[rot_index[src] - 1] = rot_index[dst]
-                exps[rot_index[dst] - 1] = e
+        if _sign_lines(img, lines) != lines:
+            raise ValueError("group action does not preserve the split")
+        # keeping the sign lines, the permutation keeps the planes too; the
+        # entry at each block's coordinate is its sign or rotation
+        p, e = img.perm.image, img.exps
         return ConjMonomialMap(
             rep.root_order,
-            Permutation(sign_image),
-            tuple(signs),
-            Permutation(rot_image),
-            tuple(exps),
+            Permutation([place[p[c - 1]] for c in real]),
+            tuple([1 if e[c - 1] == 0 else -1 for c in real]),
+            Permutation([place[p[c - 1]] for c in rot]),
+            tuple([e[c - 1] for c in rot]),
             (0,) * len(rot),
         )
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 from . import abelian, cube, replib, structure
 from .cube import CubeState, MoveWord, apply_word, commutator, word
-from .perm import Permutation, act, chain_build, compose, conjugate
+from .perm import Permutation, act, carried, chain_build, compose, conjugate
 from .structure import (
     G2Element,
     SubgroupTag,
@@ -147,9 +147,8 @@ class Context:
         return self.cached(f"rep:{size}", lambda: build(self.tables[size]))
 
     def real(self, size: int) -> replib.ConjMonomialRep:
-        """The realified rep(size): the 3x3 edge coordinates are sign lines."""
-        coords = set() if size == 2 else set(range(1, 13))
-        return self.cached(f"real:{size}", lambda: replib.realify(self.rep(size), coords))
+        """The realified rep(size), whose sign lines it derives (the 3x3 edge coordinates)."""
+        return self.cached(f"real:{size}", lambda: replib.realify(self.rep(size)))
 
 
 @dataclass
@@ -976,23 +975,14 @@ def _central_constants(ctx: Context, size: int, read, kind) -> list[int]:
 def _centralizer(gens):
     """Every permutation of range(n) commuting with the generators (0-based
     image tuples), or None if they are not transitive.  A centralizing c is
-    fixed by t = c(0): c(g(x)) = g(c(x)) carries it over the orbit of 0, and
-    a map commuting with a transitive group is onto (Dixon and Mortimer,
+    fixed by t = c(0): ``carried`` finds it over the orbit of 0, and a map
+    commuting with a transitive group is onto (Dixon and Mortimer,
     Permutation Groups, 4.2)."""
-    n, central = len(gens[0]), []
-    for t in range(n):
-        c, orbit = {0: t}, [0]
-        for x in orbit:
-            for g in gens:
-                if g[x] not in c:
-                    c[g[x]] = g[c[x]]
-                    orbit.append(g[x])
-        if len(c) < n:
-            return None
-        image = tuple(c[x] for x in range(n))
-        if all(image[g[x]] == g[image[x]] for g in gens for x in range(n)):
-            central.append(image)
-    return central
+    n = len(gens[0])
+    maps = [carried(0, t, gens, gens) for t in range(n)]
+    if len(maps[0]) < n:  # maps[0] is the identity on the orbit of 0
+        return None
+    return [tuple(c[x] for x in range(n)) for c in maps if c is not None]
 
 
 def _all_abelian_groups(max_order: int):

@@ -25,21 +25,29 @@ def bench():
         sys.dont_write_bytecode = saved_flag
 
 
+def _with_u_exponent(rep, exponent):
+    """rep with the first exponent e of U's image replaced by exponent(e)."""
+    u = rep.elements["U"]
+
+    def of(x):
+        img = rep.of(x)
+        if x != u:
+            return img
+        return replib.MonomialMap(img.root_order, img.perm, (exponent(img.exps[0]),) + img.exps[1:])
+
+    return replib.MonomialRep(rep.elements, of)
+
+
 @pytest.fixture
 def bumped_u_rep():
     """A builder of the degree-8 rep with one exponent of U's image raised:
     no homomorphism, since G2 has no quotient of order 3 for the exponent sum
     to land in, yet every image keeps its shape."""
-    def build(tables=None):
-        rep = replib.build_rep_g2(tables)
-        u = rep.elements["U"]
+    return lambda tables=None: _with_u_exponent(replib.build_rep_g2(tables), lambda e: (e + 1) % 3)
 
-        def of(x):
-            img = rep.of(x)
-            if x != u:
-                return img
-            return replib.MonomialMap(3, img.perm, ((img.exps[0] + 1) % 3,) + img.exps[1:])
 
-        return replib.MonomialRep(rep.elements, of)
-
-    return build
+@pytest.fixture
+def rotated_edge_rep():
+    """A builder of the degree-20 rep whose U image puts w^1, a sixth root of
+    unity, on edge 1: no edge coordinate is a sign line any more."""
+    return lambda tables=None: _with_u_exponent(replib.build_rep_g3(tables), lambda e: 1)

@@ -199,7 +199,7 @@ def test_criterion_7_headline_dimensions():
         and replib.lower_bound_complex_split(("S", 8)) == 8
     )
     cases = replib.g2_real_case_analysis()
-    real2 = replib.realify(rep2, set())
+    real2 = replib.realify(rep2)
     ok_r2 = cases == {"q_case": 16, "p_case": 22, "bound": 16} and real2.real_dimension == 16
     rep3 = replib.build_rep_g3()
     ok_c3 = (

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ from cubereps.perm import (
     Permutation,
     _inv0,
     _mul0,
+    carried,
     chain_build,
     chain_contains,
     compose,
@@ -220,3 +222,30 @@ def test_a_chain_takes_256_points():
 def test_a_chain_refuses_257_points():
     with pytest.raises(PermError, match="^degree 257 is above the chain bound of 256 points$"):
         chain_build([Permutation(list(range(2, 258)) + [1])])
+
+
+@st.composite
+def _model_and_image(draw):
+    """1-3 generator pairs: permutations of range(n) and of range(m), n, m <= 6,
+    with a start point x0 of the first and y0 of the second."""
+    n, m, pairs = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    model = [tuple(draw(st.permutations(range(n)))) for _ in range(pairs)]
+    image = [tuple(draw(st.permutations(range(m)))) for _ in range(pairs)]
+    return model, image, draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+
+
+@given(_model_and_image())
+def test_carried_is_the_one_equivariant_map_from_x0_to_y0(case):
+    """A returned map commutes with every generator pair on x0's orbit, and
+    None comes back exactly when no map of the orbit with x0 -> y0 does."""
+    model, image, x0, y0 = case
+    orbit = {x0}
+    while (grown := orbit | {g[x] for g in model for x in orbit}) != orbit:
+        orbit = grown
+    rest = sorted(orbit - {x0})
+    maps = ({x0: y0, **dict(zip(rest, values))}
+            for values in itertools.product(range(len(image[0])), repeat=len(rest)))
+    brute = [c for c in maps
+             if all(c[g[x]] == h[c[x]] for g, h in zip(model, image) for x in orbit)]
+    assert len(brute) <= 1  # x0 -> y0 determines the map on the orbit
+    assert carried(x0, y0, model, image) == (brute[0] if brute else None)

@@ -165,18 +165,6 @@ def test_conj_monomial_composition_matches_plane_action():
         )
 
 
-def test_monomial_matrix_is_unitary_monomial():
-    rng = random.Random(1)
-    image = list(range(1, 6))
-    rng.shuffle(image)
-    m = MonomialMap(3, Permutation(image), tuple(rng.randrange(3) for _ in range(5)))
-    matrix = m.matrix()
-    for row in matrix:
-        assert sum(0 if entry.is_zero() else 1 for entry in row) == 1
-    for col in range(5):
-        assert sum(0 if matrix[r][col].is_zero() else 1 for r in range(5)) == 1
-
-
 def test_monomial_trace():
     m = MonomialMap(3, Permutation.identity(3), (1, 1, 0))
     w = CyclotomicInt.root_power(3, 1)
@@ -320,8 +308,8 @@ def test_rep_json_export():
     assert payload["generators"]["U"]["exps"] == [0] * 8
 
 
-def _realified(build, real_coords):
-    return lambda: realify(build(), real_coords)
+def _realified(build):
+    return lambda: realify(build())
 
 
 # each representation's sizes, as its to_json() header reads them, and the
@@ -338,10 +326,10 @@ _REP_JSON = {
     "rep6": (lambda: ExceptionalExample().rep6,
              {"sign_blocks": 0, "rotation_blocks": 3, "root_order": 3},
              "b6a96bc52e129c39a17922821bd55778c74aea0f8e34112e4947f8908a46ff10"),
-    "real-g2": (_realified(build_rep_g2, set()),
+    "real-g2": (_realified(build_rep_g2),
                 {"sign_blocks": 0, "rotation_blocks": 8, "root_order": 3},
                 "26025827767764e48f182ef4bc826094785d029b29a185fecd2e63be9baa1c05"),
-    "real-g3": (_realified(build_rep_g3, set(range(1, 13))),
+    "real-g3": (_realified(build_rep_g3),
                 {"sign_blocks": 12, "rotation_blocks": 8, "root_order": 6},
                 "d5262793ad5210c50ee7fcc52110f5904eb0b544d2bd056e075cb9fd94547f31"),
 }
@@ -399,12 +387,19 @@ def test_matrix_text_rendering():
 # -- realification -----------------------------------------------------------
 
 
-def test_realify_dimensions():
-    real2 = realify(build_rep_g2(), set())
-    assert real2.real_dimension == 16  # all 8 planes doubled
-    real3 = realify(build_rep_g3(), set(range(1, 13)))
-    assert real3.real_dimension == 12 + 2 * 8 == 28
-    assert real3.sign_count == 12 and real3.rot_count == 8
+def test_realify_dimensions(exceptional):
+    """Cube roots of unity rotate every corner plane; the 3x3 edges take only
+    signs, and the zeroed control only 1s."""
+    counts = {name: (real.sign_count, real.rot_count, real.real_dimension)
+              for name, real in (("g2", realify(build_rep_g2())), ("g3", realify(build_rep_g3())),
+                                 ("rep4", realify(exceptional.rep4)),
+                                 ("zeroed", realify(zeroed_corner_rep())))}
+    assert counts == {"g2": (0, 8, 16), "g3": (12, 8, 28), "rep4": (0, 4, 8), "zeroed": (8, 0, 8)}
+    # w^1 of an odd root order is no sign: one root-3 coordinate is one plane
+    w = MonomialMap(3, Permutation.identity(1), (1,))
+    real = realify(MonomialRep({"w": w}, lambda x: x))
+    assert (real.sign_count, real.rot_count) == (0, 1)
+    assert real.generators["w"].rot_exps == (1,)
 
 
 def test_reps_are_built_on_the_tables_they_are_given():
@@ -419,28 +414,39 @@ def test_reps_are_built_on_the_tables_they_are_given():
     assert rep.generators["U"].perm.cycle_string() == "(1243)"
     assert rep.elements["U"] == word_element_g2("U'")
     assert zeroed_corner_rep(cube.MoveTables(2, tables)).elements == rep.elements
-    real = realify(rep, set())
+    real = realify(rep)
     assert real.elements == rep.elements
     assert real.generators["U"].rot_perm == rep.generators["U"].perm
 
 
 def test_realify_validates_the_split():
+    """The split is derived from the generators; ``of`` refuses any other
+    map that breaks it: a sign line sent into a plane or given a cube root."""
     rep3 = build_rep_g3()
-    with pytest.raises(ValueError):
-        # corner coordinates rotate by cube roots: not a sign block
-        realify(rep3, {13})
-    with pytest.raises(ValueError):
-        # mixing edge and corner coordinates breaks the block split
-        realify(rep3, {1})
-    # w^1 of an odd root order is no sign: realifying w on one coordinate
-    # of root order 3 as a sign line must fail, not read it as -1
-    w = MonomialMap(3, Permutation.identity(1), (1,))
-    with pytest.raises(ValueError, match="^group action does not preserve the split$"):
-        realify(MonomialRep({"w": w}, lambda x: x), {1})
+    real3 = realify(MonomialRep(rep3.generators, lambda x: x))
+    assert real3.sign_count == 12
+    swap_1_13 = Permutation.from_cycles([(1, 13)], 20)
+    for bad in (MonomialMap(6, swap_1_13, (0,) * 20),
+                MonomialMap(6, Permutation.identity(20), (2,) + (0,) * 19)):
+        with pytest.raises(ValueError, match="^group action does not preserve the split$"):
+            real3.of(bad)
+    assert real3.of(MonomialMap(6, Permutation.identity(20), (3,) + (0,) * 19)).signs[0] == -1
+
+
+@settings(max_examples=25, deadline=None)
+@given(_WORDS, _WORDS)
+def test_real_forms_are_faithful_homomorphisms(w1, w2):
+    """On G2 and G3 the derived real forms multiply as the elements do, and
+    two elements share a real image only if they are equal."""
+    for read, mul, real in ((word_element_g2, g2_mul, realify(build_rep_g2())),
+                            (word_element_g3, g3_mul, realify(build_rep_g3()))):
+        x, y = read(w1), read(w2)
+        assert real.of(mul(x, y)) == real.of(x) * real.of(y)
+        assert (real.of(x) == real.of(y)) == (x == y)
 
 
 def test_realified_rep_is_homomorphism():
-    real3 = realify(build_rep_g3(), set(range(1, 13)))
+    real3 = realify(build_rep_g3())
     rng = random.Random(5)
     for _ in range(50):
         x = word_element_g3(random_word(rng, 6))

@@ -311,7 +311,7 @@ def test_cli_verify_filter(capsys):
 def test_cli_verify_unknown_filter(capsys):
     code = cli.main(["verify", "--filter", "nope"])
     assert code == 2
-    assert capsys.readouterr().err == "error: \"no check matches 'nope'\"\n"
+    assert capsys.readouterr().err == "error: no check matches 'nope'\n"
 
 
 def test_cli_apply(capsys):
@@ -434,7 +434,7 @@ def test_cli_mdim_g2_fails_with_the_failing_thm_5_check(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("fault, got", [
-    ("zeroed", (False, 8, 8, 16, 22, 16, False, True)),
+    ("zeroed", (False, 8, 8, 16, 22, 8, False, True)),  # all 8 coordinates are sign lines
     ("bumped", (False, 8, 8, 16, 22, 16, True, True)),  # only faithfulness fails
 ])
 def test_thm_5_1_and_mdim_g2_fail_on_an_unfaithful_rep(capsys, monkeypatch, bumped_u_rep, fault, got):
@@ -446,6 +446,31 @@ def test_thm_5_1_and_mdim_g2_fail_on_an_unfaithful_rep(capsys, monkeypatch, bump
     assert (result.status, result.actual) == ("fail", str(got))
     assert cli.main(["mdim", "g2"]) == 1
     assert capsys.readouterr().err == "error: mdim certificate failed: thm-5.1-g2-mdim\n"
+
+
+def test_thm_5_2_and_mdim_g3_fail_when_an_edge_sign_becomes_a_rotation(capsys, monkeypatch, rotated_edge_rep):
+    """With w^1 on edge 1 of U's image the derived real form has no sign line
+    left (20 planes, real dimension 40), and the rep is not faithful."""
+    rep = Context.rep
+    monkeypatch.setattr(Context, "rep", lambda self, size: rotated_edge_rep(self.tables[3]) if size == 3 else rep(self, size))
+    result = run_suite(Context(seed=42), "thm-5.2-g3-mdim")[0]
+    assert (result.status, result.actual) == ("fail", str((False, 20, 20, 40)))
+    assert cli.main(["mdim", "g3"]) == 1
+    assert capsys.readouterr().err == "error: mdim certificate failed: thm-5.2-g3-mdim\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mdim", "zk0m:3"], "mdim spec 'zk0m:3' is not of the form zk0m:K,M with integers K and M"),
+    (["mdim", "zk0m:3,8,1"], "mdim spec 'zk0m:3,8,1' is not of the form zk0m:K,M with integers K and M"),
+    (["mdim", "zk0m:a,b"], "mdim spec 'zk0m:a,b' is not of the form zk0m:K,M with integers K and M"),
+    (["mdim", "abelian", "2,,3"], "mdim spec 'abelian 2,,3' is not of the form abelian N,N,... with integers N"),
+    (["mdim", "abelian"], "mdim spec 'abelian' is not of the form abelian N,N,... with integers N"),
+    (["verify", "--filter", "nomatch"], "no check matches 'nomatch'"),
+])
+def test_cli_names_a_malformed_spec_and_its_form(capsys, argv, message):
+    """No Python internals (unpacking counts, int() literals, KeyError quotes)."""
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("spec", [

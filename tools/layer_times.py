@@ -8,8 +8,10 @@ repeat to last about 20 ms; the reported figure is the fastest repeat's
 time per call, in microseconds.  A single run on a shared machine can read
 twice the quiet figure, so the minimum of at least five repeats is the
 default, and the repeats go round all layers in turn.  The chain builds
-start from the six face generators of each group, and the faithfulness
-certificates take the degree-8 and degree-20 representations.
+start from the six face generators of each group, the faithfulness
+certificates take the degree-8 and degree-20 representations, the real form
+derives the degree-20 one's sign lines, and the centre layer is rem-3.14's
+two centralizers of the 3x3 edge and corner actions.
 
 Standard library only; the package is imported from the checkout's
 ``src``.
@@ -28,7 +30,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cubereps import cube, replib, structure  # noqa: E402
+from cubereps import cube, replib, structure, verify  # noqa: E402
 from cubereps.cube import CubeState  # noqa: E402
 from cubereps.perm import StabilizerChain  # noqa: E402
 from cubereps.verify import Context  # noqa: E402
@@ -68,6 +70,10 @@ def _layers() -> dict:
         "chain_p_20": (StabilizerChain.from_generators, [ctx.generators("p")]),
         "faithful_g2": (replib.faithful_structural, [ctx.rep(2)]),
         "faithful_g3": (replib.faithful_structural, [ctx.rep(3)]),
+        "realify_g3": (replib.realify, [ctx.rep(3)]),
+        "centre_g3": (lambda actions: [verify._centralizer(gens) for gens in actions],
+                      [[verify._face_images(ctx, 3, read)
+                        for read in (cube.edge_permutation, cube.corner_permutation)]]),
     })
     return layers
 
