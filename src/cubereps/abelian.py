@@ -14,9 +14,10 @@ each kernel there is a product of per-prime hyperplanes and whole parts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, inf, lcm, prod
+
+from ._record import Record
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -61,18 +62,15 @@ def invariant_factors(orders) -> tuple[int, ...]:
     return tuple(chain)
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """A finite abelian group given as a multiset of cyclic orders."""
 
     cyclic_orders: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, cyclic_orders: tuple[int, ...]):
+        object.__setattr__(self, "cyclic_orders", tuple(sorted(cyclic_orders)))
         if any(n < 2 for n in self.cyclic_orders):
             raise ValueError("cyclic orders must be at least 2")
-        object.__setattr__(
-            self, "cyclic_orders", tuple(sorted(self.cyclic_orders))
-        )
 
     @classmethod
     def of(cls, *orders: int) -> "FiniteAbelianGroup":

@@ -15,11 +15,11 @@ rotation geometry at import time and frozen as module tables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import permutations
 from operator import itemgetter
 from typing import NamedTuple
 
+from ._record import Record, trusted
 from .perm import EDGE_LETTERS, Permutation, _byte_table, _inv0, _mul0
 
 Vec = tuple[int, int, int]
@@ -162,8 +162,11 @@ class MoveTables:
         sticker that lands at j.  Token a then b lands T_a[T_b[j]] at j, so
         the tables are composed from the last token back."""
         labels, table = self._start, self._table
-        for token in reversed(tokens):
-            labels = labels.translate(table[token])
+        try:
+            for token in reversed(tokens):
+                labels = labels.translate(table[token])
+        except (KeyError, TypeError):  # not a (face, quarter turns 1..3) pair
+            raise WordError(f"bad move token {token!r}") from None
         return labels
 
     def _apply(self, stickers: tuple[int, ...], tokens) -> tuple[int, ...]:
@@ -194,11 +197,13 @@ class WordError(ValueError):
 _INVERSE_TOKEN = {(f, t): (f, 4 - t) for f in FACES for t in (1, 2, 3)}
 
 
-@dataclass(frozen=True)
-class MoveWord:
+class MoveWord(Record):
     """A chronological sequence of face turns: (face, quarter turns 1..3)."""
 
     tokens: tuple[tuple[str, int], ...]
+
+    def __init__(self, tokens: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "tokens", tuple(tokens))
 
     @classmethod
     def parse(cls, text: str) -> "MoveWord":
@@ -275,21 +280,15 @@ class CorruptedState(ValueError):
     """A sticker assignment that matches no intact cubelet."""
 
 
-@dataclass(frozen=True)
-class CubeState:
+class CubeState(Record):
     size: int
     stickers: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, size: int, stickers: tuple[int, ...]):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "stickers", stickers)
         if len(self.stickers) != sticker_count(self.size):
             raise ValueError("wrong sticker count")
-
-    @classmethod
-    def _trusted(cls, size: int, stickers: tuple[int, ...]) -> "CubeState":
-        """A state whose size and sticker count hold by construction."""
-        state = object.__new__(cls)
-        state.__dict__.update(size=size, stickers=stickers)
-        return state
 
     @classmethod
     def solved(cls, size: int) -> "CubeState":
@@ -315,7 +314,9 @@ class CubeState:
 
 
 _SOLVED = {
-    n: CubeState._trusted(n, tuple(f for f in range(6) for _ in range(sticker_count(n) // 6)))
+    n: trusted(
+        CubeState, size=n, stickers=tuple(f for f in range(6) for _ in range(sticker_count(n) // 6))
+    )
     for n in _LAYOUT
 }
 
@@ -327,7 +328,7 @@ def apply_word(
         w = MoveWord.parse(w)
     tables = _sized_tables(state.size, tables)
     # a gather of a checked state through tables of its size keeps its length
-    return CubeState._trusted(state.size, tables._apply(state.stickers, w.tokens))
+    return trusted(CubeState, size=state.size, stickers=tables._apply(state.stickers, w.tokens))
 
 
 def _sized_tables(size: int, tables: MoveTables | None) -> MoveTables:
@@ -495,16 +496,20 @@ def edge_permutation(state: CubeState) -> Permutation:
 # place in its position's turning order once, when it is built.
 
 
-@dataclass(frozen=True)
-class OrientationBasis:
-    """Marked facelet direction for every corner and edge position."""
+class OrientationBasis(Record):
+    """Marked facelet direction for every corner and edge position.
+
+    ``corner_places`` and ``edge_places`` hold each mark's place in its
+    position's turning order; they follow from the marks, so they take no
+    part in equality, hash or repr.
+    """
 
     corner_marks: tuple[Vec, ...]  # one of the 3 normals at corner i+1
     edge_marks: tuple[Vec, ...]  # one of the 2 normals at edge i+1
-    corner_places: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    edge_places: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, corner_marks: tuple[Vec, ...], edge_marks: tuple[Vec, ...]):
+        object.__setattr__(self, "corner_marks", corner_marks)
+        object.__setattr__(self, "edge_marks", edge_marks)
         if len(self.corner_marks) != 8 or len(self.edge_marks) != 12:
             raise ValueError("a basis needs 8 corner marks and 12 edge marks")
         for kind, marks in ((_CORNERS, self.corner_marks), (_EDGES, self.edge_marks)):

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from operator import attrgetter
 
+from ._record import Record, trusted
 from .abelian import FiniteAbelianGroup, mdim_real_abelian, zk0m
 from .cube import FACES, MoveTables
 from .cyclotomic import CyclotomicInt
@@ -31,8 +31,7 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(Record):
     """A monomial matrix: basis vector v_j goes to w^(exps[p(j)-1]) v_p(j).
 
     Row i holds its single nonzero entry w^exps[i-1] in column p^-1(i);
@@ -43,7 +42,10 @@ class MonomialMap:
     perm: Permutation
     exps: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, root_order: int, perm: Permutation, exps: tuple[int, ...]):
+        object.__setattr__(self, "root_order", root_order)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "exps", exps)
         if len(self.exps) != self.perm.degree:
             raise ValueError("one exponent per coordinate required")
         if any(not 0 <= e < self.root_order for e in self.exps):
@@ -63,11 +65,13 @@ class MonomialMap:
         exps, perm = twisted_mul(
             self.root_order, self.exps, self.perm, other.exps, other.perm
         )
-        return MonomialMap(self.root_order, perm, exps)
+        # the twisted product reduces exponents mod the root order and keeps
+        # the degree, so the constructor's checks hold by construction
+        return trusted(MonomialMap, root_order=self.root_order, perm=perm, exps=exps)
 
     def inverse(self) -> "MonomialMap":
         exps, perm = twisted_inv(self.root_order, self.exps, self.perm)
-        return MonomialMap(self.root_order, perm, exps)
+        return trusted(MonomialMap, root_order=self.root_order, perm=perm, exps=exps)
 
     def is_identity(self) -> bool:
         return self.perm.is_identity() and not any(self.exps)
@@ -224,8 +228,7 @@ def frobenius_schur(rep_of, elements, mul) -> int:
 # Real (conjugate-monomial) forms
 
 
-@dataclass(frozen=True)
-class ConjMonomialMap:
+class ConjMonomialMap(Record):
     """An orthogonal map in block form: sign_count one-dimensional blocks
     with entries +-1 and rot_count two-dimensional blocks, each acting as
     z -> w^e z or z -> w^e conj(z) on its plane (flag set means conjugate).
@@ -238,7 +241,21 @@ class ConjMonomialMap:
     rot_exps: tuple[int, ...]
     flags: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        root_order: int,
+        sign_perm: Permutation,
+        signs: tuple[int, ...],
+        rot_perm: Permutation,
+        rot_exps: tuple[int, ...],
+        flags: tuple[int, ...],
+    ):
+        object.__setattr__(self, "root_order", root_order)
+        object.__setattr__(self, "sign_perm", sign_perm)
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "rot_perm", rot_perm)
+        object.__setattr__(self, "rot_exps", rot_exps)
+        object.__setattr__(self, "flags", flags)
         if len(self.signs) != self.sign_perm.degree:
             raise ValueError("one sign per sign block")
         if any(s not in (1, -1) for s in self.signs):
@@ -392,14 +409,18 @@ def realify(rep: MonomialRep) -> ConjMonomialRep:
     return ConjMonomialRep(rep.elements, of)
 
 
-@dataclass(frozen=True)
-class DecoratedPerm:
+class DecoratedPerm(Record):
     """Orientation flags on rotation planes plus the two block permutations;
     composes as flags twisted by the rotation permutation."""
 
     flags: tuple[int, ...]
     sigma_p: Permutation
     sigma_q: Permutation
+
+    def __init__(self, flags: tuple[int, ...], sigma_p: Permutation, sigma_q: Permutation):
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "sigma_p", sigma_p)
+        object.__setattr__(self, "sigma_q", sigma_q)
 
     def __mul__(self, other: "DecoratedPerm") -> "DecoratedPerm":
         flags, sigma_q = twisted_mul(
@@ -519,12 +540,15 @@ def subgroup_real_lower_bound(abelian: FiniteAbelianGroup) -> int:
 # The order-648 exceptional example
 
 
-@dataclass(frozen=True)
-class TwistPerm:
+class TwistPerm(Record):
     """An element of the split extension of sum-zero Z_3 vectors by S_4."""
 
     twist: tuple[int, int, int, int]
     perm: Permutation
+
+    def __init__(self, twist: tuple[int, int, int, int], perm: Permutation):
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "perm", perm)
 
 
 def exceptional_mul(x: TwistPerm, y: TwistPerm) -> TwistPerm:

@@ -12,9 +12,9 @@ reversed product of its tokens, and ``word_element_g2`` /
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from . import cube
+from ._record import Record, trusted
 from .cube import (
     CubeState,
     MoveTables,
@@ -37,14 +37,15 @@ class UnreachableState(ValueError):
 # Semidirect-product elements, multiplied by the twisted-product core
 
 
-@dataclass(frozen=True)
-class G2Element:
+class G2Element(Record):
     """(corner twists, corner permutation); twists sum to 0 mod 3."""
 
     twist: tuple[int, ...]
     perm: Permutation
 
-    def __post_init__(self):
+    def __init__(self, twist: tuple[int, ...], perm: Permutation):
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "perm", perm)
         if len(self.twist) != 8 or any(not 0 <= v < 3 for v in self.twist):
             raise ValueError("twist must be 8 values in Z_3")
         if sum(self.twist) % 3:
@@ -60,31 +61,23 @@ class G2Element:
         return self.perm.is_identity() and not any(self.twist)
 
 
-# Products, inverses, psi and section_g2_in_g3 keep the laws __post_init__
-# checks (sum-zero twists and flips, equal signs), and encode_g2/encode_g3 test
-# them first, so only these build through _trusted, which skips __post_init__.
-
-
-def _trusted(cls, **fields):
-    """A frozen element whose fields satisfy the class's laws by construction."""
-    x = object.__new__(cls)
-    x.__dict__.update(fields)
-    return x
+# Products, inverses, psi and section_g2_in_g3 keep the laws __init__ checks
+# (sum-zero twists and flips, equal signs), and encode_g2/encode_g3 test them
+# first, so only these build through _record.trusted, which skips __init__.
 
 
 def g2_mul(x: G2Element, y: G2Element) -> G2Element:
     """(k, s)(k', s') = (k + s.k', ss') where (s.k')_i = k'_{s^-1(i)}."""
     twist, perm = twisted_mul(3, x.twist, x.perm, y.twist, y.perm)
-    return _trusted(G2Element, twist=twist, perm=perm)
+    return trusted(G2Element, twist=twist, perm=perm)
 
 
 def g2_inv(x: G2Element) -> G2Element:
     twist, perm = twisted_inv(3, x.twist, x.perm)
-    return _trusted(G2Element, twist=twist, perm=perm)
+    return trusted(G2Element, twist=twist, perm=perm)
 
 
-@dataclass(frozen=True)
-class G3Element:
+class G3Element(Record):
     """(edge flips, corner twists, (edge perm, corner perm)).
 
     Flips and twists sum to zero; the two permutations have equal sign.
@@ -94,7 +87,12 @@ class G3Element:
     twist: tuple[int, ...]
     pair: tuple[Permutation, Permutation]
 
-    def __post_init__(self):
+    def __init__(
+        self, flip: tuple[int, ...], twist: tuple[int, ...], pair: tuple[Permutation, Permutation]
+    ):
+        object.__setattr__(self, "flip", flip)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "pair", pair)
         if len(self.flip) != 12 or any(not 0 <= v < 2 for v in self.flip):
             raise ValueError("flip must be 12 values in Z_2")
         if sum(self.flip) % 2:
@@ -126,13 +124,13 @@ def g3_mul(x: G3Element, y: G3Element) -> G3Element:
     """Edges and corners are two twisted products side by side."""
     flip, edges = twisted_mul(2, x.flip, x.pair[0], y.flip, y.pair[0])
     twist, corners = twisted_mul(3, x.twist, x.pair[1], y.twist, y.pair[1])
-    return _trusted(G3Element, flip=flip, twist=twist, pair=(edges, corners))
+    return trusted(G3Element, flip=flip, twist=twist, pair=(edges, corners))
 
 
 def g3_inv(x: G3Element) -> G3Element:
     flip, edges = twisted_inv(2, x.flip, x.pair[0])
     twist, corners = twisted_inv(3, x.twist, x.pair[1])
-    return _trusted(G3Element, flip=flip, twist=twist, pair=(edges, corners))
+    return trusted(G3Element, flip=flip, twist=twist, pair=(edges, corners))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +147,7 @@ def encode_g2(state: CubeState) -> G2Element:
     twist = cube._orientation(cube._CORNERS, corners, cube.REFERENCE_BASIS.corner_places)
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
-    return _trusted(G2Element, twist=twist, perm=cube._permutation(cube._CORNERS, corners))
+    return trusted(G2Element, twist=twist, perm=cube._permutation(cube._CORNERS, corners))
 
 
 def encode_g3(state: CubeState) -> G3Element:
@@ -166,7 +164,7 @@ def encode_g3(state: CubeState) -> G3Element:
     pair = (cube._permutation(cube._EDGES, edges), cube._permutation(cube._CORNERS, corners))
     if pair[0].sign() != pair[1].sign():
         raise UnreachableState("edge and corner permutation signs differ")
-    return _trusted(G3Element, flip=flip, twist=twist, pair=pair)
+    return trusted(G3Element, flip=flip, twist=twist, pair=pair)
 
 
 def word_element_g2(
@@ -202,7 +200,7 @@ def psi_word(w: MoveWord | str) -> MoveWord:
 
 def psi(x: G3Element) -> G2Element:
     """Forget the edges of a 3x3 element."""
-    return _trusted(G2Element, twist=x.twist, perm=x.pair[1])
+    return trusted(G2Element, twist=x.twist, perm=x.pair[1])
 
 
 def alpha(g: G3Element | MoveWord | str) -> tuple[Permutation, Permutation]:
@@ -510,7 +508,7 @@ def section_p(pair: tuple[Permutation, Permutation]) -> G3Element:
 def section_g2_in_g3(x: G2Element) -> G3Element:
     """Embed a 2x2 element in the 3x3 group: corners act as x, edges by
     the sign of its corner permutation (swap b and c when odd)."""
-    return _trusted(G3Element, flip=(0,) * 12, twist=x.twist, pair=(sign_embed(x.perm), x.perm))
+    return trusted(G3Element, flip=(0,) * 12, twist=x.twist, pair=(sign_embed(x.perm), x.perm))
 
 
 def superflip() -> G3Element:

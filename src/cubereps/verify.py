@@ -13,9 +13,9 @@ import itertools
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
 
 from . import abelian, cube, replib, structure
+from ._record import Record
 from .cube import CubeState, MoveWord, apply_word, commutator, word
 from .perm import Permutation, act, carried, chain_build, compose, conjugate
 from .structure import (
@@ -151,8 +151,7 @@ class Context:
         return self.cached(f"real:{size}", lambda: replib.realify(self.rep(size)))
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     id: str
     claim: str
     status: str
@@ -160,8 +159,18 @@ class CheckResult:
     actual: str
     paper_ref: str
 
+    def __init__(
+        self, id: str, claim: str, status: str, expected: str, actual: str, paper_ref: str
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "paper_ref", paper_ref)
+
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values(self)))
 
 
 _CHECKS: dict = {}  # id -> (claim, paper ref, check function)

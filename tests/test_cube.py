@@ -90,6 +90,30 @@ def test_word_parsing_and_inverse():
         MoveWord.parse("u")
 
 
+@pytest.mark.parametrize(
+    "tokens", [[("U", 1), ("R", 2)], (("U", 1), ("R", 2))], ids=["list", "tuple"]
+)
+def test_a_word_built_from_any_token_sequence_is_a_tuple_word(tokens):
+    w = MoveWord(tokens)
+    assert w == word("U R2") and hash(w) == hash(word("U R2"))
+    assert w.then(word("F")) == word("U R2 F")
+    assert apply_word(SOLVED3, w) == apply_word(SOLVED3, "U R2")
+    if isinstance(tokens, tuple):
+        assert w.tokens is tokens  # a tuple is kept, not copied
+
+
+@pytest.mark.parametrize("token", [("U", 5), ("U", 0), ("X", 1), ("U",), ["U", 1], "U"])
+@pytest.mark.parametrize("size", [2, 3])
+def test_applying_a_bad_token_raises_a_word_error(token, size):
+    w, message = MoveWord((("R", 1), token)), f"bad move token {token!r}"
+    with pytest.raises(WordError) as raised:
+        apply_word(CubeState.solved(size), w)
+    assert str(raised.value) == message
+    with pytest.raises(WordError) as raised:
+        cube.sticker_perm_of_word(w, size)
+    assert str(raised.value) == message
+
+
 def test_corner_permutation_is_antihomomorphism_on_words():
     # chronological concatenation composes corner actions in reverse
     rng = random.Random(1)

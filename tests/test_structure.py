@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubereps import cube, structure, verify
+from cubereps import cube, replib, structure, verify
 from cubereps.cube import CubeState, MoveWord, apply_word, random_word
 from cubereps.perm import EDGE_LETTERS, Permutation, chain_build, compose
 from cubereps.structure import (
@@ -418,6 +418,8 @@ def _rebuilt(x):
     """x rebuilt through the public validating constructors."""
     if isinstance(x, Permutation):
         return Permutation(x.image)
+    if isinstance(x, replib.MonomialMap):
+        return replib.MonomialMap(x.root_order, _rebuilt(x.perm), x.exps)
     if isinstance(x, G2Element):
         return G2Element(x.twist, _rebuilt(x.perm))
     return G3Element(x.flip, x.twist, tuple(map(_rebuilt, x.pair)))
@@ -429,6 +431,7 @@ def _assert_valid(x):
 
 
 WORDS = st.lists(st.tuples(st.sampled_from(cube.FACES), st.integers(1, 3)), max_size=24)
+REPS = {2: replib.build_rep_g2(), 3: replib.build_rep_g3()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,6 +448,11 @@ def test_trusted_elements_pass_the_public_constructors(a, b):
         # psi and the embedding of the 2x2 group skip the checks too
         z = psi(x) if size == 3 else structure.section_g2_in_g3(x)
         _assert_valid(z)
+        # so do the products and inverses of monomial images
+        mx, my = REPS[size].of(x), REPS[size].of(y)
+        for m in (mx * my, mx.inverse(), my.inverse() * mx):
+            _assert_valid(m)
+        assert (mx * mx.inverse()).is_identity()
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,9 @@ default, and the repeats go round all layers in turn.  The chain builds
 start from the six face generators of each group, the faithfulness
 certificates take the degree-8 and degree-20 representations, the real form
 derives the degree-20 one's sign lines, and the centre layer is rem-3.14's
-two centralizers of the 3x3 edge and corner actions.
+two centralizers of the 3x3 edge and corner actions.  The ``import`` entry
+is ``import cubereps`` in a fresh interpreter, one per repeat, timed by that
+interpreter itself, so its start-up is not counted.
 
 Standard library only; the package is imported from the checkout's
 ``src``.
@@ -24,11 +26,13 @@ import json
 import math
 import platform
 import random
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from cubereps import cube, replib, structure, verify  # noqa: E402
 from cubereps.cube import CubeState  # noqa: E402
@@ -37,6 +41,13 @@ from cubereps.verify import Context  # noqa: E402
 
 POOL = 200  # inputs per layer, seeded
 MIN_REPEAT_S = 0.02
+IMPORT_PROBE = (
+    "import sys, time\n"
+    f"sys.path.insert(0, {str(SRC)!r})\n"
+    "t = time.perf_counter()\n"
+    "import cubereps\n"
+    "print(time.perf_counter() - t)\n"
+)
 
 
 def _words(size: int, length: int) -> list:
@@ -92,11 +103,21 @@ def _timer(fn, inputs: list):
     return lambda: sum(one_pass() for _ in range(passes)), passes * len(inputs)
 
 
+def _import_s() -> float:
+    """Seconds ``import cubereps`` takes in a fresh interpreter, by its own clock."""
+    run = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    return float(run.stdout)
+
+
 def _min_times_us(repeat: int) -> dict:
     """Per-call time of each layer, the fastest of ``repeat`` repeats.  The
     repeats go round the layers in turn, so that a slow spell of a shared
     machine costs each layer one repeat, not all of them."""
     timers = {name: _timer(fn, inputs) for name, (fn, inputs) in _layers().items()}
+    timers["import"] = (_import_s, 1)
     best = dict.fromkeys(timers, float("inf"))
     for _ in range(repeat):
         for name, (run, _) in timers.items():
