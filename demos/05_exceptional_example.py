@@ -33,7 +33,7 @@ print("  real dimension:", ex.rep6.real_dimension)
 
 print("\nHow S_4 moves the three planes (decorated permutations):")
 for x in ex.elements:
-    if any(x.twist) or x.perm.is_identity():
+    if any(x.exps) or x.perm.is_identity():
         continue
     d = decorated_perm(ex.rep6.of(x))
     if x.perm.cycle_string() in ("(12)", "(1234)", "(12)(34)"):

@@ -198,12 +198,24 @@ _INVERSE_TOKEN = {(f, t): (f, 4 - t) for f in FACES for t in (1, 2, 3)}
 
 
 class MoveWord(Record):
-    """A chronological sequence of face turns: (face, quarter turns 1..3)."""
+    """A chronological sequence of face turns: (face, quarter turns 1..3).
+
+    The constructor refuses any other token; ``parse``, ``inverse``,
+    ``then`` and ``random_word`` make valid tokens by construction and skip
+    the check.
+    """
 
     tokens: tuple[tuple[str, int], ...]
 
     def __init__(self, tokens: tuple[tuple[str, int], ...]):
         object.__setattr__(self, "tokens", tuple(tokens))
+        for token in self.tokens:
+            try:
+                known = token in _INVERSE_TOKEN
+            except TypeError:  # an unhashable token
+                known = False
+            if not known:
+                raise WordError(f"bad move token {token!r}")
 
     @classmethod
     def parse(cls, text: str) -> "MoveWord":
@@ -221,10 +233,10 @@ class MoveWord(Record):
             else:
                 raise WordError(f"bad move token {raw!r}")
             tokens.append((face, turns))
-        return cls(tuple(tokens))
+        return trusted(cls, tokens=tuple(tokens))
 
     def inverse(self) -> "MoveWord":
-        return MoveWord(tuple(map(_INVERSE_TOKEN.__getitem__, reversed(self.tokens))))
+        return trusted(MoveWord, tokens=tuple(map(_INVERSE_TOKEN.__getitem__, reversed(self.tokens))))
 
     def then(self, other: "MoveWord") -> "MoveWord":
         """Chronological concatenation, self applied first, merged at the seam.
@@ -240,10 +252,10 @@ class MoveWord(Record):
         while i >= 0 and j < len(right) and left[i][0] == right[j][0]:
             turns = (left[i][1] + right[j][1]) % 4
             if turns:
-                return MoveWord(left[:i] + ((left[i][0], turns),) + right[j + 1 :])
+                return trusted(MoveWord, tokens=left[:i] + ((left[i][0], turns),) + right[j + 1 :])
             i -= 1
             j += 1
-        return MoveWord(left[: i + 1] + right[j:])
+        return trusted(MoveWord, tokens=left[: i + 1] + right[j:])
 
     def __str__(self) -> str:
         out = []
@@ -662,7 +674,7 @@ def random_word(rng, length: int) -> MoveWord:
         while turns == 3:
             turns = bits(2)
         tokens.append(_TOKENS[face][turns])
-    return MoveWord(tuple(tokens))
+    return trusted(MoveWord, tokens=tuple(tokens))
 
 
 def random_basis(rng) -> OrientationBasis:

@@ -163,9 +163,11 @@ def zeroed_corner_rep(tables: MoveTables | None = None) -> MonomialRep:
 
 
 def _points(x) -> tuple[int, ...]:
-    """An element's faithful ``wreath_points`` action: G3 on 24 edge then 24 corner points, a (twist, perm) pair on 3n."""
+    """An element's faithful ``wreath_points`` action: G3 on 24 edge then 24 corner points, G2 on 24, a monomial map on k·n."""
     if isinstance(x, G3Element):
         return wreath_points(2, x.pair[0], x.flip) + tuple(24 + i for i in wreath_points(3, x.pair[1], x.twist))
+    if isinstance(x, MonomialMap):
+        return wreath_points(x.root_order, x.perm, x.exps)
     return wreath_points(3, x.perm, x.twist)
 
 
@@ -264,6 +266,10 @@ class ConjMonomialMap(Record):
             len(self.rot_exps) == len(self.flags) == self.rot_perm.degree
         ):
             raise ValueError("one exponent and flag per rotation block")
+        if any(not 0 <= e < self.root_order for e in self.rot_exps):
+            raise ValueError("exponents must be reduced mod the root order")
+        if any(f not in (0, 1) for f in self.flags):
+            raise ValueError("flags must be 0 or 1")
 
     @property
     def real_dimension(self) -> int:
@@ -421,12 +427,17 @@ class DecoratedPerm(Record):
         object.__setattr__(self, "flags", flags)
         object.__setattr__(self, "sigma_p", sigma_p)
         object.__setattr__(self, "sigma_q", sigma_q)
+        if len(self.flags) != self.sigma_q.degree:
+            raise ValueError("one flag per rotation block")
+        if any(f not in (0, 1) for f in self.flags):
+            raise ValueError("flags must be 0 or 1")
 
     def __mul__(self, other: "DecoratedPerm") -> "DecoratedPerm":
         flags, sigma_q = twisted_mul(
             2, self.flags, self.sigma_q, other.flags, other.sigma_q
         )
-        return DecoratedPerm(flags, compose(self.sigma_p, other.sigma_p), sigma_q)
+        # flags reduced mod 2, one per block of the composed rotation permutation
+        return trusted(DecoratedPerm, flags=flags, sigma_p=compose(self.sigma_p, other.sigma_p), sigma_q=sigma_q)
 
     def is_identity(self) -> bool:
         return (
@@ -540,21 +551,6 @@ def subgroup_real_lower_bound(abelian: FiniteAbelianGroup) -> int:
 # The order-648 exceptional example
 
 
-class TwistPerm(Record):
-    """An element of the split extension of sum-zero Z_3 vectors by S_4."""
-
-    twist: tuple[int, int, int, int]
-    perm: Permutation
-
-    def __init__(self, twist: tuple[int, int, int, int], perm: Permutation):
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "perm", perm)
-
-
-def exceptional_mul(x: TwistPerm, y: TwistPerm) -> TwistPerm:
-    return TwistPerm(*twisted_mul(3, x.twist, x.perm, y.twist, y.perm))
-
-
 # the three sum-difference forms attached to the pair partitions of
 # {1,2,3,4}; coordinate permutations permute them up to sign
 _PAIR_FORMS = (
@@ -563,83 +559,49 @@ _PAIR_FORMS = (
     (1, -1, -1, 1),
 )
 
+# each signed form -> (its form's index, 1 if negated): all six vectors with two
+# entries 1 and two -1, no two equal on sum-zero vectors (not a constant apart)
+_SIGNED_FORMS = {tuple(s * c for c in form): (j, int(s < 0))
+                 for j, form in enumerate(_PAIR_FORMS) for s in (1, -1)}
 
-# the sum-zero vectors of Z_3^4
-_TWISTS4 = [t for t in itertools.product(range(3), repeat=4) if sum(t) % 3 == 0]
 
-
-def _form_value(form, twist) -> int:
-    return sum(f * t for f, t in zip(form, twist)) % 3
+def _blocks(p: Permutation) -> tuple[Permutation, tuple[int, int, int]]:
+    """The block permutation tau and flags of p, read off the forms:
+    form_i(p.m) = sum_j form_i[p(j)] m_j, so form_i's coefficients gathered
+    through p are the signed form +-form_j with form_i(p.m) = +-form_j(m).
+    Then tau^-1(i) = j, and the flag at destination block i records the minus
+    sign (an orientation-reversing plane map)."""
+    found = [_SIGNED_FORMS.get(tuple(form[i - 1] for i in p.image)) for form in _PAIR_FORMS]
+    if None in found:
+        raise AssertionError("block action of S4 is not well defined")
+    return Permutation([j + 1 for j, _ in found]).inverse(), tuple(flag for _, flag in found)
 
 
 class ExceptionalExample:
     """The split extension of sum-zero Z_3^4 by S_4, of order 648, with its
     degree-4 complex monomial representation and its 6-dimensional real
     form built through the isomorphism of S_4 with sum-zero sign flips
-    extended by S_3."""
+    extended by S_3.  Each element is its own degree-4 image, a MonomialMap
+    with exponents summing to 0 mod 3, and ``mul`` is the monomial product."""
 
     def __init__(self):
         perms = [Permutation(p) for p in itertools.permutations(range(1, 5))]
-        self.elements = [TwistPerm(t, p) for t in _TWISTS4 for p in perms]
-        self.identity = TwistPerm((0, 0, 0, 0), Permutation.identity(4))
-        self.mul = exceptional_mul
+        twists = [t for t in itertools.product(range(3), repeat=4) if sum(t) % 3 == 0]
+        self.elements = [MonomialMap(3, p, t) for t in twists for p in perms]
+        self.identity = MonomialMap.identity(4, 3)
+        self.mul = MonomialMap.__mul__
         named = {
-            "transposition": TwistPerm((0, 0, 0, 0), Permutation.from_cycles("(12)", 4)),
-            "four_cycle": TwistPerm((0, 0, 0, 0), Permutation.from_cycles("(1234)", 4)),
-            "twist": TwistPerm((1, 2, 0, 0), Permutation.identity(4)),
+            "transposition": MonomialMap(3, Permutation.from_cycles("(12)", 4), (0, 0, 0, 0)),
+            "four_cycle": MonomialMap(3, Permutation.from_cycles("(1234)", 4), (0, 0, 0, 0)),
+            "twist": MonomialMap(3, Permutation.identity(4), (1, 2, 0, 0)),
         }
+        self.rep4 = MonomialRep(named, lambda x: x)
 
-        def rep4_of(x: TwistPerm) -> MonomialMap:
-            return MonomialMap(3, x.perm, x.twist)
+        blocks = {p.image: _blocks(p) for p in perms}  # how p moves and reverses the planes
 
-        self.rep4 = MonomialRep(named, rep4_of)
-
-        # block data of each permutation: how it permutes the three pair
-        # partitions and whether it reverses each plane's orientation
-        self._block_of_perm = {}
-        for p in perms:
-            self._block_of_perm[p.image] = self._solve_blocks(p)
-
-        def rep6_of(x: TwistPerm) -> ConjMonomialMap:
-            tau, flags = self._block_of_perm[x.perm.image]
-            rotation = ConjMonomialMap(
-                3,
-                Permutation.identity(0),
-                (),
-                Permutation.identity(3),
-                tuple(_form_value(f, x.twist) for f in _PAIR_FORMS),
-                (0, 0, 0),
-            )
-            block = ConjMonomialMap(
-                3, Permutation.identity(0), (), tau, (0, 0, 0), flags
-            )
-            return rotation * block
+        def rep6_of(x: MonomialMap) -> ConjMonomialMap:
+            tau, flags = blocks[x.perm.image]
+            angles = tuple(sum(c * t for c, t in zip(form, x.exps)) % 3 for form in _PAIR_FORMS)
+            return ConjMonomialMap(3, Permutation.identity(0), (), tau, angles, flags)
 
         self.rep6 = ConjMonomialRep(named, rep6_of)
-
-    @staticmethod
-    def _solve_blocks(p: Permutation) -> tuple[Permutation, tuple[int, int, int]]:
-        """Find the unique block permutation tau and flags satisfying
-        form_i(p.m) = (+-1) form_{tau^-1(i)}(m) for every sum-zero m; the
-        flag at destination block i records the minus sign (an
-        orientation-reversing plane map)."""
-        tau_inverse = [0, 0, 0]
-        flags = [0, 0, 0]
-        for i, form in enumerate(_PAIR_FORMS):
-            matches = []
-            for j, other in enumerate(_PAIR_FORMS):
-                for sign in (1, 2):  # 2 is -1 mod 3
-                    if all(
-                        _form_value(form, act(p, t))
-                        == (sign * _form_value(other, t)) % 3
-                        for t in _TWISTS4
-                    ):
-                        matches.append((j, sign))
-            # the six signed forms are pairwise distinct functions
-            if len(matches) != 1:
-                raise AssertionError("block action of S4 is not well defined")
-            j, sign = matches[0]
-            tau_inverse[i] = j + 1
-            flags[i] = 0 if sign == 1 else 1
-        tau = Permutation(tau_inverse).inverse()
-        return tau, tuple(flags)

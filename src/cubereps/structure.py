@@ -26,7 +26,7 @@ from .cube import (
     product,
     word,
 )
-from .perm import EDGE_LETTERS, Permutation, compose, twisted_inv, twisted_mul
+from .perm import _LETTER_VALUE, EDGE_LETTERS, Permutation, compose, twisted_inv, twisted_mul
 
 
 class UnreachableState(ValueError):
@@ -258,8 +258,6 @@ def build_m() -> MoveWord:
 # assembles a word with edge action (e1 x y) for every edge triple,
 # starting from {a, b, f} and adding c, d, g, h, e, i, j, k, l in order.
 
-_EDGE_OF_LETTER = {ch: i + 1 for i, ch in enumerate(EDGE_LETTERS)}
-
 _GROWTH_SCHEDULE: list[tuple[str, str, str]] = [
     ("c", "a", "b"),
     ("d", "a", "b"),
@@ -434,7 +432,7 @@ class EdgeCycleWords:
 
 
 def _labels(letters: str) -> tuple[int, ...]:
-    return tuple(_EDGE_OF_LETTER[ch] for ch in letters)
+    return tuple(_LETTER_VALUE[ch] for ch in letters)
 
 
 def beta_of_factors(w: MoveWord, tables: MoveTables | None = None) -> Permutation:

@@ -430,7 +430,7 @@ def _(ctx: Context):
 def _(ctx: Context):
     central = _centralizer(_face_images(ctx, 2, cube.corner_permutation))
     perm_ok = central == [tuple(range(8))]
-    twist_ok = _central_constants(ctx, 2, cube.corner_orientation, cube._CORNERS) == [0]
+    twist_ok = _central_constants(cube._CORNERS) == [0]
     ok = perm_ok and twist_ok
     found = "corner action not transitive" if central is None else f"centralizer size {len(central)}"
     return ok, "only the identity centralizes the corner action; no constant twist", f"{found}, constant twists allowed: {not twist_ok}"
@@ -653,8 +653,8 @@ def _(ctx: Context):
     centrals = [_centralizer(_face_images(ctx, 3, read))
                 for read in (cube.edge_permutation, cube.corner_permutation)]
     trivial = centrals == [[tuple(range(12))], [tuple(range(8))]]
-    twist_free = _central_constants(ctx, 3, cube.corner_orientation, cube._CORNERS) == [0]
-    flip_constants = _central_constants(ctx, 3, cube.edge_orientation, cube._EDGES)
+    twist_free = _central_constants(cube._CORNERS) == [0]
+    flip_constants = _central_constants(cube._EDGES)
     ok = (
         noncommuting == 0
         and cube.state_of_sticker_perm(sf_perm, 3) == superflip_state()
@@ -734,7 +734,7 @@ def _(ctx: Context):
 def _(ctx: Context):
     ex = ctx.cached("exceptional", replib.ExceptionalExample)
     # the product of two untwisted elements is untwisted, so d holds it
-    d = {x: replib.decorated_perm(ex.rep6.of(x)) for x in ex.elements if not any(x.twist)}
+    d = {x: replib.decorated_perm(ex.rep6.of(x)) for x in ex.elements if not any(x.exps)}
     for x in d:
         for y in d:
             if d[ex.mul(x, y)] != d[x] * d[y]:
@@ -973,11 +973,11 @@ def _face_images(ctx: Context, size: int, read) -> list[tuple[int, ...]]:
     return [tuple(v - 1 for v in read(ctx.apply(size, f)).image) for f in cube.FACES]
 
 
-def _central_constants(ctx: Context, size: int, read, kind) -> list[int]:
+def _central_constants(kind) -> list[int]:
     """The c in Z_k whose constant vector, c at all n positions, sums to 0 and
-    so is a central element: n is the length of ``read`` (an orientation reader)
-    on the solved state through ctx, k the length of the kind's turning order."""
-    n, k = len(read(ctx.apply(size, ""))), len(kind.order[0])
+    so is a central element: n is the cubelet kind's position count, k the
+    length of its turning order."""
+    n, k = len(kind.order), len(kind.order[0])
     return [c for c in range(k) if n * c % k == 0]
 
 

@@ -28,6 +28,7 @@ from cubereps.cube import (
     word,
 )
 from cubereps.perm import Permutation
+from cubereps._record import trusted
 
 SOLVED2 = CubeState.solved(2)
 SOLVED3 = CubeState.solved(3)
@@ -102,10 +103,20 @@ def test_a_word_built_from_any_token_sequence_is_a_tuple_word(tokens):
         assert w.tokens is tokens  # a tuple is kept, not copied
 
 
+@pytest.mark.parametrize("token", [("U", 5), ("U", 0), ("X", 1), ("U", "1"), ("U",), ["U", 1]])
+def test_a_word_refuses_a_bad_token_at_construction(token):
+    for tokens in ((("R", 1), token), [token]):
+        with pytest.raises(WordError) as raised:
+            MoveWord(tokens)
+        assert str(raised.value) == f"bad move token {token!r}"
+
+
 @pytest.mark.parametrize("token", [("U", 5), ("U", 0), ("X", 1), ("U",), ["U", 1], "U"])
 @pytest.mark.parametrize("size", [2, 3])
 def test_applying_a_bad_token_raises_a_word_error(token, size):
-    w, message = MoveWord((("R", 1), token)), f"bad move token {token!r}"
+    # the constructor refuses these tokens; a word built unchecked still fails
+    # with a WordError when it is applied
+    w, message = trusted(MoveWord, tokens=(("R", 1), token)), f"bad move token {token!r}"
     with pytest.raises(WordError) as raised:
         apply_word(CubeState.solved(size), w)
     assert str(raised.value) == message

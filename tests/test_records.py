@@ -13,7 +13,7 @@ import pytest
 from cubereps.abelian import FiniteAbelianGroup
 from cubereps.cube import REFERENCE_BASIS, CubeState, MoveWord, OrientationBasis
 from cubereps.perm import Permutation
-from cubereps.replib import ConjMonomialMap, DecoratedPerm, MonomialMap, TwistPerm
+from cubereps.replib import ConjMonomialMap, DecoratedPerm, MonomialMap
 from cubereps.structure import G2Element, G3Element
 from cubereps._record import trusted
 from cubereps.verify import CheckResult
@@ -56,10 +56,6 @@ SAMPLES = {
     "DecoratedPerm": (
         lambda: DecoratedPerm((0, 1), Permutation([1]), Permutation([2, 1])),
         "DecoratedPerm(flags=(0, 1), sigma_p=Permutation([1]), sigma_q=Permutation([2, 1]))",
-    ),
-    "TwistPerm": (
-        lambda: TwistPerm((0, 1, 2, 0), Permutation([2, 1, 3, 4])),
-        "TwistPerm(twist=(0, 1, 2, 0), perm=Permutation([2, 1, 3, 4]))",
     ),
     "G2Element": (
         lambda: G2Element((1, 2) + (0,) * 6, Permutation([2, 1, 3, 4, 5, 6, 7, 8])),

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubereps import cube, replib, structure
+from cubereps import cube, replib, structure, verify
 from cubereps.abelian import FiniteAbelianGroup
 from cubereps.cube import random_word
 from cubereps.cyclotomic import CyclotomicInt, cyclotomic_polynomial
@@ -14,6 +15,7 @@ from cubereps.perm import Permutation, chain_build, wreath_points
 from cubereps.replib import (
     ConjMonomialMap,
     ConjMonomialRep,
+    DecoratedPerm,
     ExceptionalExample,
     MonomialMap,
     MonomialRep,
@@ -21,7 +23,6 @@ from cubereps.replib import (
     build_rep_g3,
     character_norm,
     decorated_perm,
-    exceptional_mul,
     faithful_enumerated,
     faithful_structural,
     frobenius_schur,
@@ -363,6 +364,27 @@ def test_reps_refuse_no_images_and_images_of_mixed_sizes():
             ConjMonomialRep(images, lambda x: x)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((3, Permutation([1]), (1,), Permutation([2, 1]), (7, 0), (0, 0)), "reduced mod the root order"),
+    ((3, Permutation([1]), (1,), Permutation([2, 1]), (-1, 0), (0, 0)), "reduced mod the root order"),
+    ((3, Permutation([1]), (1,), Permutation([1]), (0,), (3,)), "flags must be 0 or 1"),
+    ((3, Permutation([1]), (1,), Permutation([2, 1]), (0,), (0,)), "one exponent and flag per rotation block"),
+], ids=["exponent-7", "exponent-minus-1", "flag-3", "short"])
+def test_conj_monomial_maps_refuse_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ConjMonomialMap(*fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (((0, 1), Permutation([1]), Permutation([2, 1, 3])), "one flag per rotation block"),
+    (((0, 1, 1, 0), Permutation([1]), Permutation([2, 1, 3])), "one flag per rotation block"),
+    (((0, 2, 1), Permutation([1]), Permutation([2, 1, 3])), "flags must be 0 or 1"),
+], ids=["short", "long", "flag-2"])
+def test_decorated_perms_refuse_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        DecoratedPerm(*fields)
+
+
 def test_matrix_text_rendering():
     rep = build_rep_g2()
     text = rep.of(word_element_g2(structure.WORD_K)).matrix_text()
@@ -612,7 +634,8 @@ def test_frobenius_schur_small_cases():
 
 def test_exceptional_enumeration(exceptional):
     assert len(exceptional.elements) == 648
-    assert len({(x.twist, x.perm.image) for x in exceptional.elements}) == 648
+    assert len({(x.exps, x.perm.image) for x in exceptional.elements}) == 648
+    assert all(sum(x.exps) % 3 == 0 for x in exceptional.elements)
 
 
 def test_structural_and_enumerated_faithfulness_agree_on_rep4(exceptional):
@@ -631,20 +654,73 @@ def test_exceptional_rep4(exceptional):
     assert fs in (0, -1)
 
 
+def _rep6_is_a_homomorphism(ex) -> bool:
+    """rep6(e) = 1 and rep6(g x) = rep6(g) rep6(x) for each named generator g
+    and every x reached from e, which must be all 648 elements: then every x
+    is a product of generators and rep6 is multiplicative on all pairs."""
+    rep6 = ex.rep6
+    if not rep6.of(ex.identity).is_identity():
+        return False
+    reached, frontier = {ex.identity}, [ex.identity]
+    while frontier:
+        x = frontier.pop()
+        for name, g in rep6.elements.items():
+            gx = ex.mul(g, x)
+            if rep6.of(gx) != rep6.generators[name] * rep6.of(x):
+                return False
+            if gx not in reached:
+                reached.add(gx)
+                frontier.append(gx)
+    return reached == set(ex.elements)
+
+
 def test_exceptional_rep6(exceptional):
     assert exceptional.rep6.real_dimension == 6
     assert faithful_enumerated(exceptional.rep6.of, exceptional.elements)
-    rng = random.Random(7)
-    for _ in range(500):
-        x = exceptional.elements[rng.randrange(648)]
-        y = exceptional.elements[rng.randrange(648)]
-        assert exceptional.rep6.of(exceptional.mul(x, y)) == exceptional.rep6.of(
-            x
-        ) * exceptional.rep6.of(y)
+    assert _rep6_is_a_homomorphism(exceptional)
+
+
+def test_exceptional_planes_are_fixed_exactly_by_the_klein_four_group(exceptional):
+    fixing = {x.perm for x in exceptional.elements
+              if not any(x.exps) and exceptional.rep6.of(x).rot_perm.is_identity()}
+    klein = {Permutation.identity(4)} | {
+        Permutation.from_cycles(c, 4) for c in ("(12)(34)", "(13)(24)", "(14)(23)")
+    }
+    assert fixing == klein
+
+
+def _with_a_flipped_four_cycle_flag(ex):
+    """ex whose rep6 flips the first flag of every image over the
+    permutation (1234): still injective, no longer a homomorphism."""
+    four_cycle = Permutation.from_cycles("(1234)", 4)
+
+    def of(x):
+        img = ex.rep6.of(x)
+        if x.perm != four_cycle:
+            return img
+        flags = (1 - img.flags[0],) + img.flags[1:]
+        return ConjMonomialMap(img.root_order, img.sign_perm, img.signs, img.rot_perm, img.rot_exps, flags)
+
+    faulty = copy.copy(ex)
+    faulty.rep6 = ConjMonomialRep(ex.rep6.elements, of)
+    return faulty
+
+
+def test_a_flipped_block_flag_fails_the_proof_and_thm_4_4_only(exceptional):
+    """Enumerated faithfulness and thm-5.3 miss the planted flag; the
+    homomorphism proof and thm-4.4's decorated map catch it."""
+    faulty = _with_a_flipped_four_cycle_flag(exceptional)
+    assert faithful_enumerated(faulty.rep6.of, faulty.elements)
+    assert not _rep6_is_a_homomorphism(faulty)
+    for ex, status in ((exceptional, "pass"), (faulty, "fail")):
+        ctx = verify.Context(seed=42)
+        ctx.cached("exceptional", lambda: ex)
+        assert verify.run_suite(ctx, "thm-5.3-exceptional")[0].status == "pass"
+        assert verify.run_suite(ctx, "thm-4.4-decorated")[0].status == status
 
 
 def test_exceptional_s4_flags_have_even_weight(exceptional):
-    perms = [x for x in exceptional.elements if not any(x.twist)]
+    perms = [x for x in exceptional.elements if not any(x.exps)]
     assert len(perms) == 24
     images = set()
     for x in perms:
@@ -655,7 +731,7 @@ def test_exceptional_s4_flags_have_even_weight(exceptional):
 
 
 def test_exceptional_decorated_multiplicative(exceptional):
-    perms = [x for x in exceptional.elements if not any(x.twist)]
+    perms = [x for x in exceptional.elements if not any(x.exps)]
     for x in perms:
         for y in perms:
             dx = decorated_perm(exceptional.rep6.of(x))
@@ -667,12 +743,10 @@ def test_exceptional_decorated_multiplicative(exceptional):
 
 def test_exceptional_mul_is_group_law(exceptional):
     rng = random.Random(8)
-    els = exceptional.elements
+    els, mul = exceptional.elements, exceptional.mul
     for _ in range(200):
         a, b, c = (els[rng.randrange(648)] for _ in range(3))
-        assert exceptional_mul(exceptional_mul(a, b), c) == exceptional_mul(
-            a, exceptional_mul(b, c)
-        )
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
     e = exceptional.identity
     x = els[100]
-    assert exceptional_mul(e, x) == x and exceptional_mul(x, e) == x
+    assert mul(e, x) == x and mul(x, e) == x

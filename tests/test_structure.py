@@ -420,6 +420,10 @@ def _rebuilt(x):
         return Permutation(x.image)
     if isinstance(x, replib.MonomialMap):
         return replib.MonomialMap(x.root_order, _rebuilt(x.perm), x.exps)
+    if isinstance(x, replib.DecoratedPerm):
+        return replib.DecoratedPerm(x.flags, _rebuilt(x.sigma_p), _rebuilt(x.sigma_q))
+    if isinstance(x, MoveWord):
+        return MoveWord(x.tokens)
     if isinstance(x, G2Element):
         return G2Element(x.twist, _rebuilt(x.perm))
     return G3Element(x.flip, x.twist, tuple(map(_rebuilt, x.pair)))
@@ -432,12 +436,16 @@ def _assert_valid(x):
 
 WORDS = st.lists(st.tuples(st.sampled_from(cube.FACES), st.integers(1, 3)), max_size=24)
 REPS = {2: replib.build_rep_g2(), 3: replib.build_rep_g3()}
+REALS = {size: replib.realify(rep) for size, rep in REPS.items()}
 
 
 @settings(max_examples=60, deadline=None)
 @given(WORDS, WORDS)
 def test_trusted_elements_pass_the_public_constructors(a, b):
     a, b = MoveWord(tuple(a)), MoveWord(tuple(b))
+    drawn = random_word(random.Random(str(a)), 24)
+    for w in (a.then(b), b.then(a.inverse()), a.inverse(), MoveWord.parse(str(a)), drawn):
+        _assert_valid(w)
     groups = ((2, encode_g2, g2_mul, g2_inv), (3, encode_g3, g3_mul, g3_inv))
     for size, encode, mul, inv in groups:
         x = encode(apply_word(CubeState.solved(size), a))
@@ -453,6 +461,9 @@ def test_trusted_elements_pass_the_public_constructors(a, b):
         for m in (mx * my, mx.inverse(), my.inverse() * mx):
             _assert_valid(m)
         assert (mx * mx.inverse()).is_identity()
+        # and the products of decorated permutations
+        dx, dy = (replib.decorated_perm(REALS[size].of(z)) for z in (x, y))
+        _assert_valid(dx * dy)
 
 
 @settings(max_examples=100, deadline=None)

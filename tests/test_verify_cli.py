@@ -275,24 +275,18 @@ def test_centre_checks_fail_on_an_intransitive_action(size, id):
     assert "Error" not in result.actual
 
 
-def _lengthened(read):
-    """An orientation reader that reports one position too many."""
-    return lambda state, *basis: read(state, *basis) + (0,)
-
-
-@pytest.mark.parametrize("reader, id, actual", [
-    ("corner_orientation", "rem-2.11-center-g2", "constant twists allowed: True"),
-    ("corner_orientation", "rem-3.14-center-g3", "flip constants [0, 1]"),
-    ("edge_orientation", "rem-3.14-center-g3", "flip constants [0]"),
-])
-def test_centre_checks_count_positions_on_the_decoded_state(monkeypatch, reader, id, actual):
-    """9 corners let every constant twist sum to 0 (a central twist), and 13
-    edges keep the all-edge flip out of the group: both checks must fail."""
-    assert run_suite(Context(seed=0), id)[0].status == "pass"
-    monkeypatch.setattr(cube, reader, _lengthened(getattr(cube, reader)))
-    result = run_suite(Context(seed=0), id)[0]
-    assert result.status == "fail"
-    assert result.actual.endswith(actual)
+@pytest.mark.parametrize("kind, constants, lengthened", [
+    ("_CORNERS", [0], [0, 1, 2]),
+    ("_EDGES", [0, 1], [0]),
+], ids=["corners", "edges"])
+def test_central_constants_count_the_positions_of_the_cubelet_kind(kind, constants, lengthened):
+    """8 corners admit no constant central twist and 12 edges admit the
+    all-edge flip; a kind with one position more, 9 corners or 13 edges,
+    would let every constant twist sum to 0 and keep the flip out."""
+    kind = getattr(cube, kind)
+    assert verify._central_constants(kind) == constants
+    longer = kind._replace(order=kind.order + kind.order[:1])
+    assert verify._central_constants(longer) == lengthened
 
 
 def test_report_text_contains_counts():

@@ -11,7 +11,9 @@ default, and the repeats go round all layers in turn.  The chain builds
 start from the six face generators of each group, the faithfulness
 certificates take the degree-8 and degree-20 representations, the real form
 derives the degree-20 one's sign lines, and the centre layer is rem-3.14's
-two centralizers of the 3x3 edge and corner actions.  The ``import`` entry
+two centralizers of the 3x3 edge and corner actions.  ``exceptional``
+builds the order-648 example, and ``rep6_images`` is its 648 ``rep6.of``
+calls, one call in the table.  The ``import`` entry
 is ``import cubereps`` in a fresh interpreter, one per repeat, timed by that
 interpreter itself, so its start-up is not counted.
 
@@ -61,6 +63,7 @@ def _layers() -> dict:
     states = {n: [cube.apply_word(solved[n], w) for w in _words(n, 20)] for n in (2, 3)}
     elements = [structure.encode_g3(s) for s in states[3]]
     ctx = Context()
+    example = replib.ExceptionalExample()
     layers = {
         f"apply_word_{n}x{n}_{length}": (
             lambda w, start=solved[n]: cube.apply_word(start, w), _words(n, length)
@@ -85,6 +88,8 @@ def _layers() -> dict:
         "centre_g3": (lambda actions: [verify._centralizer(gens) for gens in actions],
                       [[verify._face_images(ctx, 3, read)
                         for read in (cube.edge_permutation, cube.corner_permutation)]]),
+        "exceptional": (lambda _: replib.ExceptionalExample(), [None]),
+        "rep6_images": (lambda ex: [ex.rep6.of(x) for x in ex.elements], [example]),
     })
     return layers
 
