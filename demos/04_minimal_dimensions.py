@@ -19,11 +19,12 @@ from cubereps.replib import (
     lower_bound_complex_split,
     mu,
 )
+from cubereps.cube import default_tables
 from cubereps.structure import WORD_K, word_element_g2
 
 rep2 = build_rep_g2()
 print("The degree-8 monomial representation of the 2x2 group:")
-print("  faithful:", faithful_structural(rep2))
+print("  faithful:", faithful_structural(rep2, default_tables(2).face_tables))
 print("  image of the twist word k (diagonal of cube roots):")
 print(rep2.of(word_element_g2(WORD_K)).matrix_text())
 print("  lower bound from the splitting:", lower_bound_complex_split(("S", 8)))
@@ -38,7 +39,7 @@ print("  realified construction dimension:", real2.real_dimension)
 
 rep3 = build_rep_g3()
 print("\nThe degree-20 monomial representation of the 3x3 group:")
-print("  faithful:", faithful_structural(rep3))
+print("  faithful:", faithful_structural(rep3, default_tables(3).face_tables))
 print("  lower bound mu(A8 x A12):", mu(("x", [("A", 8), ("A", 12)])))
 
 table = g3_real_case_table()

@@ -1,10 +1,11 @@
-"""Immutable records: the equality, hash and repr of a frozen dataclass.
+"""Immutable records: the constructor, equality, hash and repr of a frozen dataclass.
 
-A record class declares its fields as annotations in its own body and
-writes its own ``__init__``, which stores each field with
-``object.__setattr__``, as a frozen dataclass's does, and then checks them.
-The base reads the field names once, when the class is created, so
-importing the package generates no code and does not load ``dataclasses``.
+A record class declares each field once, as an annotation in its own body,
+and checks its laws in ``__post_init__``.  The base reads the field names
+when the class is created, so importing the package generates no code and
+does not load ``dataclasses``.  Its one ``__init__`` binds the fields by
+position or by name, stores each with ``object.__setattr__``, as a frozen
+dataclass's does, and then calls ``__post_init__``.
 
 Stored that way, an instance keeps its attributes inline, with no
 separate dict; filling ``__dict__`` instead measured 3% slower on the
@@ -34,6 +35,23 @@ class Record:
         # attrgetter of one name returns the bare value, not a 1-tuple
         cls._values = staticmethod(get if len(fields) > 1 else lambda x: (get(x),))
 
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # bound as a dataclass's __init__ binds
+            values = dict(zip(fields, args))
+            twice = values.keys() & kwargs
+            values.update(kwargs)
+            if len(args) > len(fields) or twice or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__qualname__}() takes the fields "
+                                f"({', '.join(fields)}) once each, by position or by name")
+            args = map(values.__getitem__, fields)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the class's laws on the bound fields; the base has none."""
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             get = self._values
@@ -56,7 +74,7 @@ class Record:
 
 def trusted(cls: type[Record], **fields) -> Record:
     """A ``cls`` record whose fields, given by name, hold the class's laws
-    by construction: ``__init__`` and its checks are skipped.
+    by construction: ``__init__`` and its ``__post_init__`` checks are skipped.
 
     A module function, not a classmethod: CPython 3.11 does not specialize
     loading a classmethod, and on the hot products, decodes and word

@@ -67,8 +67,8 @@ class FiniteAbelianGroup(Record):
 
     cyclic_orders: tuple[int, ...]
 
-    def __init__(self, cyclic_orders: tuple[int, ...]):
-        object.__setattr__(self, "cyclic_orders", tuple(sorted(cyclic_orders)))
+    def __post_init__(self):
+        object.__setattr__(self, "cyclic_orders", tuple(sorted(self.cyclic_orders)))
         if any(n < 2 for n in self.cyclic_orders):
             raise ValueError("cyclic orders must be at least 2")
 

@@ -207,8 +207,8 @@ class MoveWord(Record):
 
     tokens: tuple[tuple[str, int], ...]
 
-    def __init__(self, tokens: tuple[tuple[str, int], ...]):
-        object.__setattr__(self, "tokens", tuple(tokens))
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", tuple(self.tokens))
         for token in self.tokens:
             try:
                 known = token in _INVERSE_TOKEN
@@ -296,9 +296,7 @@ class CubeState(Record):
     size: int
     stickers: tuple[int, ...]
 
-    def __init__(self, size: int, stickers: tuple[int, ...]):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "stickers", stickers)
+    def __post_init__(self):
         if len(self.stickers) != sticker_count(self.size):
             raise ValueError("wrong sticker count")
 
@@ -519,9 +517,7 @@ class OrientationBasis(Record):
     corner_marks: tuple[Vec, ...]  # one of the 3 normals at corner i+1
     edge_marks: tuple[Vec, ...]  # one of the 2 normals at edge i+1
 
-    def __init__(self, corner_marks: tuple[Vec, ...], edge_marks: tuple[Vec, ...]):
-        object.__setattr__(self, "corner_marks", corner_marks)
-        object.__setattr__(self, "edge_marks", edge_marks)
+    def __post_init__(self):
         if len(self.corner_marks) != 8 or len(self.edge_marks) != 12:
             raise ValueError("a basis needs 8 corner marks and 12 edge marks")
         for kind, marks in ((_CORNERS, self.corner_marks), (_EDGES, self.edge_marks)):

@@ -28,7 +28,8 @@ class Permutation:
 
     The constructor checks the bijection.  ``_trusted`` skips the check, and
     takes only images that are bijections by construction: ``compose`` and
-    ``inverse`` results, and ``cube._permutation`` after its own checks.
+    ``inverse`` results, ``cube._permutation`` after its own checks, and the
+    block permutations of ``replib.realify``.
     """
 
     __slots__ = ("image",)

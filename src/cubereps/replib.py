@@ -42,10 +42,7 @@ class MonomialMap(Record):
     perm: Permutation
     exps: tuple[int, ...]
 
-    def __init__(self, root_order: int, perm: Permutation, exps: tuple[int, ...]):
-        object.__setattr__(self, "root_order", root_order)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "exps", exps)
+    def __post_init__(self):
         if len(self.exps) != self.perm.degree:
             raise ValueError("one exponent per coordinate required")
         if any(not 0 <= e < self.root_order for e in self.exps):
@@ -134,8 +131,8 @@ def build_rep_g2(tables: MoveTables | None = None) -> MonomialRep:
     corner twists as diagonal cube roots of unity, corner permutations as
     permutation matrices."""
 
-    def of(x: G2Element) -> MonomialMap:
-        return MonomialMap(3, x.perm, x.twist)
+    def of(x: G2Element) -> MonomialMap:  # x's laws (8 twists in Z_3, degree 8) are the image's
+        return trusted(MonomialMap, root_order=3, perm=x.perm, exps=x.twist)
 
     return MonomialRep({f: word_element_g2(f, tables) for f in FACES}, of)
 
@@ -145,9 +142,9 @@ def build_rep_g3(tables: MoveTables | None = None) -> MonomialRep:
     edge flips as diagonal signs (w6^3), corner twists as cube roots
     (w6^2), the sign-matched permutation pair acting on coordinates."""
 
-    def of(x: G3Element) -> MonomialMap:
+    def of(x: G3Element) -> MonomialMap:  # by x's laws, 20 exponents in Z_6 and degree 20
         exps = tuple(3 * v for v in x.flip) + tuple(2 * v for v in x.twist)
-        return MonomialMap(6, pair_to_perm20(x.pair), exps)
+        return trusted(MonomialMap, root_order=6, perm=pair_to_perm20(x.pair), exps=exps)
 
     return MonomialRep({f: word_element_g3(f, tables) for f in FACES}, of)
 
@@ -162,27 +159,19 @@ def zeroed_corner_rep(tables: MoveTables | None = None) -> MonomialRep:
     return MonomialRep({f: word_element_g2(f, tables) for f in FACES}, of)
 
 
-def _points(x) -> tuple[int, ...]:
-    """An element's faithful ``wreath_points`` action: G3 on 24 edge then 24 corner points, G2 on 24, a monomial map on k·n."""
-    if isinstance(x, G3Element):
-        return wreath_points(2, x.pair[0], x.flip) + tuple(24 + i for i in wreath_points(3, x.pair[1], x.twist))
-    if isinstance(x, MonomialMap):
-        return wreath_points(x.root_order, x.perm, x.exps)
-    return wreath_points(3, x.perm, x.twist)
+def faithful_structural(rep: MonomialRep, model: dict) -> bool:
+    """Faithfulness, proved from the group's definition and the generator images.
 
-
-def faithful_structural(rep: MonomialRep) -> bool:
-    """Faithfulness, proved from the generator elements and their images.
-
-    An injective phi from element points (``_points``, a faithful action) to
-    image points (``wreath_points``) with phi(x_f(p)) = image_f(phi(p)) for
-    every generator, meeting every coordinate, proves it: each pair in
-    <(x_f, image_f)> acts on phi's points as its element does, and an image
+    ``model`` names the 0-based point permutations x_f that generate the group,
+    such as a cube's ``MoveTables.face_tables``.  An injective phi from model
+    points to image points (``wreath_points``) with phi(x_f(p)) =
+    image_f(phi(p)) for every f, meeting every coordinate, proves it: each
+    pair in <(x_f, image_f)> acts on phi's points as its x does, and an image
     fixing a point of every coordinate is the identity.  phi is grown orbit by
     orbit (``perm.carried``); False (always, for an unfaithful rep) means it
     found none.
     """
-    model = [_points(x) for x in rep.elements.values()]
+    model = [model[name] for name in rep.generators]
     image = [wreath_points(rep.root_order, g.perm, g.exps) for g in rep.generators.values()]
     phi: dict[int, int] = {}
     for x0 in (x for x in range(len(model[0])) if x not in phi):
@@ -243,28 +232,12 @@ class ConjMonomialMap(Record):
     rot_exps: tuple[int, ...]
     flags: tuple[int, ...]
 
-    def __init__(
-        self,
-        root_order: int,
-        sign_perm: Permutation,
-        signs: tuple[int, ...],
-        rot_perm: Permutation,
-        rot_exps: tuple[int, ...],
-        flags: tuple[int, ...],
-    ):
-        object.__setattr__(self, "root_order", root_order)
-        object.__setattr__(self, "sign_perm", sign_perm)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "rot_perm", rot_perm)
-        object.__setattr__(self, "rot_exps", rot_exps)
-        object.__setattr__(self, "flags", flags)
+    def __post_init__(self):
         if len(self.signs) != self.sign_perm.degree:
             raise ValueError("one sign per sign block")
         if any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs must be +-1")
-        if not (
-            len(self.rot_exps) == len(self.flags) == self.rot_perm.degree
-        ):
+        if not len(self.rot_exps) == len(self.flags) == self.rot_perm.degree:
             raise ValueError("one exponent and flag per rotation block")
         if any(not 0 <= e < self.root_order for e in self.rot_exps):
             raise ValueError("exponents must be reduced mod the root order")
@@ -400,16 +373,17 @@ def realify(rep: MonomialRep) -> ConjMonomialRep:
         img = rep.of(x)
         if _sign_lines(img, lines) != lines:
             raise ValueError("group action does not preserve the split")
-        # keeping the sign lines, the permutation keeps the planes too; the
-        # entry at each block's coordinate is its sign or rotation
+        # keeping the sign lines, the permutation keeps the planes too, so both
+        # block maps are bijections; each entry is a sign (w^0 or w^(r/2)) or a rotation
         p, e = img.perm.image, img.exps
-        return ConjMonomialMap(
-            rep.root_order,
-            Permutation([place[p[c - 1]] for c in real]),
-            tuple([1 if e[c - 1] == 0 else -1 for c in real]),
-            Permutation([place[p[c - 1]] for c in rot]),
-            tuple([e[c - 1] for c in rot]),
-            (0,) * len(rot),
+        return trusted(
+            ConjMonomialMap,
+            root_order=rep.root_order,
+            sign_perm=Permutation._trusted(tuple([place[p[c - 1]] for c in real])),
+            signs=tuple([1 if e[c - 1] == 0 else -1 for c in real]),
+            rot_perm=Permutation._trusted(tuple([place[p[c - 1]] for c in rot])),
+            rot_exps=tuple([e[c - 1] for c in rot]),
+            flags=(0,) * len(rot),
         )
 
     return ConjMonomialRep(rep.elements, of)
@@ -423,10 +397,7 @@ class DecoratedPerm(Record):
     sigma_p: Permutation
     sigma_q: Permutation
 
-    def __init__(self, flags: tuple[int, ...], sigma_p: Permutation, sigma_q: Permutation):
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "sigma_p", sigma_p)
-        object.__setattr__(self, "sigma_q", sigma_q)
+    def __post_init__(self):
         if len(self.flags) != self.sigma_q.degree:
             raise ValueError("one flag per rotation block")
         if any(f not in (0, 1) for f in self.flags):
@@ -449,8 +420,8 @@ class DecoratedPerm(Record):
 
 def decorated_perm(image: ConjMonomialMap) -> DecoratedPerm:
     """Forget rotation angles and signs, keeping the block permutations and
-    the orientation-reversal flags."""
-    return DecoratedPerm(image.flags, image.sign_perm, image.rot_perm)
+    the orientation-reversal flags, which hold DecoratedPerm's laws already."""
+    return trusted(DecoratedPerm, flags=image.flags, sigma_p=image.sign_perm, sigma_q=image.rot_perm)
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +569,12 @@ class ExceptionalExample:
         self.rep4 = MonomialRep(named, lambda x: x)
 
         blocks = {p.image: _blocks(p) for p in perms}  # how p moves and reverses the planes
+        no_lines = Permutation.identity(0)
 
-        def rep6_of(x: MonomialMap) -> ConjMonomialMap:
+        def rep6_of(x: MonomialMap) -> ConjMonomialMap:  # reduced angles, 0/1 flags
             tau, flags = blocks[x.perm.image]
             angles = tuple(sum(c * t for c, t in zip(form, x.exps)) % 3 for form in _PAIR_FORMS)
-            return ConjMonomialMap(3, Permutation.identity(0), (), tau, angles, flags)
+            return trusted(ConjMonomialMap, root_order=3, sign_perm=no_lines, signs=(),
+                           rot_perm=tau, rot_exps=angles, flags=flags)
 
         self.rep6 = ConjMonomialRep(named, rep6_of)

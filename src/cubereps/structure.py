@@ -43,9 +43,7 @@ class G2Element(Record):
     twist: tuple[int, ...]
     perm: Permutation
 
-    def __init__(self, twist: tuple[int, ...], perm: Permutation):
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "perm", perm)
+    def __post_init__(self):
         if len(self.twist) != 8 or any(not 0 <= v < 3 for v in self.twist):
             raise ValueError("twist must be 8 values in Z_3")
         if sum(self.twist) % 3:
@@ -61,9 +59,9 @@ class G2Element(Record):
         return self.perm.is_identity() and not any(self.twist)
 
 
-# Products, inverses, psi and section_g2_in_g3 keep the laws __init__ checks
-# (sum-zero twists and flips, equal signs), and encode_g2/encode_g3 test them
-# first, so only these build through _record.trusted, which skips __init__.
+# Products, inverses, psi and section_g2_in_g3 keep the laws __post_init__
+# checks (sum-zero twists and flips, equal signs), and encode_g2/encode_g3 test
+# them first, so only these build through _record.trusted, which skips them.
 
 
 def g2_mul(x: G2Element, y: G2Element) -> G2Element:
@@ -87,12 +85,7 @@ class G3Element(Record):
     twist: tuple[int, ...]
     pair: tuple[Permutation, Permutation]
 
-    def __init__(
-        self, flip: tuple[int, ...], twist: tuple[int, ...], pair: tuple[Permutation, Permutation]
-    ):
-        object.__setattr__(self, "flip", flip)
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "pair", pair)
+    def __post_init__(self):
         if len(self.flip) != 12 or any(not 0 <= v < 2 for v in self.flip):
             raise ValueError("flip must be 12 values in Z_2")
         if sum(self.flip) % 2:

@@ -159,16 +159,6 @@ class CheckResult(Record):
     actual: str
     paper_ref: str
 
-    def __init__(
-        self, id: str, claim: str, status: str, expected: str, actual: str, paper_ref: str
-    ):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "claim", claim)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "paper_ref", paper_ref)
-
     def to_dict(self) -> dict:
         return dict(zip(self._fields, self._values(self)))
 
@@ -759,7 +749,7 @@ def _(ctx: Context):
 @check("thm-5.1-g2-mdim", "the 2x2 group has minimal dimensions 8 complex and 16 real", "thm-5.1")
 def _(ctx: Context):
     rep = ctx.rep(2)
-    faithful = replib.faithful_structural(rep)
+    faithful = replib.faithful_structural(rep, ctx.tables[2].face_tables)
     bound = replib.lower_bound_complex_split(("S", 8))
     cases = replib.g2_real_case_analysis()
     # the permutation of the twist-group eigenlines induced by the
@@ -787,7 +777,7 @@ def _(ctx: Context):
 @check("thm-5.2-g3-mdim", "the 3x3 group has minimal dimensions 20 complex and 28 real", "thm-5.2")
 def _(ctx: Context):
     rep = ctx.rep(3)
-    faithful = replib.faithful_structural(rep)
+    faithful = replib.faithful_structural(rep, ctx.tables[3].face_tables)
     bound = replib.lower_bound_complex_split(("x", [("A", 8), ("A", 12)]))
     got = (faithful, rep.degree, bound, ctx.real(3).real_dimension)
     want = (True, 20, 20, 28)
@@ -830,7 +820,7 @@ def _(ctx: Context):
 @check("thm-5.3-negative-control", "zeroing the twist exponents destroys faithfulness", "thm-5.3")
 def _(ctx: Context):
     rep = replib.zeroed_corner_rep(ctx.tables[2])
-    unfaithful = not replib.faithful_structural(rep)
+    unfaithful = not replib.faithful_structural(rep, ctx.tables[2].face_tables)
     k_el = ctx.element(2, structure.WORD_K)
     collapsed = rep.of(k_el).is_identity() and not k_el.is_identity()
     ok = unfaithful and collapsed

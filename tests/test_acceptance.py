@@ -194,7 +194,7 @@ def test_criterion_6_abelian_mdim():
 def test_criterion_7_headline_dimensions():
     rep2 = replib.build_rep_g2()
     ok_c2 = (
-        replib.faithful_structural(rep2)
+        replib.faithful_structural(rep2, cube.default_tables(2).face_tables)
         and rep2.degree == 8
         and replib.lower_bound_complex_split(("S", 8)) == 8
     )
@@ -203,7 +203,7 @@ def test_criterion_7_headline_dimensions():
     ok_r2 = cases == {"q_case": 16, "p_case": 22, "bound": 16} and real2.real_dimension == 16
     rep3 = replib.build_rep_g3()
     ok_c3 = (
-        replib.faithful_structural(rep3)
+        replib.faithful_structural(rep3, cube.default_tables(3).face_tables)
         and rep3.degree == 20
         and replib.mu(("x", [("A", 8), ("A", 12)])) == 20
     )
@@ -249,7 +249,7 @@ def test_criterion_8_exceptional_example():
 
 def test_criterion_9_negative_controls():
     bad_rep = replib.zeroed_corner_rep()
-    ok_rep = not replib.faithful_structural(bad_rep)
+    ok_rep = not replib.faithful_structural(bad_rep, cube.default_tables(2).face_tables)
     twisted = cube.twist_corner(SOLVED2, 1, 1)
     ok_twist = cube.invariant_s(twisted) == 1
     tables = dict(cube.default_tables(2).face_tables)

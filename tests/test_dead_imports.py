@@ -80,12 +80,13 @@ def _unused_definitions(sources: dict[str, str], mentions: str) -> list[str]:
     ``mentions`` does not name as a word."""
     statements = [(module, stmt) for module, text in sources.items()
                   for stmt in ast.parse(text).body]
-    defined = [(module, stmt) for module, stmt in statements
-               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+    named = [_named(stmt) for _, stmt in statements]  # once per statement, not per definition
     unused = []
-    for module, definition in defined:
+    for (module, definition), own in zip(statements, named):
+        if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+            continue
         name = definition.name
-        if any(name in _named(stmt) for _, stmt in statements if stmt is not definition):
+        if any(name in names for names in named if names is not own):
             continue
         if not re.search(rf"\b{re.escape(name)}\b", mentions):
             unused.append(f"{module}.{name}")

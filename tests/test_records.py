@@ -109,10 +109,23 @@ def test_a_record_behaves_as_a_frozen_dataclass(name):
         cls(*values, values[-1])
     with pytest.raises(TypeError):
         cls(*values, extra=1)
+    with pytest.raises(TypeError):  # the first field by position and by name
+        cls(*values[:1], **dict(zip(x._fields, values)))
 
     for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
         assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == text
         assert vars(y) == vars(x)
+
+
+def test_keyword_and_positional_builds_normalise_alike():
+    """``__post_init__`` runs however the fields were bound: a word's tokens
+    become a tuple, and a group's cyclic orders are sorted."""
+    tokens = [("U", 1), ("R", 3)]
+    for word in (MoveWord(tokens=tokens), MoveWord(tokens)):
+        assert word.tokens == (("U", 1), ("R", 3)) and word == SAMPLES["MoveWord"][0]()
+        assert hash(word) == hash(SAMPLES["MoveWord"][0]())
+    for group in (FiniteAbelianGroup(cyclic_orders=[6, 2, 4]), FiniteAbelianGroup((6, 2, 4))):
+        assert group.cyclic_orders == (2, 4, 6) and group == FiniteAbelianGroup((2, 4, 6))
 
 
 def test_derived_and_cached_attributes_stay_out_of_equality():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubereps import cube, replib, structure, verify
+from cubereps import cube, structure, verify
 from cubereps.abelian import FiniteAbelianGroup
 from cubereps.cube import random_word
 from cubereps.cyclotomic import CyclotomicInt, cyclotomic_polynomial
@@ -193,10 +193,14 @@ def test_rep_g2_generator_images_and_homomorphism():
     assert rep.of(word_element_g2("")).is_identity()
 
 
+# the groups' definitions: the face sticker permutations of each cube
+STICKERS = {n: cube.default_tables(n).face_tables for n in (2, 3)}
+
+
 def test_rep_g2_faithful_and_negative_control():
-    assert faithful_structural(build_rep_g2())
+    assert faithful_structural(build_rep_g2(), STICKERS[2])
     bad = zeroed_corner_rep()
-    assert not faithful_structural(bad)
+    assert not faithful_structural(bad, STICKERS[2])
     k_el = word_element_g2(structure.WORD_K)
     assert bad.of(k_el).is_identity() and not k_el.is_identity()
 
@@ -204,11 +208,28 @@ def test_rep_g2_faithful_and_negative_control():
 G2_ORDER, G3_ORDER = 88_179_840, 43_252_003_274_489_856_000
 
 
+def _points(x) -> tuple[int, ...]:
+    """An element's faithful ``wreath_points`` action: G3 on 24 edge then 24
+    corner points, G2 on 24, a monomial map on k*n."""
+    if isinstance(x, structure.G3Element):
+        edges = wreath_points(2, x.pair[0], x.flip)
+        return edges + tuple(24 + i for i in wreath_points(3, x.pair[1], x.twist))
+    if isinstance(x, MonomialMap):
+        return wreath_points(x.root_order, x.perm, x.exps)
+    return wreath_points(3, x.perm, x.twist)
+
+
+def _element_model(rep) -> dict:
+    """The generator elements' own point actions: a second definition of the
+    group, beside the sticker tables, for ``faithful_structural``."""
+    return {name: _points(x) for name, x in rep.elements.items()}
+
+
 def _chain_orders(rep):
     """|G|, |D| and |I| by Schreier-Sims, on the element points, the diagonal
     <(x_f, image_f)> and the image points: |D| = |G| iff the images extend to
     a homomorphism, which is then injective iff |I| = |G|."""
-    model = [replib._points(x) for x in rep.elements.values()]
+    model = list(_element_model(rep).values())
     image = [wreath_points(rep.root_order, g.perm, g.exps) for g in rep.generators.values()]
     diagonal = [m + tuple(len(m) + i for i in g) for m, g in zip(model, image)]
     return tuple(chain_build([Permutation(i + 1 for i in p) for p in gens]).order()
@@ -229,18 +250,24 @@ def _with_a_coordinate_only_u_turns(rep):
 
 
 def test_the_certificate_agrees_with_exact_chain_orders(bumped_u_rep):
-    cases = [(build_rep_g2(), (G2_ORDER,) * 3), (build_rep_g3(), (G3_ORDER,) * 3),
-             (zeroed_corner_rep(), (G2_ORDER, G2_ORDER, 40_320)),  # a homomorphism onto S_8
-             (ExceptionalExample().rep4, (648,) * 3)]
-    for rep, orders in cases:
+    """Both routes, the sticker tables (a cube's own definition) and the
+    element model, agree with the chain orders; the 648 example has only the
+    element model."""
+    cases = [(build_rep_g2(), (G2_ORDER,) * 3, 2), (build_rep_g3(), (G3_ORDER,) * 3, 3),
+             (zeroed_corner_rep(), (G2_ORDER, G2_ORDER, 40_320), 2),  # a homomorphism onto S_8
+             (ExceptionalExample().rep4, (648,) * 3, None)]
+    for rep, orders, size in cases:
         assert _chain_orders(rep) == orders
-        assert faithful_structural(rep) is (len(set(orders)) == 1)
+        models = [_element_model(rep)] + ([STICKERS[size]] if size else [])
+        for model in models:
+            assert faithful_structural(rep, model) is (len(set(orders)) == 1)
     rep2, u = build_rep_g2(), build_rep_g2().elements["U"]
     inverted_u = MonomialRep(rep2.elements, lambda x: rep2.of(x).inverse() if x == u else rep2.of(x))
     for rep in (bumped_u_rep(), _with_a_coordinate_only_u_turns(rep2), inverted_u):
         group, diagonal, _ = _chain_orders(rep)
         assert diagonal > group == G2_ORDER  # no homomorphism
-        assert not faithful_structural(rep)
+        for model in (_element_model(rep), STICKERS[2]):
+            assert not faithful_structural(rep, model)
 
 
 _WORDS = st.lists(st.sampled_from([f + turn for f in cube.FACES for turn in ("", "'", "2")]),
@@ -259,7 +286,7 @@ def test_point_actions_of_products_compose(w1, w2):
     for read, mul, rep in ((word_element_g2, g2_mul, build_rep_g2()),
                            (word_element_g3, g3_mul, build_rep_g3())):
         x, y = read(w1), read(w2)
-        assert replib._points(mul(x, y)) == after(replib._points(x), replib._points(y))
+        assert _points(mul(x, y)) == after(_points(x), _points(y))
         points = [wreath_points(rep.root_order, m.perm, m.exps)
                   for m in (rep.of(x), rep.of(y), rep.of(x) * rep.of(y))]
         assert points[2] == after(points[0], points[1])
@@ -298,7 +325,7 @@ def test_rep_g3_block_structure():
         assert all(e in (0, 2, 4) for e in img.exps[12:])
         y = word_element_g3(random_word(rng, 8))
         assert rep.of(g3_mul(x, y)) == rep.of(x) * rep.of(y)
-    assert faithful_structural(rep)
+    assert faithful_structural(rep, STICKERS[3])
 
 
 def test_rep_json_export():
@@ -642,7 +669,7 @@ def test_structural_and_enumerated_faithfulness_agree_on_rep4(exceptional):
     """Two routes to kernel triviality: the point-map certificate and all 648 elements."""
     zeroed = MonomialRep(exceptional.rep4.elements, lambda x: MonomialMap(3, x.perm, (0,) * 4))
     for rep, faithful in ((exceptional.rep4, True), (zeroed, False)):
-        assert faithful_structural(rep) is faithful
+        assert faithful_structural(rep, _element_model(rep)) is faithful
         assert faithful_enumerated(rep.of, exceptional.elements) is faithful
 
 

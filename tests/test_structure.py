@@ -410,8 +410,9 @@ def test_p_chain_rejects_a_sign_mismatched_pair(ctx):
 
 
 # ---------------------------------------------------------------------------
-# Trusted construction: products, inverses, cubelet permutations and checked
-# decodes skip the public constructors' checks; each must still pass them
+# Trusted construction: products, inverses, cubelet permutations, checked
+# decodes and real images skip the public constructors' checks; each must
+# still pass them
 
 
 def _rebuilt(x):
@@ -422,6 +423,9 @@ def _rebuilt(x):
         return replib.MonomialMap(x.root_order, _rebuilt(x.perm), x.exps)
     if isinstance(x, replib.DecoratedPerm):
         return replib.DecoratedPerm(x.flags, _rebuilt(x.sigma_p), _rebuilt(x.sigma_q))
+    if isinstance(x, replib.ConjMonomialMap):
+        return replib.ConjMonomialMap(x.root_order, _rebuilt(x.sign_perm), x.signs,
+                                      _rebuilt(x.rot_perm), x.rot_exps, x.flags)
     if isinstance(x, MoveWord):
         return MoveWord(x.tokens)
     if isinstance(x, G2Element):
@@ -437,6 +441,7 @@ def _assert_valid(x):
 WORDS = st.lists(st.tuples(st.sampled_from(cube.FACES), st.integers(1, 3)), max_size=24)
 REPS = {2: replib.build_rep_g2(), 3: replib.build_rep_g3()}
 REALS = {size: replib.realify(rep) for size, rep in REPS.items()}
+EXAMPLE = replib.ExceptionalExample()
 
 
 @settings(max_examples=60, deadline=None)
@@ -456,14 +461,21 @@ def test_trusted_elements_pass_the_public_constructors(a, b):
         # psi and the embedding of the 2x2 group skip the checks too
         z = psi(x) if size == 3 else structure.section_g2_in_g3(x)
         _assert_valid(z)
-        # so do the products and inverses of monomial images
+        # so do the monomial images, their products and inverses
         mx, my = REPS[size].of(x), REPS[size].of(y)
-        for m in (mx * my, mx.inverse(), my.inverse() * mx):
+        for m in (mx, my, mx * my, mx.inverse(), my.inverse() * mx):
             _assert_valid(m)
         assert (mx * mx.inverse()).is_identity()
-        # and the products of decorated permutations
-        dx, dy = (replib.decorated_perm(REALS[size].of(z)) for z in (x, y))
-        _assert_valid(dx * dy)
+        # and the real images, their decorated permutations and products
+        rx, ry = REALS[size].of(x), REALS[size].of(y)
+        dx, dy = replib.decorated_perm(rx), replib.decorated_perm(ry)
+        for z in (rx, ry, dx, dy, dx * dy):
+            _assert_valid(z)
+    # as do the order-648 example's real images and their decorated permutations
+    for g in random.Random(str(b)).sample(EXAMPLE.elements, 4):
+        image = EXAMPLE.rep6.of(g)
+        _assert_valid(image)
+        _assert_valid(replib.decorated_perm(image))
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,11 +9,14 @@ time per call, in microseconds.  A single run on a shared machine can read
 twice the quiet figure, so the minimum of at least five repeats is the
 default, and the repeats go round all layers in turn.  The chain builds
 start from the six face generators of each group, the faithfulness
-certificates take the degree-8 and degree-20 representations, the real form
+certificates take the degree-8 and degree-20 representations with their
+cubes' sticker tables as the groups' definitions, the real form
 derives the degree-20 one's sign lines, and the centre layer is rem-3.14's
 two centralizers of the 3x3 edge and corner actions.  ``exceptional``
 builds the order-648 example, and ``rep6_images`` is its 648 ``rep6.of``
-calls, one call in the table.  The ``import`` entry
+calls, one call in the table.  ``record_new`` is one public construction
+of a degree-8 ``MonomialMap`` (the record ``rep(2).of`` returns), bound by
+``Record.__init__`` and checked by its ``__post_init__``.  The ``import`` entry
 is ``import cubereps`` in a fresh interpreter, one per repeat, timed by that
 interpreter itself, so its start-up is not counted.
 
@@ -82,14 +85,18 @@ def _layers() -> dict:
         "g3_mul": (lambda xy: structure.g3_mul(*xy), list(zip(elements, elements[1:]))),
         "chain_g3_48": (StabilizerChain.from_generators, [ctx.generators("g3")]),
         "chain_p_20": (StabilizerChain.from_generators, [ctx.generators("p")]),
-        "faithful_g2": (replib.faithful_structural, [ctx.rep(2)]),
-        "faithful_g3": (replib.faithful_structural, [ctx.rep(3)]),
+        "faithful_g2": (lambda rep: replib.faithful_structural(rep, ctx.tables[2].face_tables),
+                        [ctx.rep(2)]),
+        "faithful_g3": (lambda rep: replib.faithful_structural(rep, ctx.tables[3].face_tables),
+                        [ctx.rep(3)]),
         "realify_g3": (replib.realify, [ctx.rep(3)]),
         "centre_g3": (lambda actions: [verify._centralizer(gens) for gens in actions],
                       [[verify._face_images(ctx, 3, read)
                         for read in (cube.edge_permutation, cube.corner_permutation)]]),
         "exceptional": (lambda _: replib.ExceptionalExample(), [None]),
         "rep6_images": (lambda ex: [ex.rep6.of(x) for x in ex.elements], [example]),
+        "record_new": (lambda x: replib.MonomialMap(3, x.perm, x.twist),
+                       [structure.encode_g2(s) for s in states[2]]),
     })
     return layers
 
