@@ -15,6 +15,7 @@ rotation geometry at import time and frozen as module tables.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import permutations
 from operator import itemgetter
 from typing import NamedTuple
@@ -506,12 +507,19 @@ def edge_permutation(state: CubeState) -> Permutation:
 # place in its position's turning order once, when it is built.
 
 
+def _mark_table(kind: _CubeletKind, m: tuple[int, ...]) -> tuple[dict, int]:
+    """Each colour run of the kind -> where in the run the marked colour of
+    its home sits, places[m[home - 1]]; and the sum of the mark places m."""
+    return {colors: places[m[home - 1]] for colors, (home, places) in kind.home.items()}, sum(m)
+
+
 class OrientationBasis(Record):
     """Marked facelet direction for every corner and edge position.
 
     ``corner_places`` and ``edge_places`` hold each mark's place in its
-    position's turning order; they follow from the marks, so they take no
-    part in equality, hash or repr.
+    position's turning order, and ``corner_table`` and ``edge_table`` (built
+    on first use, for the sums) each kind's ``_mark_table``; they follow from
+    the marks, so they take no part in equality, hash or repr.
     """
 
     corner_marks: tuple[Vec, ...]  # one of the 3 normals at corner i+1
@@ -526,6 +534,14 @@ class OrientationBasis(Record):
                     raise ValueError(f"bad {kind.name} mark at position {i + 1}")
             places = tuple(map(tuple.index, kind.order, marks))
             object.__setattr__(self, f"{kind.name}_places", places)
+
+    @cached_property
+    def corner_table(self) -> tuple[dict, int]:
+        return _mark_table(_CORNERS, self.corner_places)
+
+    @cached_property
+    def edge_table(self) -> tuple[dict, int]:
+        return _mark_table(_EDGES, self.edge_places)
 
 
 def reference_basis() -> OrientationBasis:
@@ -547,13 +563,6 @@ def _orientation(kind: _CubeletKind, found: list, m: tuple[int, ...]) -> tuple[i
     return tuple([(places[m[home - 1]] - mp) % k for (home, places), mp in zip(found, m)])
 
 
-def _orientation_sum(kind: _CubeletKind, found: list, m: tuple[int, ...]) -> int:
-    """``sum(_orientation(kind, found, m)) % k``, summed term by term."""
-    if None in found:
-        raise _unmatched(kind, found.index(None))
-    return (sum([places[m[home - 1]] for home, places in found]) - sum(m)) % len(kind.order[0])
-
-
 def corner_orientation(
     state: CubeState, basis: OrientationBasis = REFERENCE_BASIS
 ) -> tuple[int, ...]:
@@ -568,14 +577,30 @@ def edge_orientation(
     return _orientation(_EDGES, _cubelets(_EDGES, state), basis.edge_places)
 
 
+# The sums read each colour run's home's marked place off the basis' mark
+# table in one pass, and take the mark places off once, as their sum; only
+# a run that matches no cubelet sends them to ``_cubelets``, to name its
+# position as the orientation readers do.
+
+
 def invariant_s(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> int:
     """Sum of corner twists in Z_3; basis-independent, 0 on reachable states."""
-    return _orientation_sum(_CORNERS, _cubelets(_CORNERS, state), basis.corner_places)
+    place_of, marked = basis.corner_table
+    it = iter(_per_size(_CORNERS, state.size, _CORNERS.read)(state.stickers))
+    try:
+        return (sum(map(place_of.__getitem__, zip(it, it, it))) - marked) % 3
+    except KeyError:
+        raise _unmatched(_CORNERS, _cubelets(_CORNERS, state).index(None)) from None
 
 
 def invariant_t(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> int:
     """Sum of edge flips in Z_2; basis-independent, 0 on reachable states."""
-    return _orientation_sum(_EDGES, _cubelets(_EDGES, state), basis.edge_places)
+    place_of, marked = basis.edge_table
+    it = iter(_per_size(_EDGES, state.size, _EDGES.read)(state.stickers))
+    try:
+        return (sum(map(place_of.__getitem__, zip(it, it))) - marked) % 2
+    except KeyError:
+        raise _unmatched(_EDGES, _cubelets(_EDGES, state).index(None)) from None
 
 
 # ---------------------------------------------------------------------------

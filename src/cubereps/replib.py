@@ -308,11 +308,16 @@ class ConjMonomialMap(Record):
 
 
 class ConjMonomialRep:
-    """A homomorphism into conjugate-monomial block maps, held as a MonomialRep is."""
+    """A homomorphism into conjugate-monomial block maps, held as a MonomialRep is.
 
-    def __init__(self, elements, of):
+    ``generators``, when given, are the generator images already built,
+    ``of`` of each element by name; otherwise ``of`` builds them.
+    """
+
+    def __init__(self, elements, of, generators=None):
         self.elements = dict(elements)
-        self.generators = {name: of(x) for name, x in self.elements.items()}
+        self.generators = ({name: of(x) for name, x in self.elements.items()}
+                           if generators is None else dict(generators))
         self.sign_count, self.rot_count, self.root_order = _shared_sizes(
             self.generators, "sign_perm.degree", "rot_perm.degree", "root_order"
         )
@@ -369,10 +374,7 @@ def realify(rep: MonomialRep) -> ConjMonomialRep:
     rot = sorted(set(range(1, rep.degree + 1)) - lines)
     place = {c: i for part in (real, rot) for i, c in enumerate(part, 1)}  # 1-based, within its part
 
-    def of(x) -> ConjMonomialMap:
-        img = rep.of(x)
-        if _sign_lines(img, lines) != lines:
-            raise ValueError("group action does not preserve the split")
+    def real_form(img: MonomialMap) -> ConjMonomialMap:
         # keeping the sign lines, the permutation keeps the planes too, so both
         # block maps are bijections; each entry is a sign (w^0 or w^(r/2)) or a rotation
         p, e = img.perm.image, img.exps
@@ -386,7 +388,15 @@ def realify(rep: MonomialRep) -> ConjMonomialRep:
             flags=(0,) * len(rot),
         )
 
-    return ConjMonomialRep(rep.elements, of)
+    def of(x) -> ConjMonomialMap:
+        img = rep.of(x)
+        if _sign_lines(img, lines) != lines:
+            raise ValueError("group action does not preserve the split")
+        return real_form(img)
+
+    # every generator image keeps the sign lines, which were found from them
+    generators = {name: real_form(img) for name, img in rep.generators.items()}
+    return ConjMonomialRep(rep.elements, of, generators)
 
 
 class DecoratedPerm(Record):
@@ -558,7 +568,9 @@ class ExceptionalExample:
     def __init__(self):
         perms = [Permutation(p) for p in itertools.permutations(range(1, 5))]
         twists = [t for t in itertools.product(range(3), repeat=4) if sum(t) % 3 == 0]
-        self.elements = [MonomialMap(3, p, t) for t in twists for p in perms]
+        # each (p, t) holds the laws: 4 exponents in Z_3 for a degree-4 p
+        self.elements = [trusted(MonomialMap, root_order=3, perm=p, exps=t)
+                         for t in twists for p in perms]
         self.identity = MonomialMap.identity(4, 3)
         self.mul = MonomialMap.__mul__
         named = {

@@ -676,13 +676,25 @@ def test_corrupted_cubelets_keep_their_messages(size):
     # the permutation reader meets the duplicate first, position by position
     with pytest.raises(CorruptedState, match="^corner cubelet 3 appears twice$"):
         corner_permutation(state)
-    # the orientation reader raises only on the colours that match nothing
-    with pytest.raises(CorruptedState, match="^sticker triple at corner 8 matches no cubelet$"):
-        corner_orientation(state)
+    # the orientation readers and the sum raise only on the colours that match nothing
+    for read in (corner_orientation, invariant_s):
+        with pytest.raises(CorruptedState, match="^sticker triple at corner 8 matches no cubelet$"):
+            read(state)
     stickers = list(CubeState.solved(size).stickers)
     stickers[cube._CORNERS.index[size][7][0]] = 9  # a colour no cube has
-    with pytest.raises(CorruptedState, match="^sticker triple at corner 8 matches no cubelet$"):
-        corner_permutation(CubeState(size, tuple(stickers)))
+    for read in (corner_permutation, invariant_s):
+        with pytest.raises(CorruptedState, match="^sticker triple at corner 8 matches no cubelet$"):
+            read(CubeState(size, tuple(stickers)))
+    # with two unmatched positions, each reader names the first
+    twice = _blank_cubelet(_blank_cubelet(CubeState.solved(size), cube._CORNERS, 8), cube._CORNERS, 2)
+    for read in (corner_permutation, corner_orientation, invariant_s):
+        with pytest.raises(CorruptedState, match="^sticker triple at corner 2 matches no cubelet$"):
+            read(twice)
+    if size == 3:
+        twice = _blank_cubelet(_blank_cubelet(twice, cube._EDGES, 10), cube._EDGES, 3)
+        for read in (edge_permutation, edge_orientation, invariant_t):
+            with pytest.raises(CorruptedState, match="^sticker pair at edge c matches no cubelet$"):
+                read(twice)
 
 
 def _blank_cubelet(state, kind, position):

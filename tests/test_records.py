@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from cubereps.abelian import FiniteAbelianGroup
-from cubereps.cube import REFERENCE_BASIS, CubeState, MoveWord, OrientationBasis
+from cubereps.cube import (
+    REFERENCE_BASIS, CubeState, MoveWord, OrientationBasis, invariant_s, invariant_t,
+)
 from cubereps.perm import Permutation
 from cubereps.replib import ConjMonomialMap, DecoratedPerm, MonomialMap
 from cubereps.structure import G2Element, G3Element
@@ -132,6 +134,14 @@ def test_derived_and_cached_attributes_stay_out_of_equality():
     basis = SAMPLES["OrientationBasis"][0]()
     bare = trusted(OrientationBasis, corner_marks=basis.corner_marks, edge_marks=basis.edge_marks)
     assert "corner_places" in vars(basis) and "corner_places" not in vars(bare)
+    assert bare == basis and hash(bare) == hash(basis) and repr(bare) == repr(basis)
+    # the sums' mark tables are built on first use, and only then
+    tables = ("corner_table", "edge_table")
+    assert not set(tables) & (vars(basis).keys() | vars(bare).keys())
+    invariant_t(CubeState.solved(3), basis)
+    assert "edge_table" in vars(basis) and "corner_table" not in vars(basis)
+    invariant_s(CubeState.solved(2), basis)
+    assert set(tables) <= vars(basis).keys() and not set(tables) & vars(bare).keys()
     assert bare == basis and hash(bare) == hash(basis) and repr(bare) == repr(basis)
 
     cached, fresh = FiniteAbelianGroup((4, 2)), FiniteAbelianGroup((2, 4))

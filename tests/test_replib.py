@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubereps import cube, structure, verify
+from cubereps import cube, replib, structure, verify
 from cubereps.abelian import FiniteAbelianGroup
 from cubereps.cube import random_word
 from cubereps.cyclotomic import CyclotomicInt, cyclotomic_polynomial
@@ -744,6 +744,20 @@ def test_a_flipped_block_flag_fails_the_proof_and_thm_4_4_only(exceptional):
         ctx.cached("exceptional", lambda: ex)
         assert verify.run_suite(ctx, "thm-5.3-exceptional")[0].status == "pass"
         assert verify.run_suite(ctx, "thm-4.4-decorated")[0].status == status
+
+
+def test_thm_5_3_fails_when_the_real_lower_bound_misses_rep6(monkeypatch, exceptional):
+    """rep6's real dimension 6 must meet the computed lower bound, the real
+    dimension of the twist subgroup Z_3^3; a planted bound of 5 fails the
+    check, and only its failure text names the bound."""
+    ctx = verify.Context(seed=42)
+    ctx.cached("exceptional", lambda: exceptional)
+    passed = verify.run_suite(ctx, "thm-5.3-exceptional")[0]
+    monkeypatch.setattr(replib, "subgroup_real_lower_bound", lambda group: 5)
+    failed = verify.run_suite(ctx, "thm-5.3-exceptional")[0]
+    assert (passed.status, failed.status) == ("pass", "fail")
+    assert failed.expected == passed.expected
+    assert failed.actual == passed.actual + " real lower bound 5"
 
 
 def test_exceptional_s4_flags_have_even_weight(exceptional):

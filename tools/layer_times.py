@@ -16,7 +16,10 @@ two centralizers of the 3x3 edge and corner actions.  ``exceptional``
 builds the order-648 example, and ``rep6_images`` is its 648 ``rep6.of``
 calls, one call in the table.  ``record_new`` is one public construction
 of a degree-8 ``MonomialMap`` (the record ``rep(2).of`` returns), bound by
-``Record.__init__`` and checked by its ``__post_init__``.  The ``import`` entry
+``Record.__init__`` and checked by its ``__post_init__``.  ``basis_sums`` draws
+one random orientation basis and reads both sums of a 3x3 state in it, so
+it builds the basis' two mark tables, as prop-2.4-basis-free does for each
+basis it draws.  The ``import`` entry
 is ``import cubereps`` in a fresh interpreter, one per repeat, timed by that
 interpreter itself, so its start-up is not counted.
 
@@ -67,6 +70,12 @@ def _layers() -> dict:
     elements = [structure.encode_g3(s) for s in states[3]]
     ctx = Context()
     example = replib.ExceptionalExample()
+    basis_rng = random.Random("layer-times:basis")
+
+    def basis_sums(state):
+        basis = cube.random_basis(basis_rng)
+        return cube.invariant_s(state, basis), cube.invariant_t(state, basis)
+
     layers = {
         f"apply_word_{n}x{n}_{length}": (
             lambda w, start=solved[n]: cube.apply_word(start, w), _words(n, length)
@@ -82,6 +91,7 @@ def _layers() -> dict:
         "encode_g3": (structure.encode_g3, states[3]),
         "invariant_s": (cube.invariant_s, states[3]),
         "invariant_t": (cube.invariant_t, states[3]),
+        "basis_sums": (basis_sums, states[3]),
         "g3_mul": (lambda xy: structure.g3_mul(*xy), list(zip(elements, elements[1:]))),
         "chain_g3_48": (StabilizerChain.from_generators, [ctx.generators("g3")]),
         "chain_p_20": (StabilizerChain.from_generators, [ctx.generators("p")]),
