@@ -310,6 +310,11 @@ def _byte_table(p: Sequence[int]) -> bytes:
     return bytes(p) + _IDENTITY[len(p):]
 
 
+def _table_of(p: Permutation) -> bytes:
+    """The translate table of a Permutation."""
+    return _byte_table([v - 1 for v in p.image])
+
+
 class StabilizerChain:
     """Stabilizer chain for the group generated by the input permutations.
 
@@ -341,12 +346,7 @@ class StabilizerChain:
                 raise PermError("generators must share one degree")
         chain = cls(degree)
         for g in generators:
-            residue, level = chain._sift(_byte_table([v - 1 for v in g.image]))
-            if residue == _IDENTITY:
-                continue
-            chain._insert(residue, level)
-            for j in range(min(level, len(chain.base) - 1), -1, -1):
-                chain._complete(j)
+            chain._add(_table_of(g))
         return chain
 
     def order(self) -> int:
@@ -358,9 +358,20 @@ class StabilizerChain:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        return self._sift(_byte_table([v - 1 for v in p.image]))[0] == _IDENTITY
+        return self._sift(_table_of(p))[0] == _IDENTITY
 
     # -- internals ----------------------------------------------------
+
+    def _add(self, g: bytes) -> bool:
+        """Extend the group by the translate table g, keeping every level
+        complete; False when the group already holds g."""
+        residue, level = self._sift(g)
+        if residue == _IDENTITY:
+            return False
+        self._insert(residue, level)
+        for j in range(min(level, len(self.base) - 1), -1, -1):
+            self._complete(j)
+        return True
 
     def _sift(self, g: bytes, start: int = 0) -> tuple[bytes, int]:
         """Reduce g through levels >= start; return (residue, stop level)."""
@@ -460,3 +471,26 @@ def chain_build(generators: Sequence[Permutation]) -> StabilizerChain:
 
 def chain_contains(chain: StabilizerChain, p: Permutation) -> bool:
     return chain.contains(p)
+
+
+def normal_closure(generators: Sequence[Permutation],
+                   conjugators: Sequence[Permutation]) -> StabilizerChain:
+    """The chain of the normal closure of the generators under the conjugators:
+    the least group H holding the generators with c H c^-1 = H for each
+    conjugator c.  Every generator, given or added, is conjugated by every
+    conjugator, and each conjugate H does not hold joins it.  Once none is new,
+    each c maps H's generators into H, so c H c^-1 <= H, with equality as H is
+    finite (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*;
+    Seress, *Permutation Group Algorithms*)."""
+    chain = StabilizerChain.from_generators(generators)
+    if any(c.degree != chain.degree for c in conjugators):
+        raise PermError("conjugators must share the generators' degree")
+    pairs = [(_table_of(c), _table_of(c.inverse())) for c in conjugators]
+    pending = [_table_of(g) for g in generators]
+    while pending:
+        x = pending.pop()
+        for c, c_inv in pairs:
+            conj = c_inv.translate(x).translate(c)  # c x c^-1
+            if chain._add(conj):
+                pending.append(conj)
+    return chain

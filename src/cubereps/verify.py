@@ -17,7 +17,7 @@ import random
 from . import abelian, cube, replib, structure
 from ._record import Record
 from .cube import CubeState, MoveWord, apply_word, commutator, word
-from .perm import Permutation, act, carried, chain_build, compose, conjugate
+from .perm import Permutation, act, carried, chain_build, compose, conjugate, normal_closure
 from .structure import (
     G2Element,
     SubgroupTag,
@@ -351,8 +351,8 @@ def _(ctx: Context):
     _, bad, where = _sampled(ctx, "k-maximal", 40, lambda rng: _random_word(rng, 15), failures)
     if bad:
         return False, "conjugates stay in the kernel", f"{bad} conjugates moved corners{where}"
-    rank = _closed_rank([k_el.twist], ctx.generators("corner-group"), 3)
-    return rank == 7, "rank 7 over Z_3", f"rank {rank}"
+    rank = _closure_rank(ctx, structure.WORD_K, 2, 3)
+    return rank == "rank 7", "rank 7 over Z_3", rank
 
 
 @check("prop-2.7-model", "reading states off as (twist, permutation) pairs is multiplicative", "prop-2.7")
@@ -411,7 +411,7 @@ def _(ctx: Context):
         return (ctx.corners(w).sign() == 1) != (quarter_turns % 2 == 0)
 
     _, bad, where = _sampled(ctx, "normal-l", 300, lambda rng: _random_word(rng, 25), failures)
-    order = ctx.cached("commutator_chain", lambda: _commutator_subgroup_order(ctx))
+    order = normal_closure(_face_commutators(ctx), ctx.generators("g2")).order()
     ok = bad == 0 and order == G2_ORDER // 2
     return ok, f"sign parity matches word parity; order {G2_ORDER//2}", f"{bad} parity failures{where}; order {order}"
 
@@ -550,7 +550,8 @@ def _(ctx: Context):
         want = tuple(1 if i + 1 in (1, x) else 0 for i in range(12))
         if el.flip != want:
             return False, f"q_{x} flips a and {cube.EDGE_LETTERS[x-1]}", str(el.flip)
-    m_el = ctx.element(3, build_m())
+    m = build_m()
+    m_el = ctx.element(3, m)
 
     def failures(w):
         g = ctx.element(3, w)
@@ -559,9 +560,9 @@ def _(ctx: Context):
     _, bad, where = _sampled(ctx, "m-maximal", 30, lambda rng: _random_word(rng, 12), failures)
     if bad:
         return False, "conjugates of m stay in M", f"{bad} conjugates escaped M{where}"
-    # m alone, closed under the moves, reaches its conjugates; the q_x flips alone would reach rank 11
-    rank = _closed_rank([m_el.flip], ctx.generators("edge-group"), 2)
-    return rank == 11, "rank 11 over Z_2", f"rank {rank}"
+    # the closure of m alone; the q_x flips alone would reach rank 11
+    rank = _closure_rank(ctx, m, 3, 2)
+    return rank == "rank 11", "rank 11 over Z_2", rank
 
 
 @check("prop-3.10-l-isom-k", "corner twists in the 3x3 map isomorphically to the 2x2 twist kernel", "prop-3.10")
@@ -570,8 +571,7 @@ def _(ctx: Context):
     # concrete witness: a 3x3 word fixing edges completely with the twist
     # of the 2x2 word k
     k_el = ctx.element(2, structure.WORD_K)
-    witness = ctx.cached("l_witness", lambda: _l_witness_word(ctx))
-    el = ctx.element(3, witness)
+    el = ctx.element(3, _l_witness_word(ctx))
     ok = (
         membership(SubgroupTag.J, el)
         and not any(el.flip)
@@ -893,60 +893,21 @@ def _vector_sticker_perm(vector, turn, size: int):
     return perm
 
 
-def _rank_mod(vectors, modulus: int) -> int:
-    rows = [list(v) for v in vectors]
+def _closure_rank(ctx: Context, w, size: int, prime: int) -> str:
+    """"rank r" when the normal closure of w's sticker permutation in the
+    size x size cube group has order prime^r: for a pure twist (3) or flip (2)
+    it is a subgroup of Z_prime^n, of rank r.  Any other order is named."""
+    order = normal_closure([ctx.sticker_perm(w, size)], ctx.generators(f"g{size}")).order()
     rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % modulus:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, modulus)
-        rows[rank] = [(x * inv) % modulus for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % modulus:
-                factor = rows[r][col]
-                rows[r] = [
-                    (a - factor * b) % modulus for a, b in zip(rows[r], rows[rank])
-                ]
+    while order % prime ** (rank + 1) == 0:
         rank += 1
-    return rank
+    return f"rank {rank}" if order == prime**rank else f"order {order}, not a power of {prime}"
 
 
-def _closed_rank(vectors, moves, modulus: int) -> int:
-    """Rank of the span of vectors under the coordinate moves, which holds every
-    conjugate: (w, p) conjugates a pure twist or flip (v, 1) to (p.v, 1)."""
-    span, rank = set(vectors), -1
-    while rank < (rank := _rank_mod(span, modulus)):  # until the rank stops growing
-        span |= {act(p, v) for p in moves for v in span}
-    return rank
-
-
-def _commutator_subgroup_order(ctx: Context) -> int:
-    words = [word(f) for f in cube.FACES]
-    gens = []
-    for a in words:
-        for b in words:
-            if a is not b:
-                gens.append(ctx.sticker_perm(commutator(a, b), 2))
-    face_perms = ctx.generators("g2")
-    chain = chain_build(gens)
-    changed = True
-    while changed:
-        changed = False
-        for g in face_perms:
-            for x in list(gens):
-                y = conjugate(g, x)
-                if not chain.contains(y):
-                    gens.append(y)
-                    chain = chain_build(gens)
-                    changed = True
-    return chain.order()
+def _face_commutators(ctx: Context) -> list[Permutation]:
+    """The 2x2 sticker permutations of the 30 commutators of two distinct faces."""
+    return [ctx.sticker_perm(commutator(word(a), word(b)), 2)
+            for a, b in itertools.permutations(cube.FACES, 2)]
 
 
 def _l_witness_word(ctx: Context) -> MoveWord:

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubereps.perm import (
@@ -16,6 +16,7 @@ from cubereps.perm import (
     chain_contains,
     compose,
     conjugate,
+    normal_closure,
 )
 
 
@@ -249,3 +250,41 @@ def test_carried_is_the_one_equivariant_map_from_x0_to_y0(case):
              if all(c[g[x]] == h[c[x]] for g, h in zip(model, image) for x in orbit)]
     assert len(brute) <= 1  # x0 -> y0 determines the map on the orbit
     assert carried(x0, y0, model, image) == (brute[0] if brute else None)
+
+
+@st.composite
+def _closure_case(draw):
+    """1-3 generators and 1-3 conjugators, 0-based permutations of range(n), n <= 6."""
+    n = draw(st.integers(1, 6))
+    perms = st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3)
+    return draw(perms), draw(perms)
+
+
+def _brute_normal_closure(generators, conjugators):
+    """The least set holding the identity that right multiplication by each
+    generator and conjugation by each conjugator keep: a BFS over products."""
+    identity = tuple(range(len(generators[0])))
+    found, frontier = {identity}, [identity]
+    while frontier:
+        x = frontier.pop()
+        for y in ([_mul0(x, g) for g in generators]
+                  + [_mul0(_mul0(c, x), _inv0(c)) for c in conjugators]):
+            if y not in found:
+                found.add(y)
+                frontier.append(y)
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(_closure_case())
+def test_normal_closure_matches_brute_force(case):
+    generators, conjugators = ([Permutation(v + 1 for v in p) for p in perms] for perms in case)
+    chain = normal_closure(generators, conjugators)
+    assert chain.order() == len(_brute_normal_closure(*case))
+    identity = Permutation.identity(generators[0].degree)
+    assert normal_closure([identity], conjugators).order() == 1
+
+
+def test_normal_closure_refuses_conjugators_of_another_degree():
+    with pytest.raises(PermError, match="^conjugators must share the generators' degree$"):
+        normal_closure([Permutation.from_cycles("(12)", 3)], [Permutation.identity(4)])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubereps import cli, cube, replib, verify
+from cubereps import cli, cube, replib, structure, verify
 from cubereps.verify import Context, report_json, report_text, run_suite
 
 
@@ -186,8 +186,8 @@ def test_crashed_trial_reports_its_words():
 
 @pytest.mark.parametrize("seed, trials", [(0, 5), (9, 1)])
 def test_rank_checks_pass_at_any_trial_count(capsys, seed, trials):
-    """The k and m spans are closed under the face moves, so the sampled
-    conjugates no longer cap the rank."""
+    """The ranks are read off the normal closures of k and m, so the sampled
+    conjugates no longer cap them."""
     assert cli.main(["verify", "--seed", str(seed), "--trials", str(trials)]) == 0
     out = capsys.readouterr().out
     assert out.rstrip().endswith("42/42 checks passed")
@@ -233,14 +233,27 @@ def test_basis_free_check_keeps_no_per_basis_tables():
 
 @pytest.mark.parametrize("trials", [None, 1])
 def test_rank_checks_fail_on_a_trivial_generator(monkeypatch, trials):
-    """The closed spans hold only k's (resp. m's) own vectors, so an identity
-    k or m reads rank 0 however many conjugates are drawn."""
+    """The normal closures hold only k's (resp. m's) conjugates, so an
+    identity k or m reads rank 0 however many conjugates are drawn."""
     identity = cube.MoveWord(())
     monkeypatch.setattr(verify.structure, "WORD_K", identity)
     monkeypatch.setattr(verify, "build_m", lambda: identity)
     for check_id in ("prop-2.6-k-maximal", "prop-3.9-m-maximal"):
         result = run_suite(Context(seed=1, trials=trials), check_id)[0]
         assert (result.status, result.actual) == ("fail", "rank 0"), check_id
+
+
+SUPERFLIP = cube.word("U R2 F B R B2 R U2 L B2 R U' D' R2 F R' L B2 U2 F2")
+
+
+@pytest.mark.parametrize("trials", [None, 1])
+def test_m_maximal_fails_on_the_superflip(monkeypatch, trials):
+    """The superflip is central, so every sampled conjugate stays in M; only
+    its normal closure, of order 2, shows that it is no m."""
+    assert structure.word_element_g3(SUPERFLIP) == structure.superflip()
+    monkeypatch.setattr(verify, "build_m", lambda: SUPERFLIP)
+    result = run_suite(Context(seed=1, trials=trials), "prop-3.9-m-maximal")[0]
+    assert (result.status, result.actual) == ("fail", "rank 1")
 
 
 def _transitive(gens):

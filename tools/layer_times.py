@@ -12,7 +12,9 @@ start from the six face generators of each group, the faithfulness
 certificates take the degree-8 and degree-20 representations with their
 cubes' sticker tables as the groups' definitions, the real form
 derives the degree-20 one's sign lines, and the centre layer is rem-3.14's
-two centralizers of the 3x3 edge and corner actions.  ``exceptional``
+two centralizers of the 3x3 edge and corner actions.
+``commutator_closure`` is prop-2.10's normal closure of the 30 face
+commutators under the six 2x2 face sticker permutations.  ``exceptional``
 builds the order-648 example, and ``rep6_images`` is its 648 ``rep6.of``
 calls, one call in the table.  ``record_new`` is one public construction
 of a degree-8 ``MonomialMap`` (the record ``rep(2).of`` returns), bound by
@@ -44,7 +46,7 @@ sys.path.insert(0, str(SRC))
 
 from cubereps import cube, replib, structure, verify  # noqa: E402
 from cubereps.cube import CubeState  # noqa: E402
-from cubereps.perm import StabilizerChain  # noqa: E402
+from cubereps.perm import StabilizerChain, normal_closure  # noqa: E402
 from cubereps.verify import Context  # noqa: E402
 
 POOL = 200  # inputs per layer, seeded
@@ -103,6 +105,8 @@ def _layers() -> dict:
         "centre_g3": (lambda actions: [verify._centralizer(gens) for gens in actions],
                       [[verify._face_images(ctx, 3, read)
                         for read in (cube.edge_permutation, cube.corner_permutation)]]),
+        "commutator_closure": (lambda pair: normal_closure(*pair),
+                               [(verify._face_commutators(ctx), ctx.generators("g2"))]),
         "exceptional": (lambda _: replib.ExceptionalExample(), [None]),
         "rep6_images": (lambda ex: [ex.rep6.of(x) for x in ex.elements], [example]),
         "record_new": (lambda x: replib.MonomialMap(3, x.perm, x.twist),
