@@ -27,9 +27,10 @@ class Permutation:
     """A bijection of {1..n}; ``image[i-1]`` is where point ``i`` goes.
 
     The constructor checks the bijection.  ``_trusted`` skips the check, and
-    takes only images that are bijections by construction: ``compose`` and
-    ``inverse`` results, ``cube._permutation`` after its own checks, and the
-    block permutations of ``replib.realify``.
+    takes only images that are bijections by construction: the results of
+    ``compose``, ``inverse``, ``conjugate`` and ``twisted_inv``, a degree-
+    checked ``structure.pair_to_perm20`` pair, ``cube._permutation`` after its
+    own checks, and the block permutations of ``replib.realify``.
     """
 
     __slots__ = ("image",)
@@ -106,7 +107,7 @@ class Permutation:
         return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.image))
+        return self.image == tuple(range(1, len(self.image) + 1))
 
     def sign(self) -> int:
         """+1 for even permutations, -1 for odd ones (degree minus cycles, by a 0-based walk)."""
@@ -206,15 +207,21 @@ def _parse_label(token: str) -> int:
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Right-to-left composition: ``compose(p, q)(i) == p(q(i))``."""
-    if p.degree != q.degree:
+    if len(p.image) != len(q.image):
         raise PermError(f"degree mismatch: {p.degree} vs {q.degree}")
     # a leading 0 lets the 1-based images of q index p's image directly
     return Permutation._trusted(_mul0((0,) + p.image, q.image))
 
 
 def conjugate(g: Permutation, x: Permutation) -> Permutation:
-    """g * x * g^-1."""
-    return compose(compose(g, x), g.inverse())
+    """g * x * g^-1, which maps g(i) to g(x(i)): one walk, no inverse built."""
+    gi, xi = g.image, x.image
+    if len(gi) != len(xi):
+        raise PermError(f"degree mismatch: {g.degree} vs {x.degree}")
+    out = [0] * len(gi)
+    for i, j in zip(gi, xi):
+        out[i - 1] = gi[j - 1]
+    return Permutation._trusted(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +240,31 @@ def act(p: Permutation, v: Sequence) -> tuple:
 
 
 def twisted_mul(k: int, v, p: Permutation, w, q: Permutation):
-    """(v, p)(w, q) = (v + p.w mod k, pq), returned as a (vector, perm) pair."""
-    return tuple((a + b) % k for a, b in zip(v, act(p, w))), compose(p, q)
+    """(v, p)(w, q) = (v + p.w mod k, pq), returned as a (vector, perm) pair.
+    One walk of p adds w_j into coordinate p(j) of a copy of v; p is a
+    bijection, so each coordinate is added to and reduced once."""
+    image = p.image
+    n = len(image)
+    if len(v) != n or len(w) != n:
+        raise PermError(f"vector of length {len(v) if len(v) != n else len(w)} for degree {n}")
+    out = list(v)
+    for j, i in enumerate(image):
+        out[i - 1] = (out[i - 1] + w[j]) % k
+    return tuple(out), compose(p, q)
 
 
 def twisted_inv(k: int, v, p: Permutation):
-    """(v, p)^-1 = (-(p^-1.v) mod k, p^-1)."""
-    inv = p.inverse()
-    return tuple(-a % k for a in act(inv, v)), inv
+    """(v, p)^-1 = (-(p^-1.v) mod k, p^-1).  Entry i of p^-1.v is v_p(i), so
+    one walk of p writes both p^-1 and the vector."""
+    image = p.image
+    n = len(image)
+    if len(v) != n:
+        raise PermError(f"vector of length {len(v)} for degree {n}")
+    inv, out = [0] * n, [0] * n
+    for i, j in enumerate(image):
+        inv[j - 1] = i + 1
+        out[i] = -v[j - 1] % k
+    return tuple(out), Permutation._trusted(tuple(inv))
 
 
 def wreath_points(k: int, p: Permutation, v: Sequence) -> tuple[int, ...]:

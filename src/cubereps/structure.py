@@ -601,8 +601,10 @@ def _expect(element, kind, tag: SubgroupTag) -> None:
 
 
 def pair_to_perm20(pair: tuple[Permutation, Permutation]) -> Permutation:
-    """A sign-matched pair as one permutation of 20 points (edges 1..12,
-    corners 13..20)."""
+    """A pair of degrees (12, 8) as one permutation of 20 points (edges
+    1..12, corners 13..20); with the degrees checked, it is a bijection by
+    construction."""
     edges, corners = pair
-    image = list(edges.image) + [corners(i) + 12 for i in range(1, 9)]
-    return Permutation(image)
+    if len(edges.image) != 12 or len(corners.image) != 8:
+        raise ValueError("pair must have degrees (12, 8)")
+    return Permutation._trusted(edges.image + tuple([c + 12 for c in corners.image]))

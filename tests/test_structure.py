@@ -409,6 +409,14 @@ def test_p_chain_rejects_a_sign_mismatched_pair(ctx):
     assert chain.contains(structure.pair_to_perm20((edge_swap, corner_swap)))
 
 
+@pytest.mark.parametrize("degrees", [(12, 9), (13, 8), (8, 12)], ids=lambda d: f"{d[0]}-{d[1]}")
+def test_pair_to_perm20_refuses_other_degrees(degrees):
+    """A (12, 9) pair would lose corner 9 and read as the 20-point identity."""
+    pair = tuple(Permutation.identity(n) for n in degrees)
+    with pytest.raises(ValueError, match=r"pair must have degrees \(12, 8\)"):
+        structure.pair_to_perm20(pair)
+
+
 # ---------------------------------------------------------------------------
 # Trusted construction: products, inverses, cubelet permutations, checked
 # decodes and real images skip the public constructors' checks; each must

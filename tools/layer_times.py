@@ -13,8 +13,12 @@ certificates take the degree-8 and degree-20 representations with their
 cubes' sticker tables as the groups' definitions, the real form
 derives the degree-20 one's sign lines, and the centre layer is rem-3.14's
 two centralizers of the 3x3 edge and corner actions.
-``commutator_closure`` is prop-2.10's normal closure of the 30 face
-commutators under the six 2x2 face sticker permutations.  ``exceptional``
+The element layers take the elements that the 20-token words reach:
+``g2_mul`` and ``g3_mul`` multiply neighbours, ``g3_inv`` inverts one,
+``conjugate_12`` conjugates one edge permutation by its neighbour's, and
+``pair_to_perm20`` joins one element's pair into the 20-point permutation
+the P chain reads.  ``commutator_closure`` is prop-2.10's normal closure of
+the 30 face commutators under the six 2x2 face sticker permutations.  ``exceptional``
 builds the order-648 example, and ``rep6_images`` is its 648 ``rep6.of``
 calls, one call in the table.  ``record_new`` is one public construction
 of a degree-8 ``MonomialMap`` (the record ``rep(2).of`` returns), bound by
@@ -46,7 +50,7 @@ sys.path.insert(0, str(SRC))
 
 from cubereps import cube, replib, structure, verify  # noqa: E402
 from cubereps.cube import CubeState  # noqa: E402
-from cubereps.perm import StabilizerChain, normal_closure  # noqa: E402
+from cubereps.perm import StabilizerChain, conjugate, normal_closure  # noqa: E402
 from cubereps.verify import Context  # noqa: E402
 
 POOL = 200  # inputs per layer, seeded
@@ -70,6 +74,7 @@ def _layers() -> dict:
     solved = {n: CubeState.solved(n) for n in (2, 3)}
     states = {n: [cube.apply_word(solved[n], w) for w in _words(n, 20)] for n in (2, 3)}
     elements = [structure.encode_g3(s) for s in states[3]]
+    elements2 = [structure.encode_g2(s) for s in states[2]]
     ctx = Context()
     example = replib.ExceptionalExample()
     basis_rng = random.Random("layer-times:basis")
@@ -94,7 +99,12 @@ def _layers() -> dict:
         "invariant_s": (cube.invariant_s, states[3]),
         "invariant_t": (cube.invariant_t, states[3]),
         "basis_sums": (basis_sums, states[3]),
+        "g2_mul": (lambda xy: structure.g2_mul(*xy), list(zip(elements2, elements2[1:]))),
         "g3_mul": (lambda xy: structure.g3_mul(*xy), list(zip(elements, elements[1:]))),
+        "g3_inv": (structure.g3_inv, elements),
+        "conjugate_12": (lambda gx: conjugate(*gx),
+                         [(x.pair[0], y.pair[0]) for x, y in zip(elements, elements[1:])]),
+        "pair_to_perm20": (lambda x: structure.pair_to_perm20(x.pair), elements),
         "chain_g3_48": (StabilizerChain.from_generators, [ctx.generators("g3")]),
         "chain_p_20": (StabilizerChain.from_generators, [ctx.generators("p")]),
         "faithful_g2": (lambda rep: replib.faithful_structural(rep, ctx.tables[2].face_tables),
@@ -109,8 +119,7 @@ def _layers() -> dict:
                                [(verify._face_commutators(ctx), ctx.generators("g2"))]),
         "exceptional": (lambda _: replib.ExceptionalExample(), [None]),
         "rep6_images": (lambda ex: [ex.rep6.of(x) for x in ex.elements], [example]),
-        "record_new": (lambda x: replib.MonomialMap(3, x.perm, x.twist),
-                       [structure.encode_g2(s) for s in states[2]]),
+        "record_new": (lambda x: replib.MonomialMap(3, x.perm, x.twist), elements2),
     })
     return layers
 
