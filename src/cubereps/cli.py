@@ -9,10 +9,10 @@ state reached by a move word, ``order`` prints exact group orders, and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import abelian, cube, verify
+from ._record import canonical_json
 from .cube import CubeState, MoveWord, apply_word
 
 # mdim factors cyclic orders by trial division, so it takes no more than
@@ -99,7 +99,7 @@ def _cmd_apply(args) -> int:
     corner = cube.corner_permutation(state)
     twist = cube.corner_orientation(state)
     payload = {
-        "state": json.loads(state.to_json()),
+        "state": state.to_dict(),
         "corner_permutation": corner.cycle_string(),
         "corner_orientation": list(twist),
         "invariant_s": sum(twist) % 3,
@@ -112,13 +112,13 @@ def _cmd_apply(args) -> int:
         payload["edge_orientation"] = list(flip)
         payload["invariant_t"] = sum(flip) % 2
     if args.as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(canonical_json(payload))
     else:
         for key in sorted(payload):
             if key == "state":
                 continue
             print(f"{key}: {payload[key]}")
-        print(f"state: {state.to_json()}")
+        print(f"state: {canonical_json(payload['state'])}")
     return 0
 
 
@@ -206,7 +206,7 @@ def _cmd_mdim(args) -> int:
     else:
         raise ValueError(f"unknown mdim spec {kind!r}")
     if args.as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(canonical_json(payload))
     else:
         print(
             f"complex: {payload['complex']}\nreal: {payload['real']}\n"

@@ -14,13 +14,11 @@ rotation geometry at import time and frozen as module tables.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from itertools import permutations
 from operator import itemgetter
-from typing import NamedTuple
 
-from ._record import Record, trusted
+from ._record import Record, canonical_json, trusted
 from .perm import EDGE_LETTERS, Permutation, _byte_table, _inv0, _mul0
 
 Vec = tuple[int, int, int]
@@ -306,17 +304,19 @@ class CubeState(Record):
         """The prebuilt solved state; other sizes raise as the constructor does."""
         return _SOLVED[size] if size in _SOLVED else cls(size, ())
 
+    def to_dict(self) -> dict:
+        """The JSON object of the state, as ``to_json`` writes it."""
+        return {"size": self.size, "stickers": list(self.stickers)}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"size": self.size, "stickers": list(self.stickers)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "CubeState":
         """Parse outside input: the colours must be the solved cube's, each as
         often; cubelet integrity is left to the readers."""
+        import json
+
         data = json.loads(text)
         state = cls(int(data["size"]), tuple(int(x) for x in data["stickers"]))
         if sorted(state.stickers) != list(cls.solved(state.size).stickers):
@@ -413,7 +413,7 @@ _COLOR_OF_NORMAL = {n: FACES.index(f) for f, n in FACE_NORMAL.items()}
 # normals, in turning order, sits.
 
 
-class _CubeletKind(NamedTuple):
+class _CubeletKind(Record):
     name: str  # "corner" or "edge"
     group: str  # "triple" or "pair", for messages
     labels: tuple[str, ...]  # position names, for messages

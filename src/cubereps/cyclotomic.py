@@ -8,8 +8,8 @@ point is involved anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 
 def _poly_trim(coeffs: list[int]) -> list[int]:

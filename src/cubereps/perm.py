@@ -11,8 +11,8 @@ group orders are plain Python integers and never overflow.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 EDGE_LETTERS = "abcdefghijkl"
 

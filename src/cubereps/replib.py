@@ -14,10 +14,9 @@ complex dimension (8).
 from __future__ import annotations
 
 import itertools
-import json
 from operator import attrgetter
 
-from ._record import Record, trusted
+from ._record import Record, canonical_json, trusted
 from .abelian import FiniteAbelianGroup, mdim_real_abelian, zk0m
 from .cube import FACES, MoveTables
 from .cyclotomic import CyclotomicInt
@@ -123,7 +122,7 @@ class MonomialRep:
                 for name, img in sorted(self.generators.items())
             },
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(payload)
 
 
 def build_rep_g2(tables: MoveTables | None = None) -> MonomialRep:
@@ -343,7 +342,7 @@ class ConjMonomialRep:
                 for name, img in sorted(self.generators.items())
             },
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(payload)
 
 
 def _sign_lines(img: MonomialMap, lines: set[int]) -> set[int]:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import fnmatch
 import itertools
-import json
 import math
 import random
 
 from . import abelian, cube, replib, structure
-from ._record import Record
+from ._record import Record, canonical_json
 from .cube import CubeState, MoveWord, apply_word, commutator, word
 from .perm import Permutation, act, carried, chain_build, compose, conjugate, normal_closure
 from .structure import (
@@ -239,7 +238,7 @@ def report_json(results: list[CheckResult], ctx: Context) -> str:
             "total": len(results),
         },
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
 def report_text(results: list[CheckResult]) -> str:

@@ -1,5 +1,6 @@
 """Smoke test of tools/layer_times.py, the per-layer timer."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -27,3 +28,24 @@ def test_layer_times_prints_one_json_line_with_every_layer():
     assert report["repeat"] == 1
     assert set(report["times"]) == LAYERS
     assert all(t > 0 for t in report["times"].values())
+
+
+def test_import_entry_times_cached_bytecode(monkeypatch, tmp_path):
+    """The import probe caches bytecode even where the caller's environment
+    says not to, and fills the cache before it is timed, so a timed import
+    compiles nothing: it writes no bytecode file and rewrites none."""
+    spec = importlib.util.spec_from_file_location("layer_times", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    import_s, calls = tool._import_timer(str(tmp_path))
+
+    def cached():
+        return {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*.pyc")}
+
+    before = cached()
+    package = {p.name.split(".")[0] for p in before if p.parent.name == "cubereps"}
+    assert {"__init__", "_record", "cube", "verify"} <= package
+    assert calls == 1
+    assert 0 < import_s() < 60
+    assert cached() == before

@@ -298,7 +298,8 @@ def test_central_constants_count_the_positions_of_the_cubelet_kind(kind, constan
     would let every constant twist sum to 0 and keep the flip out."""
     kind = getattr(cube, kind)
     assert verify._central_constants(kind) == constants
-    longer = kind._replace(order=kind.order + kind.order[:1])
+    fields = {name: getattr(kind, name) for name in kind._fields}
+    longer = cube._CubeletKind(**{**fields, "order": kind.order + kind.order[:1]})
     assert verify._central_constants(longer) == lengthened
 
 
@@ -406,6 +407,32 @@ def test_cli_mdim_certificate_runs_under_python_O():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 1, done.stderr
     assert "error: mdim certificate failed" in done.stderr
+
+
+def test_json_and_typing_load_only_for_json_output():
+    """``import cubereps`` loads neither ``json`` nor ``typing``, commands that
+    print no JSON never load ``json``, and ``mdim --json`` still prints the
+    canonical form.  The interpreter runs with -S, so that no site hook has
+    loaded either module first."""
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / 'src')!r})\n"
+        "import cubereps\n"
+        "print(sorted({'json', 'typing'} & sys.modules.keys()))\n"
+        "from cubereps import cli\n"
+        "cli.main(['order', 'corner-group'])\n"
+        "cli.main(['mdim', 'abelian', '2,3'])\n"
+        "print('json' in sys.modules)\n"
+        "cli.main(['mdim', 'g2', '--json'])\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded, order, *abelian_dims, json_loaded, g2_json = done.stdout.splitlines()
+    assert loaded == "[]"
+    assert (order, abelian_dims) == ("40320", ["complex: 1", "real: 2", "method: formula=oracle"])
+    assert json_loaded == "False"
+    assert g2_json == '{"complex":8,"method":"split-bound+construction","real":16}'
 
 
 def test_cli_mdim_zk0m(capsys):

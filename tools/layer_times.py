@@ -27,7 +27,11 @@ one random orientation basis and reads both sums of a 3x3 state in it, so
 it builds the basis' two mark tables, as prop-2.4-basis-free does for each
 basis it draws.  The ``import`` entry
 is ``import cubereps`` in a fresh interpreter, one per repeat, timed by that
-interpreter itself, so its start-up is not counted.
+interpreter itself, so its start-up is not counted.  As the benchmark's
+children do, these interpreters write bytecode whatever
+``PYTHONDONTWRITEBYTECODE`` says, into a temporary cache prefix, and one
+unmeasured import fills the cache first: the entry times loading the
+package, not compiling it.
 
 Standard library only; the package is imported from the checkout's
 ``src``.
@@ -38,10 +42,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import platform
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -138,13 +144,22 @@ def _timer(fn, inputs: list):
     return lambda: sum(one_pass() for _ in range(passes)), passes * len(inputs)
 
 
-def _import_s() -> float:
-    """Seconds ``import cubereps`` takes in a fresh interpreter, by its own clock."""
-    run = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, timeout=60,
-        check=True,
-    )
-    return float(run.stdout)
+def _import_timer(cache: str):
+    """A function returning the seconds ``import cubereps`` takes in a fresh
+    interpreter, by that interpreter's clock, with bytecode cached under the
+    prefix ``cache``; one unmeasured import writes the cache first."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+
+    def import_s() -> float:
+        run = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        return float(run.stdout)
+
+    import_s()
+    return import_s, 1
 
 
 def _min_times_us(repeat: int) -> dict:
@@ -152,11 +167,12 @@ def _min_times_us(repeat: int) -> dict:
     repeats go round the layers in turn, so that a slow spell of a shared
     machine costs each layer one repeat, not all of them."""
     timers = {name: _timer(fn, inputs) for name, (fn, inputs) in _layers().items()}
-    timers["import"] = (_import_s, 1)
-    best = dict.fromkeys(timers, float("inf"))
-    for _ in range(repeat):
-        for name, (run, _) in timers.items():
-            best[name] = min(best[name], run())
+    with tempfile.TemporaryDirectory(prefix="layer-times-pycache-") as cache:
+        timers["import"] = _import_timer(cache)
+        best = dict.fromkeys(timers, float("inf"))
+        for _ in range(repeat):
+            for name, (run, _) in timers.items():
+                best[name] = min(best[name], run())
     return {name: round(best[name] / calls * 1e6, 2) for name, (_, calls) in timers.items()}
 
 
