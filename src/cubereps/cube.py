@@ -8,8 +8,9 @@ of the cube for F/B/L/R).  The 3x3 array has 48 entries: centers never
 move and are not stored.
 
 Move words are chronological: ``"U R'"`` turns the top face, then the
-right face.  Generator sticker permutations are derived once from the
-rotation geometry at import time and frozen as module tables.
+right face.  Generator sticker permutations are derived from the rotation
+geometry when a cube size's default tables are first asked for, and kept
+for later calls.
 """
 
 from __future__ import annotations
@@ -169,20 +170,32 @@ class MoveTables:
         return labels
 
     def _apply(self, stickers: tuple[int, ...], tokens) -> tuple[int, ...]:
-        """Gather stickers through the tokens in order, in one gather; the
-        sticker values are carried, whatever ints they are."""
-        return itemgetter(*self._labels(tokens))(stickers)
+        """Gather stickers through the tokens in order, in one translate of
+        the stickers as bytes; values outside 0..255 take an itemgetter
+        gather instead, so any ints are carried."""
+        labels = self._labels(tokens)
+        try:
+            return tuple(labels.translate(bytes(stickers).ljust(256, b"\0")))
+        except (TypeError, ValueError):  # a value that is no byte
+            return itemgetter(*labels)(stickers)
 
 
-_DEFAULT_TABLES = {
-    size: MoveTables(size, {f: _build_move_table(size, f) for f in FACES}) for size in _LAYOUT
-}
+def _derived_tables(size: int) -> MoveTables:
+    """The move tables of a cube size, derived from the rotation geometry."""
+    return MoveTables(size, {f: _build_move_table(size, f) for f in FACES})
+
+
+# size -> its derived tables, each built on its size's first use
+_DEFAULT_TABLES: dict[int, MoveTables] = {}
 
 
 def default_tables(size: int) -> MoveTables:
-    if size not in _DEFAULT_TABLES:
-        raise ValueError(f"unsupported cube size {size}")
-    return _DEFAULT_TABLES[size]
+    tables = _DEFAULT_TABLES.get(size)
+    if tables is None:
+        if size not in _LAYOUT:
+            raise ValueError(f"unsupported cube size {size}")
+        tables = _DEFAULT_TABLES[size] = _derived_tables(size)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +418,12 @@ _COLOR_OF_NORMAL = {n: FACES.index(f) for f, n in FACE_NORMAL.items()}
 # Each cubelet kind lists, per position, its facelet normals in turning
 # order: a counterclockwise third turn of a corner cubelet (about the
 # outward corner diagonal, seen from outside) or a flip of an edge cubelet
-# moves every sticker one step along this order.  Reading and turning a
-# cubelet both go through these import-time tables; no basis enters them.
-# Reading gathers the colours of every position in one go and looks each
-# position's run up as any ordering of a solved colour set (reflected ones
-# too): its home, and where in the run the colour of each of the home's
-# normals, in turning order, sits.
+# moves every sticker one step along this order.  Turning a cubelet goes
+# through these import-time tables, and the bases' readers below are put
+# together from pieces built off them on the first reader's build; no basis
+# enters them.  ``home`` looks a colour run up as any ordering of a solved
+# colour set (reflected ones too): its home, and where in the run the
+# colour of each of the home's normals, in turning order, sits.
 
 
 class _CubeletKind(Record):
@@ -421,6 +434,35 @@ class _CubeletKind(Record):
     index: dict[int, tuple[tuple[int, ...], ...]]  # per size: sticker indices
     read: dict[int, itemgetter]  # per size: all colours, position by position
     home: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]  # colours -> home, places
+
+    @cached_property
+    def from_mark(self) -> dict[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+        """Per size and position, its sticker indices read from each normal."""
+        return {
+            size: tuple(tuple(run[m:] + run[:m] for m in range(len(run))) for run in runs)
+            for size, runs in self.index.items()
+        }
+
+    @cached_property
+    def marked(self) -> tuple[tuple[tuple[dict, dict], ...], ...]:
+        """Per home and place of the home's mark, each of the home's colour
+        runs -> (home, twist), and -> twist: read from the position's mark,
+        where the home's marked colour sits is the twist."""
+        marked = tuple(tuple(({}, {}) for _ in normals) for normals in self.order)
+        for colors, (home, where) in self.home.items():
+            for (cubelets, twists), twist in zip(marked[home - 1], where):
+                cubelets[colors] = (home, twist)
+                twists[colors] = twist
+        return marked
+
+    @cached_property
+    def first_marks(self) -> tuple[dict, dict]:
+        """``marked``'s two tables joined over the homes, each marked at place 0."""
+        first = ({}, {})
+        for at_mark in self.marked:
+            for table, runs in zip(first, at_mark[0]):
+                table.update(runs)
+        return first
 
 
 def _cubelet_kind(name, group, labels, positions, order_of, sizes) -> _CubeletKind:
@@ -461,9 +503,8 @@ def _per_size(kind: _CubeletKind, size: int, tables: dict):
 
 
 def _cubelets(kind: _CubeletKind, state: CubeState) -> list:
-    """(home, places) of the cubelet at each position, None where none matches.
-    The permutation and orientation readers below take this list, so a reader
-    of both (``structure.encode_g2``/``encode_g3``) looks the colours up once."""
+    """(home, places) of the cubelet at each position, None where none
+    matches: the readers' error path, which names the position at fault."""
     it = iter(_per_size(kind, state.size, kind.read)(state.stickers))
     return list(map(kind.home.get, zip(it, it, it) if kind is _CORNERS else zip(it, it)))
 
@@ -473,27 +514,8 @@ def _unmatched(kind: _CubeletKind, position: int) -> CorruptedState:
     return CorruptedState(f"sticker {kind.group} at {at} matches no cubelet")
 
 
-def _permutation(kind: _CubeletKind, found: list) -> Permutation:
-    image = [0] * len(kind.order)
-    for position, cubelet in enumerate(found, 1):
-        if cubelet is None:
-            raise _unmatched(kind, position - 1)
-        home = cubelet[0]
-        if image[home - 1]:
-            raise CorruptedState(
-                f"{kind.name} cubelet {kind.labels[home - 1]} appears twice"
-            )
-        image[home - 1] = position
-    return Permutation._trusted(tuple(image))  # every home filled once: a bijection
-
-
-def corner_permutation(state: CubeState) -> Permutation:
-    """Where each corner cubelet went: image[home] = current position."""
-    return _permutation(_CORNERS, _cubelets(_CORNERS, state))
-
-
-def edge_permutation(state: CubeState) -> Permutation:
-    return _permutation(_EDGES, _cubelets(_EDGES, state))
+def _first_unmatched(kind: _CubeletKind, state: CubeState) -> CorruptedState:
+    return _unmatched(kind, _cubelets(kind, state).index(None))
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +525,86 @@ def edge_permutation(state: CubeState) -> Permutation:
 # orientation at a position counts counterclockwise third-turns from the
 # marked direction to the marked sticker of the cubelet sitting there, that
 # is, steps along the turning order.  Edge bases mark one of the two facelet
-# directions; the local orientation is 0 or 1.  A basis finds each mark's
-# place in its position's turning order once, when it is built.
+# directions; the local orientation is 0 or 1.
+#
+# A basis reads each kind through a ``_Reader``: it reads each position's
+# colour run starting at that position's own mark, so the place in the run
+# of the home's marked colour is the position's twist, and one table hit
+# per cubelet gives its home and twist.
 
 
-def _mark_table(kind: _CubeletKind, m: tuple[int, ...]) -> tuple[dict, int]:
-    """Each colour run of the kind -> where in the run the marked colour of
-    its home sits, places[m[home - 1]]; and the sum of the mark places m."""
-    return {colors: places[m[home - 1]] for colors, (home, places) in kind.home.items()}, sum(m)
+class _Reader:
+    """One basis' reader of one cubelet kind.
+
+    ``runs`` gathers the colour run at each position, read from the
+    position's mark along the turning order; the gather of a cube size is
+    built on that size's first read.  ``cubelet`` maps every colour run
+    (reflected orderings too) to its home and the place in the run of the
+    home's marked colour, which is the twist; ``twist`` holds the twist
+    alone, for the sums.
+    """
+
+    __slots__ = ("kind", "places", "cubelet", "twist", "_gathers")
+
+    def __init__(self, kind: _CubeletKind, places: tuple[int, ...]):
+        cubelet, twist = map(dict.copy, kind.first_marks)
+        for marked, m in zip(kind.marked, places):
+            if m:  # a home marked at place 0 reads as first_marks has it
+                cubelets, twists = marked[m]
+                cubelet.update(cubelets)
+                twist.update(twists)
+        self.kind, self.places, self.cubelet, self.twist, self._gathers = (
+            kind, places, cubelet, twist, {}
+        )
+
+    def runs(self, state: CubeState):
+        gather = self._gathers.get(state.size)
+        if gather is None:
+            indices = []
+            for runs, m in zip(_per_size(self.kind, state.size, self.kind.from_mark), self.places):
+                indices += runs[m]
+            gather = self._gathers[state.size] = itemgetter(*indices)
+        it = iter(gather(state.stickers))
+        return zip(it, it, it) if self.kind is _CORNERS else zip(it, it)
+
+
+def _read(reader: _Reader, state: CubeState) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The home and the twist of the cubelet at each position, as two tuples,
+    from one table hit per cubelet; raises on the first position whose run
+    matches no cubelet.  ``structure.encode_g2``/``encode_g3`` read both."""
+    try:
+        homes, twists = zip(*map(reader.cubelet.__getitem__, reader.runs(state)))
+    except KeyError:
+        raise _first_unmatched(reader.kind, state) from None
+    return homes, twists
+
+
+def _permutation(kind: _CubeletKind, state: CubeState, homes) -> Permutation:
+    """image[home] = position, from the home ``_read`` or ``_homes`` found at
+    each position; homes None (a run matched no cubelet) or a home found
+    twice sends the state to ``_permutation_by_position``, which names the
+    first fault."""
+    if homes is not None:
+        image = [0] * len(homes)
+        for position, home in enumerate(homes, 1):
+            image[home - 1] = position
+        if 0 not in image:  # every home filled once: a bijection
+            return Permutation._trusted(tuple(image))
+    return _permutation_by_position(kind, _cubelets(kind, state))
+
+
+def _permutation_by_position(kind: _CubeletKind, found: list) -> Permutation:
+    """image[home] = position from ``_cubelets``' list, position by position:
+    the first run that matches no cubelet, or home found twice, raises."""
+    image = [0] * len(kind.order)
+    for position, cubelet in enumerate(found, 1):
+        if cubelet is None:
+            raise _unmatched(kind, position - 1)
+        home = cubelet[0]
+        if image[home - 1]:
+            raise CorruptedState(f"{kind.name} cubelet {kind.labels[home - 1]} appears twice")
+        image[home - 1] = position
+    return Permutation._trusted(tuple(image))
 
 
 class OrientationBasis(Record):
@@ -518,8 +612,8 @@ class OrientationBasis(Record):
 
     ``corner_places`` and ``edge_places`` hold each mark's place in its
     position's turning order, and ``corner_table`` and ``edge_table`` (built
-    on first use, for the sums) each kind's ``_mark_table``; they follow from
-    the marks, so they take no part in equality, hash or repr.
+    on first use) each kind's ``_Reader``; they follow from the marks, so
+    they take no part in equality, hash or repr.
     """
 
     corner_marks: tuple[Vec, ...]  # one of the 3 normals at corner i+1
@@ -536,12 +630,12 @@ class OrientationBasis(Record):
             object.__setattr__(self, f"{kind.name}_places", places)
 
     @cached_property
-    def corner_table(self) -> tuple[dict, int]:
-        return _mark_table(_CORNERS, self.corner_places)
+    def corner_table(self) -> _Reader:
+        return _Reader(_CORNERS, self.corner_places)
 
     @cached_property
-    def edge_table(self) -> tuple[dict, int]:
-        return _mark_table(_EDGES, self.edge_places)
+    def edge_table(self) -> _Reader:
+        return _Reader(_EDGES, self.edge_places)
 
 
 def reference_basis() -> OrientationBasis:
@@ -555,52 +649,70 @@ def reference_basis() -> OrientationBasis:
 REFERENCE_BASIS = reference_basis()
 
 
-def _orientation(kind: _CubeletKind, found: list, m: tuple[int, ...]) -> tuple[int, ...]:
-    if None in found:
-        raise _unmatched(kind, found.index(None))
-    k = len(kind.order[0])
-    # the home's marked colour sits at places[m[home - 1]]; count from m[p]
-    return tuple([(places[m[home - 1]] - mp) % k for (home, places), mp in zip(found, m)])
+# The permutation readers take the homes off the reference basis' readers;
+# any basis' reader finds the same homes.
+
+
+def _homes(reader: _Reader, state: CubeState):
+    """The home found at each position, one table hit each; None if a run
+    matches no cubelet, for ``_permutation`` to name the first fault."""
+    try:
+        return [home for home, _ in map(reader.cubelet.__getitem__, reader.runs(state))]
+    except KeyError:
+        return None
+
+
+def corner_permutation(state: CubeState) -> Permutation:
+    """Where each corner cubelet went: image[home] = current position."""
+    return _permutation(_CORNERS, state, _homes(REFERENCE_BASIS.corner_table, state))
+
+
+def edge_permutation(state: CubeState) -> Permutation:
+    return _permutation(_EDGES, state, _homes(REFERENCE_BASIS.edge_table, state))
+
+
+# The orientation readers and the sums take each position's twist off the
+# basis' reader; only a run that matches no cubelet sends them to
+# ``_cubelets``, to name its position.
+
+
+def _twists(reader: _Reader, state: CubeState) -> tuple[int, ...]:
+    try:
+        return tuple(map(reader.twist.__getitem__, reader.runs(state)))
+    except KeyError:
+        raise _first_unmatched(reader.kind, state) from None
 
 
 def corner_orientation(
     state: CubeState, basis: OrientationBasis = REFERENCE_BASIS
 ) -> tuple[int, ...]:
     """Z_3 twist of each corner position, relative to the basis marks."""
-    return _orientation(_CORNERS, _cubelets(_CORNERS, state), basis.corner_places)
+    return _twists(basis.corner_table, state)
 
 
 def edge_orientation(
     state: CubeState, basis: OrientationBasis = REFERENCE_BASIS
 ) -> tuple[int, ...]:
     """Z_2 flip of each edge position, relative to the basis marks."""
-    return _orientation(_EDGES, _cubelets(_EDGES, state), basis.edge_places)
-
-
-# The sums read each colour run's home's marked place off the basis' mark
-# table in one pass, and take the mark places off once, as their sum; only
-# a run that matches no cubelet sends them to ``_cubelets``, to name its
-# position as the orientation readers do.
+    return _twists(basis.edge_table, state)
 
 
 def invariant_s(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> int:
     """Sum of corner twists in Z_3; basis-independent, 0 on reachable states."""
-    place_of, marked = basis.corner_table
-    it = iter(_per_size(_CORNERS, state.size, _CORNERS.read)(state.stickers))
+    reader = basis.corner_table
     try:
-        return (sum(map(place_of.__getitem__, zip(it, it, it))) - marked) % 3
+        return sum(map(reader.twist.__getitem__, reader.runs(state))) % 3
     except KeyError:
-        raise _unmatched(_CORNERS, _cubelets(_CORNERS, state).index(None)) from None
+        raise _first_unmatched(_CORNERS, state) from None
 
 
 def invariant_t(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> int:
     """Sum of edge flips in Z_2; basis-independent, 0 on reachable states."""
-    place_of, marked = basis.edge_table
-    it = iter(_per_size(_EDGES, state.size, _EDGES.read)(state.stickers))
+    reader = basis.edge_table
     try:
-        return (sum(map(place_of.__getitem__, zip(it, it))) - marked) % 2
+        return sum(map(reader.twist.__getitem__, reader.runs(state))) % 2
     except KeyError:
-        raise _unmatched(_EDGES, _cubelets(_EDGES, state).index(None)) from None
+        raise _first_unmatched(_EDGES, state) from None
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +810,13 @@ def random_word(rng, length: int) -> MoveWord:
     return trusted(MoveWord, tokens=tuple(tokens))
 
 
+# each corner's and edge's normals in x, y, z order, which random_basis draws from
+_CORNER_NORMALS = tuple(map(_normals, CORNER_POS.values()))
+_EDGE_NORMALS = tuple(map(_normals, EDGE_POS.values()))
+
+
 def random_basis(rng) -> OrientationBasis:
     bits = rng.getrandbits
-    corners = tuple(_normals(pos)[_below(bits, 3)] for pos in CORNER_POS.values())
-    edges = tuple(_normals(pos)[_below(bits, 2)] for pos in EDGE_POS.values())
+    corners = tuple(normals[_below(bits, 3)] for normals in _CORNER_NORMALS)
+    edges = tuple(normals[_below(bits, 2)] for normals in _EDGE_NORMALS)
     return OrientationBasis(corners, edges)

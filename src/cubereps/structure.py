@@ -134,27 +134,26 @@ def encode_g2(state: CubeState) -> G2Element:
     """Read a 2x2 state off as a group element; raises on unreachable states."""
     if state.size != 2:
         raise ValueError("encode_g2 expects a 2x2 state")
-    # one colour lookup per cubelet serves both readers, which raise as
-    # corner_orientation and corner_permutation would, in that order
-    corners = cube._cubelets(cube._CORNERS, state)
-    twist = cube._orientation(cube._CORNERS, corners, cube.REFERENCE_BASIS.corner_places)
+    # one table hit per cubelet gives its home and twist, and the readers
+    # raise as corner_orientation and corner_permutation would, in that order
+    homes, twist = cube._read(cube.REFERENCE_BASIS.corner_table, state)
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
-    return trusted(G2Element, twist=twist, perm=cube._permutation(cube._CORNERS, corners))
+    return trusted(G2Element, twist=twist, perm=cube._permutation(cube._CORNERS, state, homes))
 
 
 def encode_g3(state: CubeState) -> G3Element:
     if state.size != 3:
         raise ValueError("encode_g3 expects a 3x3 state")
-    corners = cube._cubelets(cube._CORNERS, state)
-    twist = cube._orientation(cube._CORNERS, corners, cube.REFERENCE_BASIS.corner_places)
+    basis = cube.REFERENCE_BASIS
+    corners, twist = cube._read(basis.corner_table, state)
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
-    edges = cube._cubelets(cube._EDGES, state)
-    flip = cube._orientation(cube._EDGES, edges, cube.REFERENCE_BASIS.edge_places)
+    edges, flip = cube._read(basis.edge_table, state)
     if sum(flip) % 2:
         raise UnreachableState("edge orientation sum is nonzero")
-    pair = (cube._permutation(cube._EDGES, edges), cube._permutation(cube._CORNERS, corners))
+    pair = (cube._permutation(cube._EDGES, state, edges),
+            cube._permutation(cube._CORNERS, state, corners))
     if pair[0].sign() != pair[1].sign():
         raise UnreachableState("edge and corner permutation signs differ")
     return trusted(G3Element, flip=flip, twist=twist, pair=pair)

@@ -833,3 +833,23 @@ def test_word_runner_matches_a_quarter_turn_fold(key, tokens):
         for face, turns in tokens:
             stickers = tables.apply_token(stickers, face, turns)
         assert stickers == tuple(expected)
+
+
+NO_BYTE = st.one_of(st.integers(max_value=-1), st.integers(min_value=256))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(TABLES)), TOKENS, st.data())
+def test_apply_word_carries_values_no_byte_holds_as_an_itemgetter_gather(key, tokens, data):
+    """Sticker values outside 0..255 leave the byte translate for an
+    itemgetter gather: each value, in range or not, lands where that gather
+    puts it, as the same int."""
+    size, _ = key
+    tables = TABLES[key]
+    n = cube.sticker_count(size)
+    values = data.draw(st.lists(st.one_of(st.integers(0, 255), NO_BYTE), min_size=n, max_size=n))
+    values[data.draw(st.integers(0, n - 1))] = data.draw(NO_BYTE)
+    w = MoveWord(tokens)
+    gathered = operator.itemgetter(*tables._labels(w.tokens))(tuple(values))
+    got = apply_word(CubeState(size, tuple(values)), w, tables).stickers
+    assert got == gathered and all(type(v) is int for v in got)

@@ -1,0 +1,41 @@
+"""Fault-injection kill matrix: a planted fault must fail each check of its row.
+
+Each row plants one fault inside the test process with ``monkeypatch`` and
+runs, at seed 42, only checks of the layer the fault touches.  A row lists
+checks the fault is known to fail; the fault may fail more of the suite.
+"""
+
+import pytest
+
+from cubereps import cube
+from cubereps.verify import Context, run_suite
+
+
+def _corner_1_read_past_its_mark(monkeypatch):
+    """The reference basis' corner reader reads corner 1's colour run one
+    step past the position's mark, against a table that expects the run
+    from the mark: every decode of the package reads one corner from the
+    wrong sticker."""
+    basis = cube.REFERENCE_BASIS
+    reader = cube._Reader(cube._CORNERS, basis.corner_places)
+    reader.places = ((basis.corner_places[0] + 1) % 3,) + basis.corner_places[1:]
+    monkeypatch.setitem(vars(basis), "corner_table", reader)
+
+
+FAULTS = {
+    "one corner read from the wrong sticker": (
+        _corner_1_read_past_its_mark,
+        ("prop-2.4-invariant-s", "prop-2.7-model", "thm-3.12-g2-in-g3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_each_planted_fault_fails_every_check_of_its_row(monkeypatch, fault):
+    plant, checks = FAULTS[fault]
+    ctx = Context(seed=42)
+    assert all(r.status == "pass" for c in checks for r in run_suite(ctx, c))
+    plant(monkeypatch)
+    results = [r for c in checks for r in run_suite(Context(seed=42), c)]
+    assert [r.id for r in results] == list(checks)
+    assert [r.id for r in results if r.status == "pass"] == []

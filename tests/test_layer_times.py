@@ -13,8 +13,8 @@ LAYERS = {
     "sticker_perm_of_word_3x3_20", "encode_g2", "encode_g3", "invariant_s",
     "invariant_t", "basis_sums", "g2_mul", "g3_mul", "g3_inv", "conjugate_12",
     "pair_to_perm20", "chain_g3_48", "chain_p_20", "faithful_g2",
-    "faithful_g3", "realify_g3", "centre_g3", "commutator_closure", "exceptional",
-    "rep6_images", "record_new", "import",
+    "faithful_g3", "realify_g3", "centre_g3", "commutator_closure",
+    "default_tables", "exceptional", "rep6_images", "record_new", "import",
 }
 
 

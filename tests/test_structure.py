@@ -347,13 +347,13 @@ def test_encode_reads_each_orientation_once(monkeypatch):
     """encode_g2/encode_g3 look each cubelet kind's colours up once, and both
     the orientation and the permutation are read off that one lookup."""
     calls = {"corner": 0, "edge": 0}
-    cubelets = cube._cubelets
+    read = cube._read
 
-    def counted(kind, state):
-        calls[kind.name] += 1
-        return cubelets(kind, state)
+    def counted(reader, state):
+        calls[reader.kind.name] += 1
+        return read(reader, state)
 
-    monkeypatch.setattr(cube, "_cubelets", counted)
+    monkeypatch.setattr(cube, "_read", counted)
     state = apply_word(CubeState.solved(3), "F R U' L2 B")
     el = structure.encode_g3(state)
     assert calls == {"corner": 1, "edge": 1}

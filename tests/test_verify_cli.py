@@ -435,6 +435,30 @@ def test_json_and_typing_load_only_for_json_output():
     assert g2_json == '{"complex":8,"method":"split-bound+construction","real":16}'
 
 
+def test_default_move_tables_are_built_on_first_use():
+    """``import cubereps`` derives no move tables, a command that turns no
+    face (``mdim abelian``) derives none either, and ``order`` derives both
+    sizes' tables for its context."""
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / 'src')!r})\n"
+        "import cubereps\n"
+        "from cubereps import cli, cube\n"
+        "print(sorted(cube._DEFAULT_TABLES))\n"
+        "cli.main(['mdim', 'abelian', '2,3'])\n"
+        "print(sorted(cube._DEFAULT_TABLES))\n"
+        "cli.main(['order', 'corner-group'])\n"
+        "print(sorted(cube._DEFAULT_TABLES))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    at_import, *abelian_dims, after_mdim, order, after_order = done.stdout.splitlines()
+    assert (at_import, after_mdim) == ("[]", "[]")
+    assert abelian_dims == ["complex: 1", "real: 2", "method: formula=oracle"]
+    assert (order, after_order) == ("40320", "[2, 3]")
+
+
 def test_cli_mdim_zk0m(capsys):
     assert cli.main(["mdim", "zk0m:2,12", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -24,8 +24,10 @@ calls, one call in the table.  ``record_new`` is one public construction
 of a degree-8 ``MonomialMap`` (the record ``rep(2).of`` returns), bound by
 ``Record.__init__`` and checked by its ``__post_init__``.  ``basis_sums`` draws
 one random orientation basis and reads both sums of a 3x3 state in it, so
-it builds the basis' two mark tables, as prop-2.4-basis-free does for each
-basis it draws.  The ``import`` entry
+it builds the basis' two readers and their gathers, as prop-2.4-basis-free
+does for each basis it draws.  ``default_tables`` derives the 2x2 and 3x3
+move tables from the sticker layouts, the set-up ``cube.default_tables``
+does on each size's first use, outside ``import``.  The ``import`` entry
 is ``import cubereps`` in a fresh interpreter, one per repeat, timed by that
 interpreter itself, so its start-up is not counted.  As the benchmark's
 children do, these interpreters write bytecode whatever
@@ -123,6 +125,7 @@ def _layers() -> dict:
                         for read in (cube.edge_permutation, cube.corner_permutation)]]),
         "commutator_closure": (lambda pair: normal_closure(*pair),
                                [(verify._face_commutators(ctx), ctx.generators("g2"))]),
+        "default_tables": (lambda _: [cube._derived_tables(n) for n in (2, 3)], [None]),
         "exceptional": (lambda _: replib.ExceptionalExample(), [None]),
         "rep6_images": (lambda ex: [ex.rep6.of(x) for x in ex.elements], [example]),
         "record_new": (lambda x: replib.MonomialMap(3, x.perm, x.twist), elements2),
