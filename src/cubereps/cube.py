@@ -418,51 +418,23 @@ _COLOR_OF_NORMAL = {n: FACES.index(f) for f, n in FACE_NORMAL.items()}
 # Each cubelet kind lists, per position, its facelet normals in turning
 # order: a counterclockwise third turn of a corner cubelet (about the
 # outward corner diagonal, seen from outside) or a flip of an edge cubelet
-# moves every sticker one step along this order.  Turning a cubelet goes
-# through these import-time tables, and the bases' readers below are put
-# together from pieces built off them on the first reader's build; no basis
-# enters them.  ``home`` looks a colour run up as any ordering of a solved
-# colour set (reflected ones too): its home, and where in the run the
-# colour of each of the home's normals, in turning order, sits.
+# moves every sticker one step along this order.  Turning a cubelet and
+# building the bases' readers below go through these import-time tables; no
+# basis enters them.  ``home`` looks a colour run up as any ordering of a
+# solved colour set (reflected ones too): its home, and where in the run
+# the colour of each of the home's normals, in turning order, sits.
 
 
 class _CubeletKind(Record):
+    """The cubelet table of one kind: every basis' ``_Reader`` of the kind is
+    built from its sticker ``index`` and its colour table ``home``."""
+
     name: str  # "corner" or "edge"
     group: str  # "triple" or "pair", for messages
     labels: tuple[str, ...]  # position names, for messages
     order: tuple[tuple[Vec, ...], ...]  # normals of each position, turning order
     index: dict[int, tuple[tuple[int, ...], ...]]  # per size: sticker indices
-    read: dict[int, itemgetter]  # per size: all colours, position by position
     home: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]  # colours -> home, places
-
-    @cached_property
-    def from_mark(self) -> dict[int, tuple[tuple[tuple[int, ...], ...], ...]]:
-        """Per size and position, its sticker indices read from each normal."""
-        return {
-            size: tuple(tuple(run[m:] + run[:m] for m in range(len(run))) for run in runs)
-            for size, runs in self.index.items()
-        }
-
-    @cached_property
-    def marked(self) -> tuple[tuple[tuple[dict, dict], ...], ...]:
-        """Per home and place of the home's mark, each of the home's colour
-        runs -> (home, twist), and -> twist: read from the position's mark,
-        where the home's marked colour sits is the twist."""
-        marked = tuple(tuple(({}, {}) for _ in normals) for normals in self.order)
-        for colors, (home, where) in self.home.items():
-            for (cubelets, twists), twist in zip(marked[home - 1], where):
-                cubelets[colors] = (home, twist)
-                twists[colors] = twist
-        return marked
-
-    @cached_property
-    def first_marks(self) -> tuple[dict, dict]:
-        """``marked``'s two tables joined over the homes, each marked at place 0."""
-        first = ({}, {})
-        for at_mark in self.marked:
-            for table, runs in zip(first, at_mark[0]):
-                table.update(runs)
-        return first
 
 
 def _cubelet_kind(name, group, labels, positions, order_of, sizes) -> _CubeletKind:
@@ -475,13 +447,12 @@ def _cubelet_kind(name, group, labels, positions, order_of, sizes) -> _CubeletKi
         )
         for size in sizes
     }
-    read = {size: itemgetter(*(i for run in index[size] for i in run)) for size in sizes}
     home = {}
     for position, normals in enumerate(order, 1):
         solved = [_COLOR_OF_NORMAL[n] for n in normals]
         for colors in permutations(solved):
             home[colors] = (position, tuple(map(colors.index, solved)))
-    return _CubeletKind(name, group, tuple(labels), order, index, read, home)
+    return _CubeletKind(name, group, tuple(labels), order, index, home)
 
 
 def _corner_order(pos: Vec) -> list[Vec]:
@@ -502,22 +473,6 @@ def _per_size(kind: _CubeletKind, size: int, tables: dict):
     return tables[size]
 
 
-def _cubelets(kind: _CubeletKind, state: CubeState) -> list:
-    """(home, places) of the cubelet at each position, None where none
-    matches: the readers' error path, which names the position at fault."""
-    it = iter(_per_size(kind, state.size, kind.read)(state.stickers))
-    return list(map(kind.home.get, zip(it, it, it) if kind is _CORNERS else zip(it, it)))
-
-
-def _unmatched(kind: _CubeletKind, position: int) -> CorruptedState:
-    at = f"{kind.name} {kind.labels[position]}"
-    return CorruptedState(f"sticker {kind.group} at {at} matches no cubelet")
-
-
-def _first_unmatched(kind: _CubeletKind, state: CubeState) -> CorruptedState:
-    return _unmatched(kind, _cubelets(kind, state).index(None))
-
-
 # ---------------------------------------------------------------------------
 # Local orientation
 #
@@ -527,10 +482,12 @@ def _first_unmatched(kind: _CubeletKind, state: CubeState) -> CorruptedState:
 # is, steps along the turning order.  Edge bases mark one of the two facelet
 # directions; the local orientation is 0 or 1.
 #
-# A basis reads each kind through a ``_Reader``: it reads each position's
-# colour run starting at that position's own mark, so the place in the run
-# of the home's marked colour is the position's twist, and one table hit
-# per cubelet gives its home and twist.
+# A basis reads each kind through a ``_Reader``, built from the cubelet
+# table and the basis' marks: it reads each position's colour run starting
+# at that position's own mark, so the place in the run of the home's marked
+# colour is the position's twist, and one table hit per cubelet gives its
+# home and twist.  Every reader raises through the same reader's one walk,
+# ``_first_fault``, which names the position at fault.
 
 
 class _Reader:
@@ -538,21 +495,20 @@ class _Reader:
 
     ``runs`` gathers the colour run at each position, read from the
     position's mark along the turning order; the gather of a cube size is
-    built on that size's first read.  ``cubelet`` maps every colour run
-    (reflected orderings too) to its home and the place in the run of the
-    home's marked colour, which is the twist; ``twist`` holds the twist
-    alone, for the sums.
+    built from the kind's sticker indices on that size's first read.
+    ``cubelet`` maps every colour run (reflected orderings too) to its home
+    and the place in the run of the home's marked colour, which is the
+    twist; ``twist`` holds the twist alone, for the orientations and sums.
+    Both are built in one pass over the kind's ``home`` table.
     """
 
     __slots__ = ("kind", "places", "cubelet", "twist", "_gathers")
 
     def __init__(self, kind: _CubeletKind, places: tuple[int, ...]):
-        cubelet, twist = map(dict.copy, kind.first_marks)
-        for marked, m in zip(kind.marked, places):
-            if m:  # a home marked at place 0 reads as first_marks has it
-                cubelets, twists = marked[m]
-                cubelet.update(cubelets)
-                twist.update(twists)
+        cubelet, twist = {}, {}
+        for colors, (home, where) in kind.home.items():
+            twist[colors] = t = where[places[home - 1]]
+            cubelet[colors] = home, t
         self.kind, self.places, self.cubelet, self.twist, self._gathers = (
             kind, places, cubelet, twist, {}
         )
@@ -561,11 +517,28 @@ class _Reader:
         gather = self._gathers.get(state.size)
         if gather is None:
             indices = []
-            for runs, m in zip(_per_size(self.kind, state.size, self.kind.from_mark), self.places):
-                indices += runs[m]
+            for run, m in zip(_per_size(self.kind, state.size, self.kind.index), self.places):
+                indices += run[m:] + run[:m]
             gather = self._gathers[state.size] = itemgetter(*indices)
         it = iter(gather(state.stickers))
         return zip(it, it, it) if self.kind is _CORNERS else zip(it, it)
+
+
+def _first_fault(reader: _Reader, state: CubeState, twice: bool = False) -> CorruptedState:
+    """The readers' one error path: walks the reader's runs position by
+    position and names the first whose run matches no cubelet or, with
+    ``twice``, the first whose home an earlier position already holds."""
+    kind, held = reader.kind, set()
+    for position, run in enumerate(reader.runs(state)):
+        found = reader.cubelet.get(run)
+        if found is None:
+            at = f"{kind.name} {kind.labels[position]}"
+            return CorruptedState(f"sticker {kind.group} at {at} matches no cubelet")
+        if twice:
+            home = found[0]
+            if home in held:
+                return CorruptedState(f"{kind.name} cubelet {kind.labels[home - 1]} appears twice")
+            held.add(home)
 
 
 def _read(reader: _Reader, state: CubeState) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -575,36 +548,21 @@ def _read(reader: _Reader, state: CubeState) -> tuple[tuple[int, ...], tuple[int
     try:
         homes, twists = zip(*map(reader.cubelet.__getitem__, reader.runs(state)))
     except KeyError:
-        raise _first_unmatched(reader.kind, state) from None
+        raise _first_fault(reader, state) from None
     return homes, twists
 
 
-def _permutation(kind: _CubeletKind, state: CubeState, homes) -> Permutation:
+def _permutation(reader: _Reader, state: CubeState, homes) -> Permutation:
     """image[home] = position, from the home ``_read`` or ``_homes`` found at
     each position; homes None (a run matched no cubelet) or a home found
-    twice sends the state to ``_permutation_by_position``, which names the
-    first fault."""
+    twice raises the first fault of the reader's walk."""
     if homes is not None:
         image = [0] * len(homes)
         for position, home in enumerate(homes, 1):
             image[home - 1] = position
         if 0 not in image:  # every home filled once: a bijection
             return Permutation._trusted(tuple(image))
-    return _permutation_by_position(kind, _cubelets(kind, state))
-
-
-def _permutation_by_position(kind: _CubeletKind, found: list) -> Permutation:
-    """image[home] = position from ``_cubelets``' list, position by position:
-    the first run that matches no cubelet, or home found twice, raises."""
-    image = [0] * len(kind.order)
-    for position, cubelet in enumerate(found, 1):
-        if cubelet is None:
-            raise _unmatched(kind, position - 1)
-        home = cubelet[0]
-        if image[home - 1]:
-            raise CorruptedState(f"{kind.name} cubelet {kind.labels[home - 1]} appears twice")
-        image[home - 1] = position
-    return Permutation._trusted(tuple(image))
+    raise _first_fault(reader, state, twice=True)
 
 
 class OrientationBasis(Record):
@@ -664,23 +622,26 @@ def _homes(reader: _Reader, state: CubeState):
 
 def corner_permutation(state: CubeState) -> Permutation:
     """Where each corner cubelet went: image[home] = current position."""
-    return _permutation(_CORNERS, state, _homes(REFERENCE_BASIS.corner_table, state))
+    reader = REFERENCE_BASIS.corner_table
+    return _permutation(reader, state, _homes(reader, state))
 
 
 def edge_permutation(state: CubeState) -> Permutation:
-    return _permutation(_EDGES, state, _homes(REFERENCE_BASIS.edge_table, state))
+    reader = REFERENCE_BASIS.edge_table
+    return _permutation(reader, state, _homes(reader, state))
 
 
 # The orientation readers and the sums take each position's twist off the
-# basis' reader; only a run that matches no cubelet sends them to
-# ``_cubelets``, to name its position.
+# basis' reader; only a run that matches no cubelet sends them to the
+# reader's walk, to name its position.
 
 
-def _twists(reader: _Reader, state: CubeState) -> tuple[int, ...]:
+def _twists(reader: _Reader, state: CubeState, fold=tuple):
+    """Each position's twist, gathered by ``fold``: a tuple, or their sum."""
     try:
-        return tuple(map(reader.twist.__getitem__, reader.runs(state)))
+        return fold(map(reader.twist.__getitem__, reader.runs(state)))
     except KeyError:
-        raise _first_unmatched(reader.kind, state) from None
+        raise _first_fault(reader, state) from None
 
 
 def corner_orientation(
@@ -699,20 +660,12 @@ def edge_orientation(
 
 def invariant_s(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> int:
     """Sum of corner twists in Z_3; basis-independent, 0 on reachable states."""
-    reader = basis.corner_table
-    try:
-        return sum(map(reader.twist.__getitem__, reader.runs(state))) % 3
-    except KeyError:
-        raise _first_unmatched(_CORNERS, state) from None
+    return _twists(basis.corner_table, state, sum) % 3
 
 
 def invariant_t(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> int:
     """Sum of edge flips in Z_2; basis-independent, 0 on reachable states."""
-    reader = basis.edge_table
-    try:
-        return sum(map(reader.twist.__getitem__, reader.runs(state))) % 2
-    except KeyError:
-        raise _first_unmatched(_EDGES, state) from None
+    return _twists(basis.edge_table, state, sum) % 2
 
 
 # ---------------------------------------------------------------------------

@@ -134,12 +134,14 @@ def encode_g2(state: CubeState) -> G2Element:
     """Read a 2x2 state off as a group element; raises on unreachable states."""
     if state.size != 2:
         raise ValueError("encode_g2 expects a 2x2 state")
-    # one table hit per cubelet gives its home and twist, and the readers
-    # raise as corner_orientation and corner_permutation would, in that order
-    homes, twist = cube._read(cube.REFERENCE_BASIS.corner_table, state)
+    # one table hit per cubelet gives its home and twist; the reader's one
+    # walk names the first fault, as corner_orientation and then
+    # corner_permutation would
+    reader = cube.REFERENCE_BASIS.corner_table
+    homes, twist = cube._read(reader, state)
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
-    return trusted(G2Element, twist=twist, perm=cube._permutation(cube._CORNERS, state, homes))
+    return trusted(G2Element, twist=twist, perm=cube._permutation(reader, state, homes))
 
 
 def encode_g3(state: CubeState) -> G3Element:
@@ -152,8 +154,8 @@ def encode_g3(state: CubeState) -> G3Element:
     edges, flip = cube._read(basis.edge_table, state)
     if sum(flip) % 2:
         raise UnreachableState("edge orientation sum is nonzero")
-    pair = (cube._permutation(cube._EDGES, state, edges),
-            cube._permutation(cube._CORNERS, state, corners))
+    pair = (cube._permutation(basis.edge_table, state, edges),
+            cube._permutation(basis.corner_table, state, corners))
     if pair[0].sign() != pair[1].sign():
         raise UnreachableState("edge and corner permutation signs differ")
     return trusted(G3Element, flip=flip, twist=twist, pair=pair)

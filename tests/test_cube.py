@@ -647,6 +647,36 @@ def test_readers_match_the_per_position_reference(size, tokens, rng, swaps):
             assert _outcome(read, state) == _outcome(reference, state), (name, basis)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), WORDS, st.randoms(use_true_random=False),
+       st.sampled_from(["copied", "blanked", "both"]), st.booleans(), st.integers(0, 2))
+def test_corrupted_cubelets_read_as_the_per_position_reference(size, tokens, rng, fault,
+                                                               sums_fixed, swaps):
+    """A cubelet copied onto another random position, a blanked cubelet, or
+    both, of a random kind, on states reached by words (the sums fixed or
+    not, then one or two pairs of stickers swapped): every reader, on the
+    reference basis and on a random one, and the encoder raise the
+    reference's exception and message, or read its value."""
+    state = apply_word(CubeState.solved(size), MoveWord(tuple(tokens)))
+    kinds = (cube._CORNERS, cube._EDGES) if size == 3 else (cube._CORNERS,)
+    if fault != "blanked":
+        kind = rng.choice(kinds)
+        state = _copy_cubelet(state, kind, *rng.sample(range(1, len(kind.order) + 1), 2))
+        if sums_fixed:  # so the encoder gets past the sums to the repeated home
+            state = _sum_fixed(state)
+    if fault != "copied":
+        kind = rng.choice(kinds)
+        state = _blank_cubelet(state, kind, rng.randint(1, len(kind.order)))
+    stickers = list(state.stickers)
+    for _ in range(swaps):
+        i, j = rng.sample(range(len(stickers)), 2)
+        stickers[i], stickers[j] = stickers[j], stickers[i]
+    state = CubeState(size, tuple(stickers))
+    for basis in (cube.REFERENCE_BASIS, random_basis(rng)):
+        for name, (read, reference) in _per_position_readers(size, basis).items():
+            assert _outcome(read, state) == _outcome(reference, state), (name, basis)
+
+
 @pytest.mark.parametrize("size", [2, 3])
 def test_reflected_corner_triples_decode_at_home(size):
     """Swapping two stickers of a corner mirrors it: no turn makes that, but

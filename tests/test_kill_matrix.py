@@ -22,10 +22,23 @@ def _corner_1_read_past_its_mark(monkeypatch):
     monkeypatch.setitem(vars(basis), "corner_table", reader)
 
 
+def _edge_a_read_past_its_mark(monkeypatch):
+    """The reference basis' edge reader reads edge a's colour run one step
+    past the position's mark: every 3x3 decode reads edge a flipped."""
+    basis = cube.REFERENCE_BASIS
+    reader = cube._Reader(cube._EDGES, basis.edge_places)
+    reader.places = ((basis.edge_places[0] + 1) % 2,) + basis.edge_places[1:]
+    monkeypatch.setitem(vars(basis), "edge_table", reader)
+
+
 FAULTS = {
     "one corner read from the wrong sticker": (
         _corner_1_read_past_its_mark,
         ("prop-2.4-invariant-s", "prop-2.7-model", "thm-3.12-g2-in-g3"),
+    ),
+    "one edge read from the wrong sticker": (
+        _edge_a_read_past_its_mark,
+        ("eq-3.8-conj-m", "prop-3.4-abf", "prop-3.7-invariant-t"),
     ),
 }
 

@@ -214,10 +214,11 @@ def test_reproducer_prints_bases_that_rebuild():
 
 
 def test_basis_free_check_keeps_no_per_basis_tables():
-    """The colour tables are built once at import and never per basis, so
-    drawing bases keeps nothing behind."""
+    """Each drawn basis builds its own readers from the kinds' import-time
+    sticker indices and colour table, which no basis changes, and drawing
+    bases keeps nothing behind."""
     kinds = (cube._CORNERS, cube._EDGES)
-    tables = [(kind.read, kind.home, dict(kind.home)) for kind in kinds]
+    tables = [(kind.index, kind.home, dict(kind.home)) for kind in kinds]
     tracemalloc.start()
     try:
         result = run_suite(Context(seed=1), "prop-2.4-basis-free")[0]
@@ -226,8 +227,8 @@ def test_basis_free_check_keeps_no_per_basis_tables():
         tracemalloc.stop()
     assert result.status == "pass", result.actual
     assert kept < 1_000_000  # a colour table per drawn basis keeps about 14 MB
-    for kind, (read, home, content) in zip(kinds, tables):
-        assert kind.read is read and kind.home is home and home == content
+    for kind, (index, home, content) in zip(kinds, tables):
+        assert kind.index is index and kind.home is home and home == content
     assert (len(cube._CORNERS.home), len(cube._EDGES.home)) == (8 * 6, 12 * 2)
 
 
