@@ -12,7 +12,8 @@ LAYERS = {
     "apply_word_2x2_20", "apply_word_2x2_40", "apply_word_3x3_20", "apply_word_3x3_40",
     "sticker_perm_of_word_3x3_20", "encode_g2", "encode_g3", "invariant_s",
     "invariant_t", "basis_sums", "g2_mul", "g3_mul", "g3_inv", "conjugate_12",
-    "pair_to_perm20", "chain_g3_48", "chain_p_20", "faithful_g2",
+    "pair_to_perm20", "chain_g3_48", "chain_p_20", "chain_g2_24", "chain_edge_12",
+    "chain_corner_8", "p_contains_20", "faithful_g2",
     "faithful_g3", "realify_g3", "centre_g3", "commutator_closure",
     "default_tables", "exceptional", "rep6_images", "record_new", "import",
 }

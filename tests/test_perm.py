@@ -18,6 +18,7 @@ from cubereps.perm import (
     conjugate,
     normal_closure,
 )
+from cubereps.verify import Context
 
 
 def test_from_cycles_paper_convention():
@@ -181,6 +182,7 @@ def test_chain_contains_leaves_the_chain_unchanged():
         [Permutation.from_cycles("(123)", 6), Permutation.from_cycles("(23456)", 6)]
     )
     order, base = chain.order(), list(chain.base)
+    work = chain.schreier_generators, chain.sifts
     rng = random.Random(5)
     answers = set()
     for _ in range(1000):
@@ -190,6 +192,35 @@ def test_chain_contains_leaves_the_chain_unchanged():
     assert answers == {True, False}  # A_6: members and non-members both sifted
     assert chain.order() == order == 360
     assert chain.base == base
+    assert (chain.schreier_generators, chain.sifts) == work  # the build's work only
+
+
+# The chains behind ``cubereps order``: base, transversal sizes, Schreier
+# generators formed and sifts run, as the chain built them when it still held
+# every permutation as a 256-byte table.  A change of representation must
+# keep all four.
+ORDER_CHAIN_SHAPES = {
+    "g2": ([0, 4, 2, 3, 5, 6, 1], [24, 21, 18, 15, 12, 9, 6], 1230, 1070),
+    "g3": ([0, 8, 5, 7, 6, 12, 9, 11, 10, 14, 13, 4, 2, 1, 3, 20, 19, 27],
+           [24, 21, 18, 15, 24, 22, 20, 18, 12, 16, 9, 14, 6, 12, 10, 8, 6, 2], 7151, 6801),
+    "corner-group": ([0, 4, 2, 1, 3, 6, 5], [8, 7, 6, 5, 4, 3, 2], 213, 184),
+    "edge-group": ([0, 8, 2, 6, 9, 7, 10, 1, 3, 4, 5],
+                   [12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2], 964, 875),
+    "p": ([0, 8, 2, 6, 12, 9, 13, 7, 10, 16, 15, 17, 1, 3, 14, 4, 5],
+          [12, 11, 10, 9, 8, 8, 7, 7, 6, 6, 5, 4, 5, 4, 3, 3, 2], 1996, 1864),
+}
+
+
+@pytest.mark.parametrize("target", sorted(ORDER_CHAIN_SHAPES))
+def test_order_chains_keep_their_shape_and_work(target):
+    """The construction's path, not only its order: the same base, the same
+    orbit sizes and the same count of Schreier generators and sifts."""
+    chain = chain_build(Context().generators(target))
+    base, sizes, formed, sifts = ORDER_CHAIN_SHAPES[target]
+    assert chain.base == base
+    assert [len(t) for t in chain._transversal] == sizes
+    assert (chain.schreier_generators, chain.sifts) == (formed, sifts)
+    assert chain.order() == math.prod(sizes)
 
 
 @st.composite
@@ -209,8 +240,9 @@ def test_zero_based_helpers_match_compose_and_inverse(pair):
 
 
 def test_a_chain_takes_256_points():
-    """Chains hold permutations as 256-byte translate tables, so degree 256
-    is the largest they take; permutations of another degree are no members."""
+    """Chains compose permutations by bytes.translate, one byte per point, so
+    degree 256 is the largest they take; permutations of another degree are
+    no members."""
     cycle = Permutation(list(range(2, 257)) + [1])
     chain = chain_build([cycle])
     assert chain.order() == 256

@@ -1,5 +1,5 @@
-"""Differential tests against sympy: StabilizerChain against its
-PermutationGroup, Permutation arithmetic against its Permutation,
+"""Differential tests against sympy: StabilizerChain and normal_closure
+against its PermutationGroup, Permutation arithmetic against its Permutation,
 invariant factors against its Smith normal form, and CyclotomicInt
 arithmetic against its polynomials modulo cyclotomic_poly.
 
@@ -18,7 +18,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from cubereps import abelian, cube, verify
 from cubereps.cyclotomic import CyclotomicInt
-from cubereps.perm import EDGE_LETTERS, Permutation, chain_build, compose
+from cubereps.perm import EDGE_LETTERS, Permutation, chain_build, compose, normal_closure
 
 SympyPerm = sympy_comb.Permutation
 PermutationGroup = sympy_comb.PermutationGroup
@@ -90,6 +90,26 @@ def test_cube_chains_match_sympy(name, has_transpositions):
         assert chain.contains(p) == group.contains(to_sympy(p))
     assert chain.contains(comm)
     assert chain.contains(swap) == has_transpositions
+
+
+@st.composite
+def closure_cases(draw):
+    """1-3 generators S and 1-3 conjugators C of one degree, 1..8."""
+    degree = draw(st.integers(min_value=1, max_value=8))
+    perms = st.lists(st.permutations(range(1, degree + 1)).map(Permutation),
+                     min_size=1, max_size=3)
+    return draw(perms), draw(perms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closure_cases())
+def test_normal_closure_matches_sympy(case):
+    """The least group holding S that each c maps onto itself is the normal
+    closure of S in the group S and C generate, sympy's normal_closure."""
+    generators, conjugators = case
+    whole = PermutationGroup([to_sympy(p) for p in generators + conjugators])
+    closure = whole.normal_closure(PermutationGroup([to_sympy(g) for g in generators]))
+    assert normal_closure(generators, conjugators).order() == closure.order()
 
 
 # ---------------------------------------------------------------------------

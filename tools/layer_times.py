@@ -8,16 +8,19 @@ repeat to last about 20 ms; the reported figure is the fastest repeat's
 time per call, in microseconds.  A single run on a shared machine can read
 twice the quiet figure, so the minimum of at least five repeats is the
 default, and the repeats go round all layers in turn.  The chain builds
-start from the six face generators of each group, the faithfulness
-certificates take the degree-8 and degree-20 representations with their
-cubes' sticker tables as the groups' definitions, the real form
+start from the six face generators of each group ``cubereps order`` names,
+the faithfulness certificates take the degree-8 and degree-20
+representations with their cubes' sticker tables as the groups'
+definitions, the real form
 derives the degree-20 one's sign lines, and the centre layer is rem-3.14's
 two centralizers of the 3x3 edge and corner actions.
 The element layers take the elements that the 20-token words reach:
 ``g2_mul`` and ``g3_mul`` multiply neighbours, ``g3_inv`` inverts one,
 ``conjugate_12`` conjugates one edge permutation by its neighbour's, and
 ``pair_to_perm20`` joins one element's pair into the 20-point permutation
-the P chain reads.  ``commutator_closure`` is prop-2.10's normal closure of
+the P chain reads.  ``p_contains_20`` tests one such permutation for
+membership in the P chain, as each G3 algebra op of the ``queries``
+benchmark does.  ``commutator_closure`` is prop-2.10's normal closure of
 the 30 face commutators under the six 2x2 face sticker permutations.  ``exceptional``
 builds the order-648 example, and ``rep6_images`` is its 648 ``rep6.of``
 calls, one call in the table.  ``record_new`` is one public construction
@@ -115,6 +118,11 @@ def _layers() -> dict:
         "pair_to_perm20": (lambda x: structure.pair_to_perm20(x.pair), elements),
         "chain_g3_48": (StabilizerChain.from_generators, [ctx.generators("g3")]),
         "chain_p_20": (StabilizerChain.from_generators, [ctx.generators("p")]),
+        "chain_g2_24": (StabilizerChain.from_generators, [ctx.generators("g2")]),
+        "chain_edge_12": (StabilizerChain.from_generators, [ctx.generators("edge-group")]),
+        "chain_corner_8": (StabilizerChain.from_generators, [ctx.generators("corner-group")]),
+        "p_contains_20": (ctx.chain("p").contains,
+                          [structure.pair_to_perm20(x.pair) for x in elements]),
         "faithful_g2": (lambda rep: replib.faithful_structural(rep, ctx.tables[2].face_tables),
                         [ctx.rep(2)]),
         "faithful_g3": (lambda rep: replib.faithful_structural(rep, ctx.tables[3].face_tables),
