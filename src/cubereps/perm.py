@@ -303,9 +303,23 @@ def carried(x0: int, y0: int, model: Sequence, image: Sequence) -> dict[int, int
 # sifted members, residues, Schreier generators and transversal entries u_x.
 # The tables are 256 bytes: each strong generator g, each transversal inverse
 # u_x^-1, and g^-1, from which u_x^-1 is translated whole (below).  Bytes cap
-# a chain at 256 points.  Transversal entries are never replaced once written,
-# so every Schreier generator is examined exactly once and the construction
-# is deterministic.
+# a chain at 256 points.
+#
+# Level i's group is generated by S_i, the strong generators that fix the
+# first i base points.  Each level keeps a queue of the (orbit point p, g in
+# S_i) pairs it has not yet examined.  A pair is queued by whichever of p and
+# g arrived second: a new orbit point against every generator of S_i, a new
+# strong generator against every orbit point of each level whose S_i holds
+# it.  So every Schreier generator is examined exactly once, and a pair
+# leaves no record once popped.  An image g(p) new to the orbit gets the
+# transversal entry g u_p; any other gives the Schreier generator
+# u_{g(p)}^-1 g u_p, sifted through the deeper levels.  A residue becomes a
+# strong generator at once, and the deeper levels it was queued at are
+# drained before the next pair.  Once every queue is empty, each orbit is
+# closed under its S_i and each Schreier generator lies in the group of the
+# level below, so the chain is complete (Schreier's lemma).  Pairs are queued
+# and popped, last in first out, in a fixed order, so the construction is
+# deterministic.
 #
 # Beside each transversal entry u_x the chain stores u_x^-1, written in the
 # same orbit step as (g u_p)^-1 = u_p^-1 g^-1 from the stored inverses of u_p
@@ -350,8 +364,9 @@ class StabilizerChain:
     Deterministic (base points are the smallest moved points, generators
     processed in order), with exact membership and exact order.
     ``schreier_generators`` and ``sifts`` count the work of the construction:
-    the Schreier generators formed and the sifts run (membership tests are
-    not counted).
+    the Schreier generators formed, one per (orbit point p, strong generator
+    g) pair whose image g(p) was already in the orbit, and the sifts run
+    (membership tests are not counted).
     """
 
     def __init__(self, degree: int):
@@ -360,15 +375,14 @@ class StabilizerChain:
         self.degree = degree
         self._identity = _IDENTITY[:degree]
         self.base: list[int] = []  # 0-based internally
-        # strong generators per level, as (serial number, g, g^-1) tables
-        self._gens: list[list[tuple[int, bytes, bytes]]] = []
-        self._serials = 0
+        # strong generators per level, as (g, g^-1) tables; S_i is those of
+        # levels >= i
+        self._gens: list[list[tuple[bytes, bytes]]] = []
         self._transversal: list[dict[int, bytes]] = []
         # (base point, its u_x^-1 per orbit point x) per level, walked by _sift
         self._levels: list[tuple[int, dict[int, bytes]]] = []
-        # processed (orbit point, generator) pairs, keyed serial * degree +
-        # point; sound to skip because transversal entries are never replaced
-        self._done_pairs: list[set[int]] = []
+        # unexamined (orbit point, strong generator) pairs per level
+        self._queues: list[list[tuple[int, tuple[bytes, bytes]]]] = []
         self.schreier_generators = 0
         self.sifts = 0
 
@@ -406,7 +420,7 @@ class StabilizerChain:
         if residue == self._identity:
             return False
         self._insert(residue, level)
-        for j in range(min(level, len(self.base) - 1), -1, -1):
+        for j in range(level, -1, -1):
             self._complete(j)
         return True
 
@@ -427,8 +441,9 @@ class StabilizerChain:
     def _insert(self, residue: bytes, level: int) -> None:
         """Record a sifted non-identity residue as a strong generator.
 
-        The residue fixes base[:level]; a new base point is opened when it
-        fixes every existing base point.
+        The residue fixes base[:level], so S_0..S_level hold it: it is queued
+        against every orbit point of those levels.  A new base point is
+        opened when it fixes every existing base point.
         """
         if level == len(self.base):
             point = min(i for i, v in enumerate(residue) if v != i)
@@ -436,77 +451,47 @@ class StabilizerChain:
             self._gens.append([])
             self._transversal.append({point: self._identity})
             self._levels.append((point, {point: _IDENTITY}))
-            self._done_pairs.append(set())
-        self._gens[level].append(
-            (self._serials, _byte_table(residue), _byte_table(_inv0(residue))))
-        self._serials += 1
-
-    def _strong(self, level: int) -> list[tuple[int, bytes, bytes]]:
-        """The strong generators of levels >= level, shallowest first."""
-        return [s for lvl in range(level, len(self.base)) for s in self._gens[lvl]]
-
-    def _extend_orbit(self, level: int) -> None:
-        """Grow the orbit of base[level] under all strong generators at
-        levels >= level, keeping existing transversal entries."""
-        trans = self._transversal[level]
-        inverse = self._levels[level][1]
-        gens = self._strong(level)
-        frontier = list(trans.keys())
-        while frontier:
-            point = frontier.pop()
-            rep = trans[point]
-            rep_inv = inverse[point]
-            for _, g, g_inv in gens:
-                img = g[point]
-                if img not in trans:
-                    trans[img] = rep.translate(g)
-                    inverse[img] = g_inv.translate(rep_inv)
-                    frontier.append(img)
+            self._queues.append([])
+        strong = (_byte_table(residue), _byte_table(_inv0(residue)))
+        self._gens[level].append(strong)
+        for trans, queue in zip(self._transversal[:level + 1], self._queues):
+            queue.extend((point, strong) for point in trans)
 
     def _complete(self, level: int) -> None:
-        """Make `level` complete, assuming all deeper levels are complete.
+        """Examine every queued pair of `level`, assuming all deeper queues
+        are empty; on return this and every deeper queue is empty.
 
-        Every Schreier generator of this level must sift to the identity
-        through the deeper chain; residues become new strong generators and
-        the affected deeper levels are re-completed first.
+        A new orbit point is queued against S_level.  A Schreier generator's
+        residue becomes a strong generator, and the deeper levels it was
+        queued at are completed before the next pair.
         """
-        degree, identity = self.degree, self._identity
-        while True:
-            self._extend_orbit(level)
-            trans = self._transversal[level]
-            inverse = self._levels[level][1]
-            done = self._done_pairs[level]
-            gens = self._strong(level)
-            restart = False
-            formed = sifts = 0  # counted here, added to the chain's counts once per pass
-            for point in sorted(trans):
-                rep = trans[point]
-                for serial, g, _ in gens:
-                    key = serial * degree + point
-                    if key in done:
-                        continue
-                    done.add(key)
-                    formed += 1
-                    # u_{g(p)}^-1 g u_p
-                    target_inv = inverse[g[point]]
-                    schreier = rep.translate(g).translate(target_inv)
-                    if schreier == identity:
-                        continue
-                    sifts += 1
-                    residue, lvl = self._sift(schreier, level + 1)
-                    if residue == identity:
-                        continue
-                    self._insert(residue, lvl)
-                    for j in range(min(lvl, len(self.base) - 1), level, -1):
-                        self._complete(j)
-                    restart = True
-                    break
-                if restart:
-                    break
-            self.schreier_generators += formed
-            self.sifts += sifts
-            if not restart:
-                return
+        identity = self._identity
+        trans = self._transversal[level]
+        inverse = self._levels[level][1]
+        queue = self._queues[level]
+        formed = sifts = 0  # counted here, added to the chain's counts once
+        while queue:
+            point, (g, g_inv) = queue.pop()
+            moved = trans[point].translate(g)  # g u_p
+            img = g[point]
+            if img not in trans:
+                trans[img] = moved
+                inverse[img] = g_inv.translate(inverse[point])
+                queue.extend((img, s) for gens in self._gens[level:] for s in gens)
+                continue
+            formed += 1
+            schreier = moved.translate(inverse[img])  # u_{g(p)}^-1 g u_p
+            if schreier == identity:
+                continue
+            sifts += 1
+            residue, lvl = self._sift(schreier, level + 1)
+            if residue == identity:
+                continue
+            self._insert(residue, lvl)
+            for j in range(lvl, level, -1):
+                self._complete(j)
+        self.schreier_generators += formed
+        self.sifts += sifts
 
 
 def chain_build(generators: Sequence[Permutation]) -> StabilizerChain:
@@ -526,9 +511,9 @@ def normal_closure(generators: Sequence[Permutation],
     each c maps H's generators into H, so c H c^-1 <= H, with equality as H is
     finite (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*;
     Seress, *Permutation Group Algorithms*)."""
-    chain = StabilizerChain.from_generators(generators)
-    if any(c.degree != chain.degree for c in conjugators):
+    if generators and any(c.degree != generators[0].degree for c in conjugators):
         raise PermError("conjugators must share the generators' degree")
+    chain = StabilizerChain.from_generators(generators)
     # c is a table and c^-1 data; a pending conjugate, held at the chain's
     # degree, becomes a table once per pop
     pairs = [(_byte_table(_points(c)), _points(c.inverse())) for c in conjugators]

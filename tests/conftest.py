@@ -51,3 +51,24 @@ def rotated_edge_rep():
     """A builder of the degree-20 rep whose U image puts w^1, a sixth root of
     unity, on edge 1: no edge coordinate is a sign line any more."""
     return lambda tables=None: _with_u_exponent(replib.build_rep_g3(tables), lambda e: 1)
+
+
+def _pairs_with_an_old_image(chain):
+    """Sum over levels i of |O_i| |S_i| - (|O_i| - 1), S_i the strong
+    generators fixing the first i base points: the (orbit point, strong
+    generator) pairs of a complete chain, less the |O_i| - 1 that first
+    reached an orbit point.  Examining each pair once forms exactly this many
+    Schreier generators."""
+    strong = [g for level in chain._gens for g, _ in level]
+    total = 0
+    for i, trans in enumerate(chain._transversal):
+        fixing = sum(all(g[b] == b for b in chain.base[:i]) for g in strong)
+        total += len(trans) * fixing - (len(trans) - 1)
+    return total
+
+
+@pytest.fixture(scope="session")
+def pairs_with_an_old_image():
+    """The count of Schreier generators a chain forms when it examines each
+    of its (orbit point, strong generator) pairs exactly once."""
+    return _pairs_with_an_old_image

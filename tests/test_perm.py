@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from cubereps.perm import (
     PermError,
     Permutation,
+    StabilizerChain,
     _inv0,
     _mul0,
     carried,
@@ -196,31 +198,49 @@ def test_chain_contains_leaves_the_chain_unchanged():
 
 
 # The chains behind ``cubereps order``: base, transversal sizes, Schreier
-# generators formed and sifts run, as the chain built them when it still held
-# every permutation as a 256-byte table.  A change of representation must
-# keep all four.
+# generators formed and sifts run, as the queue-driven construction builds
+# them (each level drains its unexamined (orbit point, strong generator)
+# pairs last in, first out).  The products of the sizes are the group orders,
+# which sympy confirms in test_sympy_cross.py; the rest pins the path.
 ORDER_CHAIN_SHAPES = {
-    "g2": ([0, 4, 2, 3, 5, 6, 1], [24, 21, 18, 15, 12, 9, 6], 1230, 1070),
-    "g3": ([0, 8, 5, 7, 6, 12, 9, 11, 10, 14, 13, 4, 2, 1, 3, 20, 19, 27],
-           [24, 21, 18, 15, 24, 22, 20, 18, 12, 16, 9, 14, 6, 12, 10, 8, 6, 2], 7151, 6801),
-    "corner-group": ([0, 4, 2, 1, 3, 6, 5], [8, 7, 6, 5, 4, 3, 2], 213, 184),
-    "edge-group": ([0, 8, 2, 6, 9, 7, 10, 1, 3, 4, 5],
-                   [12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2], 964, 875),
-    "p": ([0, 8, 2, 6, 12, 9, 13, 7, 10, 16, 15, 17, 1, 3, 14, 4, 5],
-          [12, 11, 10, 9, 8, 8, 7, 7, 6, 6, 5, 4, 5, 4, 3, 3, 2], 1996, 1864),
+    "g2": ([0, 4, 2, 3, 5, 6, 1], [24, 21, 18, 15, 12, 9, 6], 823, 779),
+    "g3": ([0, 8, 5, 7, 6, 10, 12, 13, 14, 11, 9, 3, 1, 4, 2, 19, 20, 27],
+           [24, 21, 18, 15, 24, 12, 22, 9, 20, 18, 16, 14, 12, 10, 6, 8, 6, 2], 4755, 4673),
+    "corner-group": ([0, 4, 1, 2, 3, 5, 6], [8, 7, 6, 5, 4, 3, 2], 202, 189),
+    "edge-group": ([0, 8, 2, 6, 7, 9, 10, 3, 1, 5, 4],
+                   [12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2], 912, 868),
+    "p": ([0, 8, 2, 6, 13, 12, 7, 16, 9, 10, 14, 17, 15, 3, 1, 5, 4],
+          [12, 11, 10, 9, 8, 7, 8, 6, 7, 6, 5, 4, 3, 5, 4, 3, 2], 1945, 1890),
 }
 
 
 @pytest.mark.parametrize("target", sorted(ORDER_CHAIN_SHAPES))
-def test_order_chains_keep_their_shape_and_work(target):
+def test_order_chains_keep_their_shape_and_work(target, pairs_with_an_old_image):
     """The construction's path, not only its order: the same base, the same
-    orbit sizes and the same count of Schreier generators and sifts."""
+    orbit sizes and the same count of Schreier generators and sifts, with
+    every (orbit point, strong generator) pair examined exactly once."""
     chain = chain_build(Context().generators(target))
     base, sizes, formed, sifts = ORDER_CHAIN_SHAPES[target]
     assert chain.base == base
     assert [len(t) for t in chain._transversal] == sizes
     assert (chain.schreier_generators, chain.sifts) == (formed, sifts)
+    assert chain.schreier_generators == pairs_with_an_old_image(chain)
     assert chain.order() == math.prod(sizes)
+
+
+def test_a_built_g3_chain_keeps_no_record_of_its_pairs():
+    """The 48-point G3 chain keeps under 300 KB of Python allocations once
+    built: its levels, transversals and strong generators, and no record of
+    the pairs it examined (a set of them would take it to about 670 KB)."""
+    generators = Context().generators("g3")
+    tracemalloc.start()
+    try:
+        chain = chain_build(generators)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain.order() == 43252003274489856000
+    assert kept < 300 * 1024
 
 
 @st.composite
@@ -317,6 +337,10 @@ def test_normal_closure_matches_brute_force(case):
     assert normal_closure([identity], conjugators).order() == 1
 
 
-def test_normal_closure_refuses_conjugators_of_another_degree():
+def test_normal_closure_refuses_conjugators_of_another_degree(monkeypatch):
+    """The degrees are checked before the generators' chain is built."""
+    built = []
+    monkeypatch.setattr(StabilizerChain, "_add", lambda chain, g: built.append(g))
     with pytest.raises(PermError, match="^conjugators must share the generators' degree$"):
         normal_closure([Permutation.from_cycles("(12)", 3)], [Permutation.identity(4)])
+    assert built == []

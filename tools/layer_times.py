@@ -38,6 +38,11 @@ children do, these interpreters write bytecode whatever
 unmeasured import fills the cache first: the entry times loading the
 package, not compiling it.
 
+Beside ``times``, ``work`` gives each ``chain_*`` layer's Schreier
+generators formed, sifts run and the KB of Python allocations the built
+chain keeps (``tracemalloc``, one untimed build), so a chain time can be
+read against its counts.
+
 Standard library only; the package is imported from the checkout's
 ``src``.
 """
@@ -53,6 +58,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -173,11 +179,11 @@ def _import_timer(cache: str):
     return import_s, 1
 
 
-def _min_times_us(repeat: int) -> dict:
+def _min_times_us(layers: dict, repeat: int) -> dict:
     """Per-call time of each layer, the fastest of ``repeat`` repeats.  The
     repeats go round the layers in turn, so that a slow spell of a shared
     machine costs each layer one repeat, not all of them."""
-    timers = {name: _timer(fn, inputs) for name, (fn, inputs) in _layers().items()}
+    timers = {name: _timer(fn, inputs) for name, (fn, inputs) in layers.items()}
     with tempfile.TemporaryDirectory(prefix="layer-times-pycache-") as cache:
         timers["import"] = _import_timer(cache)
         best = dict.fromkeys(timers, float("inf"))
@@ -187,17 +193,38 @@ def _min_times_us(repeat: int) -> dict:
     return {name: round(best[name] / calls * 1e6, 2) for name, (_, calls) in timers.items()}
 
 
+def _chain_work(layers: dict) -> dict:
+    """The work of one build of each ``chain_*`` layer: Schreier generators
+    formed, sifts run, and the KB of Python allocations the built chain keeps,
+    as ``tracemalloc`` counts them."""
+    work = {}
+    for name, (build, inputs) in layers.items():
+        if not name.startswith("chain_"):
+            continue
+        tracemalloc.start()
+        try:
+            chain = build(*inputs)  # a chain row's one input: its generators
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        work[name] = {"schreier_generators": chain.schreier_generators,
+                      "sifts": chain.sifts, "kept_kb": round(kept / 1024, 1)}
+    return work
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5, help="repeats per layer (min is kept)")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    layers = _layers()
     print(json.dumps({
         "python": platform.python_version(),
         "repeat": args.repeat,
         "unit": "us per call, min over repeats",
-        "times": _min_times_us(args.repeat),
+        "times": _min_times_us(layers, args.repeat),
+        "work": _chain_work(layers),
     }))
     return 0
 
