@@ -94,11 +94,6 @@ class FiniteAbelianGroup(Record):
         """b: the number of invariant factors greater than 2."""
         return sum(1 for d in self.invariant_factors if d > 2)
 
-    @property
-    def exponent(self) -> int:
-        factors = self.invariant_factors
-        return factors[-1] if factors else 1
-
     def elements(self):
         return itertools.product(*(range(n) for n in self.cyclic_orders))
 

@@ -324,18 +324,6 @@ class CubeState(Record):
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
 
-    @classmethod
-    def from_json(cls, text: str) -> "CubeState":
-        """Parse outside input: the colours must be the solved cube's, each as
-        often; cubelet integrity is left to the readers."""
-        import json
-
-        data = json.loads(text)
-        state = cls(int(data["size"]), tuple(int(x) for x in data["stickers"]))
-        if sorted(state.stickers) != list(cls.solved(state.size).stickers):
-            raise ValueError("sticker colours differ from the solved cube's")
-        return state
-
 
 _SOLVED = {
     n: trusted(

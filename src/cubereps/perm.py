@@ -4,7 +4,7 @@ Points are labeled 1..n throughout, matching the usual cube-corner
 numbering; the twelve edge letters a..l are accepted in cycle notation
 as aliases for 1..12.
 
-Composition is right-to-left function application: ``(p * q)(i) ==
+Composition is right-to-left function application: ``compose(p, q)(i) ==
 p(q(i))``, so ``q`` acts first.  Orders and membership tests are exact;
 group orders are plain Python integers and never overflow.
 """
@@ -84,21 +84,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree

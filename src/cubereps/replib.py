@@ -20,7 +20,7 @@ from ._record import Record, canonical_json, trusted
 from .abelian import FiniteAbelianGroup, mdim_real_abelian, zk0m
 from .cube import FACES, MoveTables
 from .cyclotomic import CyclotomicInt
-from .perm import Permutation, act, carried, compose, twisted_inv, twisted_mul, wreath_points
+from .perm import Permutation, act, carried, compose, twisted_mul, wreath_points
 from .structure import (
     G2Element,
     G3Element,
@@ -51,10 +51,6 @@ class MonomialMap(Record):
     def degree(self) -> int:
         return self.perm.degree
 
-    @classmethod
-    def identity(cls, degree: int, root_order: int) -> "MonomialMap":
-        return cls(root_order, Permutation.identity(degree), (0,) * degree)
-
     def __mul__(self, other: "MonomialMap") -> "MonomialMap":
         if self.root_order != other.root_order:
             raise ValueError("mixed root orders")
@@ -63,10 +59,6 @@ class MonomialMap(Record):
         )
         # the twisted product reduces exponents mod the root order and keeps
         # the degree, so the constructor's checks hold by construction
-        return trusted(MonomialMap, root_order=self.root_order, perm=perm, exps=exps)
-
-    def inverse(self) -> "MonomialMap":
-        exps, perm = twisted_inv(self.root_order, self.exps, self.perm)
         return trusted(MonomialMap, root_order=self.root_order, perm=perm, exps=exps)
 
     def is_identity(self) -> bool:
@@ -243,10 +235,6 @@ class ConjMonomialMap(Record):
         if any(f not in (0, 1) for f in self.flags):
             raise ValueError("flags must be 0 or 1")
 
-    @property
-    def real_dimension(self) -> int:
-        return self.sign_perm.degree + 2 * self.rot_perm.degree
-
     @classmethod
     def identity(cls, sign_count: int, rot_count: int, root_order: int):
         return cls(
@@ -419,13 +407,6 @@ class DecoratedPerm(Record):
         # flags reduced mod 2, one per block of the composed rotation permutation
         return trusted(DecoratedPerm, flags=flags, sigma_p=compose(self.sigma_p, other.sigma_p), sigma_q=sigma_q)
 
-    def is_identity(self) -> bool:
-        return (
-            self.sigma_p.is_identity()
-            and self.sigma_q.is_identity()
-            and not any(self.flags)
-        )
-
 
 def decorated_perm(image: ConjMonomialMap) -> DecoratedPerm:
     """Forget rotation angles and signs, keeping the block permutations and
@@ -570,7 +551,6 @@ class ExceptionalExample:
         # each (p, t) holds the laws: 4 exponents in Z_3 for a degree-4 p
         self.elements = [trusted(MonomialMap, root_order=3, perm=p, exps=t)
                          for t in twists for p in perms]
-        self.identity = MonomialMap.identity(4, 3)
         self.mul = MonomialMap.__mul__
         named = {
             "transposition": MonomialMap(3, Permutation.from_cycles("(12)", 4), (0, 0, 0, 0)),

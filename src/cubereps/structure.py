@@ -3,9 +3,9 @@
 The 2x2 group is modeled as sum-zero corner twists extended by corner
 permutations; the 3x3 group as sum-zero edge flips and corner twists
 extended by a sign-matched pair of permutations.  Products are written
-right-to-left (``a * b`` applies ``b`` first), matching the convention of
-the permutation module; a chronological move word therefore maps to the
-reversed product of its tokens, and ``word_element_g2`` /
+right-to-left (``g2_mul(a, b)`` applies ``b`` first), matching the
+convention of the permutation module; a chronological move word therefore
+maps to the reversed product of its tokens, and ``word_element_g2`` /
 ``word_element_g3`` are the single place where that reversal happens.
 """
 
@@ -51,10 +51,6 @@ class G2Element(Record):
         if self.perm.degree != 8:
             raise ValueError("corner permutation must have degree 8")
 
-    @classmethod
-    def identity(cls) -> "G2Element":
-        return cls((0,) * 8, Permutation.identity(8))
-
     def is_identity(self) -> bool:
         return self.perm.is_identity() and not any(self.twist)
 
@@ -97,12 +93,6 @@ class G3Element(Record):
             raise ValueError("pair must have degrees (12, 8)")
         if edges.sign() != corners.sign():
             raise ValueError("edge and corner permutations must have equal sign")
-
-    @classmethod
-    def identity(cls) -> "G3Element":
-        return cls(
-            (0,) * 12, (0,) * 8, (Permutation.identity(12), Permutation.identity(8))
-        )
 
     def is_identity(self) -> bool:
         return (
@@ -523,36 +513,17 @@ def superflip_state() -> CubeState:
 
 class SubgroupTag(enum.Enum):
     K = "K"  # 2x2: corner twists in place
-    L = "L"  # 2x2: words of even length
-    H = "H"  # 2x2: orientation-preserving copy of S_8
     M = "M"  # 3x3: edge flips in place
     N = "N"  # 3x3: kernel of the corner-forgetting map
     J = "J"  # 3x3: all rotations in place
-    S = "S"  # 3x3: sign-matched copy of S_8 in the pair group
     P = "P"  # pairs with equal signs
-    A8 = "A8"
-    A12 = "A12"
-    FULL = "full"
-    TRIVIAL = "trivial"
 
 
 def membership(tag: SubgroupTag, element) -> bool:
     """Exact membership of an element in the named subgroup."""
-    if tag is SubgroupTag.FULL:
-        return isinstance(element, (G2Element, G3Element, Permutation))
-    if tag is SubgroupTag.TRIVIAL:
-        if isinstance(element, (G2Element, G3Element, Permutation)):
-            return element.is_identity()
-        raise TypeError(f"unsupported element type {type(element)!r}")
     if tag is SubgroupTag.K:
         _expect(element, G2Element, tag)
         return element.perm.is_identity()
-    if tag is SubgroupTag.L:
-        _expect(element, G2Element, tag)
-        return element.perm.sign() == 1
-    if tag is SubgroupTag.H:
-        _expect(element, G2Element, tag)
-        return not any(element.twist)
     if tag is SubgroupTag.M:
         _expect(element, G3Element, tag)
         return (
@@ -566,29 +537,12 @@ def membership(tag: SubgroupTag, element) -> bool:
     if tag is SubgroupTag.J:
         _expect(element, G3Element, tag)
         return element.pair[0].is_identity() and element.pair[1].is_identity()
-    if tag is SubgroupTag.S:
-        _expect(element, G3Element, tag)
-        return (
-            not any(element.flip)
-            and not any(element.twist)
-            and element.pair[0] == sign_embed(element.pair[1])
-        )
     if tag is SubgroupTag.P:
         pair = element.pair if isinstance(element, G3Element) else element
         edges, corners = pair
         if edges.degree != 12 or corners.degree != 8:
             raise TypeError("P expects a (degree 12, degree 8) pair")
         return edges.sign() == corners.sign()
-    if tag is SubgroupTag.A8:
-        _expect(element, Permutation, tag)
-        if element.degree != 8:
-            raise TypeError("A8 expects a degree-8 permutation")
-        return element.sign() == 1
-    if tag is SubgroupTag.A12:
-        _expect(element, Permutation, tag)
-        if element.degree != 12:
-            raise TypeError("A12 expects a degree-12 permutation")
-        return element.sign() == 1
     raise TypeError(f"unsupported tag {tag!r}")
 
 

@@ -261,7 +261,6 @@ def test_group_properties():
     assert g.order == 24
     assert g.invariant_factors == (2, 2, 6)
     assert g.two_count == 2 and g.large_count == 1
-    assert g.exponent == 6
     assert str(g) == "Z2 x Z2 x Z6"
     assert str(FiniteAbelianGroup(())) == "1"
     with pytest.raises(ValueError):

@@ -113,12 +113,6 @@ def test_cycle_string():
     )
 
 
-def test_power():
-    p = Permutation.from_cycles("(1342)", 8)
-    assert p**4 == Permutation.identity(8)
-    assert p**-1 == p.inverse()
-
-
 def test_chain_symmetric_group():
     chain = chain_build(
         [Permutation.from_cycles("(12)", 8), Permutation.from_cycles("(12345678)", 8)]
@@ -266,7 +260,7 @@ def test_a_chain_takes_256_points():
     cycle = Permutation(list(range(2, 257)) + [1])
     chain = chain_build([cycle])
     assert chain.order() == 256
-    assert chain_contains(chain, cycle**255)
+    assert chain_contains(chain, cycle.inverse())
     assert not chain_contains(chain, Permutation.from_cycles([(1, 2)], 256))
     for degree in (255, 257):
         assert not chain_contains(chain, Permutation.identity(degree))

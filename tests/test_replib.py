@@ -11,7 +11,7 @@ from cubereps import cube, replib, structure, verify
 from cubereps.abelian import FiniteAbelianGroup
 from cubereps.cube import random_word
 from cubereps.cyclotomic import CyclotomicInt, cyclotomic_polynomial
-from cubereps.perm import Permutation, chain_build, wreath_points
+from cubereps.perm import Permutation, chain_build, twisted_inv, wreath_points
 from cubereps.replib import (
     ConjMonomialMap,
     ConjMonomialRep,
@@ -46,6 +46,9 @@ from cubereps.structure import (
 @pytest.fixture(scope="module")
 def exceptional():
     return ExceptionalExample()
+
+
+EXCEPTIONAL_IDENTITY = MonomialMap(3, Permutation.identity(4), (0,) * 4)
 
 
 # -- cyclotomic integers ----------------------------------------------------
@@ -94,8 +97,7 @@ def test_monomial_algebra():
             )
         a, b, c = maps
         assert (a * b) * c == a * (b * c)
-        assert (a * a.inverse()).is_identity()
-        assert a * MonomialMap.identity(5, 6) == a
+        assert a * MonomialMap(6, Permutation.identity(5), (0,) * 5) == a
 
 
 def _apply_monomial(m: MonomialMap, vector):
@@ -262,7 +264,15 @@ def test_the_certificate_agrees_with_exact_chain_orders(bumped_u_rep):
         for model in models:
             assert faithful_structural(rep, model) is (len(set(orders)) == 1)
     rep2, u = build_rep_g2(), build_rep_g2().elements["U"]
-    inverted_u = MonomialRep(rep2.elements, lambda x: rep2.of(x).inverse() if x == u else rep2.of(x))
+
+    def inverted_u_of(x):
+        image = rep2.of(x)
+        if x != u:
+            return image
+        exps, perm = twisted_inv(image.root_order, image.exps, image.perm)
+        return MonomialMap(image.root_order, perm, exps)
+
+    inverted_u = MonomialRep(rep2.elements, inverted_u_of)
     for rep in (bumped_u_rep(), _with_a_coordinate_only_u_turns(rep2), inverted_u):
         group, diagonal, _ = _chain_orders(rep)
         assert diagonal > group == G2_ORDER  # no homomorphism
@@ -567,7 +577,9 @@ def test_decorated_perm_extraction():
     d2 = decorated_perm(tau)
     assert d2.flags == (0, 0, 0)
     assert d2.sigma_q == Permutation.from_cycles("(132)", 3)
-    assert decorated_perm(ConjMonomialMap.identity(2, 3, 6)).is_identity()
+    d3 = decorated_perm(ConjMonomialMap.identity(2, 3, 6))
+    assert (d3.flags, d3.sigma_p, d3.sigma_q) == ((0, 0, 0), Permutation.identity(2),
+                                                  Permutation.identity(3))
 
 
 # -- bounds -------------------------------------------------------------------
@@ -627,10 +639,10 @@ def test_character_norm_of_trivial_and_doubled_trivial():
     elements = list(range(5))  # any placeholder group of order 5
 
     def trivial(x):
-        return MonomialMap.identity(1, 3)
+        return MonomialMap(3, Permutation.identity(1), (0,))
 
     def doubled(x):
-        return MonomialMap.identity(2, 3)
+        return MonomialMap(3, Permutation.identity(2), (0, 0))
 
     assert character_norm(trivial, elements) == 1
     assert character_norm(doubled, elements) == 4
@@ -651,7 +663,7 @@ def test_frobenius_schur_small_cases():
     assert frobenius_schur(sign_rep, z2, lambda a, b: (a + b) % 2) == 1
 
     def trivial(k):
-        return MonomialMap.identity(1, 2)
+        return MonomialMap(2, Permutation.identity(1), (0,))
 
     assert frobenius_schur(trivial, z2, lambda a, b: (a + b) % 2) == 1
 
@@ -686,9 +698,9 @@ def _rep6_is_a_homomorphism(ex) -> bool:
     and every x reached from e, which must be all 648 elements: then every x
     is a product of generators and rep6 is multiplicative on all pairs."""
     rep6 = ex.rep6
-    if not rep6.of(ex.identity).is_identity():
+    if not rep6.of(EXCEPTIONAL_IDENTITY).is_identity():
         return False
-    reached, frontier = {ex.identity}, [ex.identity]
+    reached, frontier = {EXCEPTIONAL_IDENTITY}, [EXCEPTIONAL_IDENTITY]
     while frontier:
         x = frontier.pop()
         for name, g in rep6.elements.items():
@@ -788,6 +800,6 @@ def test_exceptional_mul_is_group_law(exceptional):
     for _ in range(200):
         a, b, c = (els[rng.randrange(648)] for _ in range(3))
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
-    e = exceptional.identity
+    e = EXCEPTIONAL_IDENTITY
     x = els[100]
     assert mul(e, x) == x and mul(x, e) == x
