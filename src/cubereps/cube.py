@@ -455,10 +455,10 @@ _CORNERS = _cubelet_kind(
 _EDGES = _cubelet_kind("edge", "pair", EDGE_LETTERS, EDGE_POS, _normals, (3,))
 
 
-def _per_size(kind: _CubeletKind, size: int, tables: dict):
+def _per_size(kind: _CubeletKind, size: int):
     if kind is _EDGES and size == 2:
         raise ValueError("edges exist only on the 3x3 cube")
-    return tables[size]
+    return kind.index[size]
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +505,7 @@ class _Reader:
         gather = self._gathers.get(state.size)
         if gather is None:
             indices = []
-            for run, m in zip(_per_size(self.kind, state.size, self.kind.index), self.places):
+            for run, m in zip(_per_size(self.kind, state.size), self.places):
                 indices += run[m:] + run[:m]
             gather = self._gathers[state.size] = itemgetter(*indices)
         it = iter(gather(state.stickers))
@@ -529,28 +529,27 @@ def _first_fault(reader: _Reader, state: CubeState, twice: bool = False) -> Corr
             held.add(home)
 
 
-def _read(reader: _Reader, state: CubeState) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The home and the twist of the cubelet at each position, as two tuples,
-    from one table hit per cubelet; raises on the first position whose run
-    matches no cubelet.  ``structure.encode_g2``/``encode_g3`` read both."""
+def _read(reader: _Reader, state: CubeState, twice: bool = False) -> list[tuple[int, int]]:
+    """The (home, twist) of the cubelet at each position, as a list, from one
+    table hit per cubelet: the one gather of ``structure.encode_g2``/
+    ``encode_g3`` and the permutation readers.  A run that matches no cubelet
+    raises the first fault of the reader's walk, which with ``twice`` (the
+    permutation readers) may be a home found twice before it."""
     try:
-        homes, twists = zip(*map(reader.cubelet.__getitem__, reader.runs(state)))
+        return list(map(reader.cubelet.__getitem__, reader.runs(state)))
     except KeyError:
-        raise _first_fault(reader, state) from None
-    return homes, twists
+        raise _first_fault(reader, state, twice) from None
 
 
-def _permutation(reader: _Reader, state: CubeState, homes) -> Permutation:
-    """image[home] = position, from the home ``_read`` or ``_homes`` found at
-    each position; homes None (a run matched no cubelet) or a home found
-    twice raises the first fault of the reader's walk."""
-    if homes is not None:
-        image = [0] * len(homes)
-        for position, home in enumerate(homes, 1):
-            image[home - 1] = position
-        if 0 not in image:  # every home filled once: a bijection
-            return Permutation._trusted(tuple(image))
-    raise _first_fault(reader, state, twice=True)
+def _permutation(reader: _Reader, state: CubeState, cubelets) -> Permutation:
+    """image[home] = position, from the (home, twist) ``_read`` found at each
+    position; a home found twice raises the first fault of the reader's walk."""
+    image = [0] * len(cubelets)
+    for position, (home, _) in enumerate(cubelets, 1):
+        image[home - 1] = position
+    if 0 in image:  # a home found twice left another one unfilled
+        raise _first_fault(reader, state, twice=True)
+    return Permutation._trusted(tuple(image))
 
 
 class OrientationBasis(Record):
@@ -595,32 +594,26 @@ def reference_basis() -> OrientationBasis:
 REFERENCE_BASIS = reference_basis()
 
 
-# The permutation readers take the homes off the reference basis' readers;
-# any basis' reader finds the same homes.
-
-
-def _homes(reader: _Reader, state: CubeState):
-    """The home found at each position, one table hit each; None if a run
-    matches no cubelet, for ``_permutation`` to name the first fault."""
-    try:
-        return [home for home, _ in map(reader.cubelet.__getitem__, reader.runs(state))]
-    except KeyError:
-        return None
+# The permutation readers read the homes off the gather of the encoders,
+# ``_read``, on the reference basis' readers; any basis' reader finds the
+# same homes.
 
 
 def corner_permutation(state: CubeState) -> Permutation:
     """Where each corner cubelet went: image[home] = current position."""
     reader = REFERENCE_BASIS.corner_table
-    return _permutation(reader, state, _homes(reader, state))
+    return _permutation(reader, state, _read(reader, state, twice=True))
 
 
 def edge_permutation(state: CubeState) -> Permutation:
     reader = REFERENCE_BASIS.edge_table
-    return _permutation(reader, state, _homes(reader, state))
+    return _permutation(reader, state, _read(reader, state, twice=True))
 
 
 # The orientation readers and the sums take each position's twist off the
-# basis' reader; only a run that matches no cubelet sends them to the
+# basis' reader's own twist view, not off ``_read``'s pairs: the sums are the
+# suite's hottest read, and summing the twists out of the pairs costs about a
+# third more per call.  Only a run that matches no cubelet sends them to the
 # reader's walk, to name its position.
 
 
@@ -664,7 +657,7 @@ def invariant_t(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> 
 def _turn(kind: _CubeletKind, position: int, steps: int, size: int) -> tuple[int, ...]:
     """Sticker permutation moving each sticker of the cubelet at a position
     ``steps`` places along its turning order: entry i is where sticker i goes."""
-    index = _per_size(kind, size, kind.index)[position - 1]
+    index = _per_size(kind, size)[position - 1]
     perm = list(range(sticker_count(size)))
     for j, i in enumerate(index):
         perm[i] = index[(j + steps) % len(index)]

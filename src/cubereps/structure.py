@@ -124,24 +124,27 @@ def encode_g2(state: CubeState) -> G2Element:
     """Read a 2x2 state off as a group element; raises on unreachable states."""
     if state.size != 2:
         raise ValueError("encode_g2 expects a 2x2 state")
-    # one table hit per cubelet gives its home and twist; the reader's one
-    # walk names the first fault, as corner_orientation and then
-    # corner_permutation would
+    # one gather of each position's (home, twist), one table hit per cubelet,
+    # serves the twists and ``cube._permutation``; the reader's one walk names
+    # the first fault, as corner_orientation and then corner_permutation would
     reader = cube.REFERENCE_BASIS.corner_table
-    homes, twist = cube._read(reader, state)
+    corners = cube._read(reader, state)
+    twist = tuple([t for _, t in corners])
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
-    return trusted(G2Element, twist=twist, perm=cube._permutation(reader, state, homes))
+    return trusted(G2Element, twist=twist, perm=cube._permutation(reader, state, corners))
 
 
 def encode_g3(state: CubeState) -> G3Element:
     if state.size != 3:
         raise ValueError("encode_g3 expects a 3x3 state")
     basis = cube.REFERENCE_BASIS
-    corners, twist = cube._read(basis.corner_table, state)
+    corners = cube._read(basis.corner_table, state)
+    twist = tuple([t for _, t in corners])
     if sum(twist) % 3:
         raise UnreachableState("corner orientation sum is nonzero")
-    edges, flip = cube._read(basis.edge_table, state)
+    edges = cube._read(basis.edge_table, state)
+    flip = tuple([f for _, f in edges])
     if sum(flip) % 2:
         raise UnreachableState("edge orientation sum is nonzero")
     pair = (cube._permutation(basis.edge_table, state, edges),

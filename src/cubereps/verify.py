@@ -64,8 +64,8 @@ P_ORDER = math.factorial(12) * math.factorial(8) // 2
 
 # ``cubereps order`` target -> a face's image; the edge group is P's edge factor
 _FACE_IMAGES = {
-    "g2": lambda ctx, f: ctx.sticker_perm(f, 2),
-    "g3": lambda ctx, f: ctx.sticker_perm(f, 3),
+    "g2": lambda ctx, f: _one_based(ctx.sticker_perm(f, 2)),
+    "g3": lambda ctx, f: _one_based(ctx.sticker_perm(f, 3)),
     "corner-group": lambda ctx, f: ctx.corners(f),
     "edge-group": lambda ctx, f: ctx.pair(f)[0],
     "p": lambda ctx, f: pair_to_perm20(ctx.pair(f)),
@@ -76,7 +76,9 @@ class Context:
     """Shared state for one verification run: seed, trial counts, move
     tables (injectable for negative controls), and cached heavy objects.
     Checks read every word through these tables, and the constructive
-    words and representations they certify are built on them too."""
+    words and representations they certify are built on them too.  A word
+    becomes a state, an element or a sticker permutation only in the read
+    methods below."""
 
     def __init__(self, seed: int = 0, trials: int | None = None,
                  tables2: cube.MoveTables | None = None,
@@ -122,9 +124,9 @@ class Context:
         state = self.apply(3, w)
         return cube.edge_permutation(state), cube.corner_permutation(state)
 
-    def sticker_perm(self, w, size: int) -> Permutation:
-        raw = cube.sticker_perm_of_word(w, size, self.tables[size])
-        return Permutation(tuple(v + 1 for v in raw))
+    def sticker_perm(self, w, size: int) -> tuple[int, ...]:
+        """The 0-based sticker permutation of a word: entry i is where sticker i goes."""
+        return cube.sticker_perm_of_word(w, size, self.tables[size])
 
     def generators(self, target: str) -> list[Permutation]:
         """The six face images generating the group ``cubereps order`` names."""
@@ -260,10 +262,7 @@ def report_text(results: list[CheckResult]) -> str:
 
 @check("eq-2.1-phi-gens", "the six generators act on corners by the fixed 4-cycles", "eq-2.1")
 def _(ctx: Context):
-    got = {
-        f: cube.corner_permutation(ctx.apply(2, f)).cycle_string()
-        for f in cube.FACES
-    }
+    got = {f: ctx.corners(f).cycle_string() for f in cube.FACES}
     return got == PHI_TABLE, str(PHI_TABLE), str(got)
 
 
@@ -275,7 +274,7 @@ def _(ctx: Context):
 
 @check("prop-2.2-t1", "the word t1 transposes the two top-back corners", "prop-2.2")
 def _(ctx: Context):
-    got = cube.corner_permutation(ctx.apply(2, structure.WORD_T1))
+    got = ctx.corners(structure.WORD_T1)
     return got.cycle_string() == "(34)", "(34)", got.cycle_string()
 
 
@@ -417,7 +416,7 @@ def _(ctx: Context):
 
 @check("rem-2.11-center-g2", "the 2x2 group has trivial center", "rem-2.11")
 def _(ctx: Context):
-    central = _centralizer(_face_images(ctx, 2, cube.corner_permutation))
+    central = _centralizer(list(map(_zero_based, ctx.generators("corner-group"))))
     perm_ok = central == [tuple(range(8))]
     twist_ok = _central_constants(cube._CORNERS) == [0]
     ok = perm_ok and twist_ok
@@ -439,14 +438,9 @@ def _(ctx: Context):
 
 @check("eq-3.1-alpha-gens", "the six generators act on edges by the fixed 4-cycles", "eq-3.1")
 def _(ctx: Context):
-    got = {
-        f: cube.edge_permutation(ctx.apply(3, f)).cycle_string(letters=True)
-        for f in cube.FACES
-    }
-    corner_got = {
-        f: cube.corner_permutation(ctx.apply(3, f)).cycle_string()
-        for f in cube.FACES
-    }
+    pairs = {f: ctx.pair(f) for f in cube.FACES}
+    got = {f: edges.cycle_string(letters=True) for f, (edges, _) in pairs.items()}
+    corner_got = {f: corners.cycle_string() for f, (_, corners) in pairs.items()}
     ok = got == BETA_TABLE and corner_got == PHI_TABLE
     return ok, str(BETA_TABLE), str(got)
 
@@ -634,13 +628,13 @@ def _(ctx: Context):
 def _(ctx: Context):
     sf_perm = _vector_sticker_perm(
         (1,) * 12, lambda position, _: cube.sticker_perm_of_flip(position), 3)
-    face_perms = (cube.sticker_perm_of_word(f, 3, ctx.tables[3]) for f in cube.FACES)
+    face_perms = (ctx.sticker_perm(f, 3) for f in cube.FACES)
     noncommuting = sum(cube.compose_sticker_perms(pg, sf_perm) != cube.compose_sticker_perms(sf_perm, pg)
                        for pg in face_perms)
     sf_el = superflip()
     involution = g3_mul(sf_el, sf_el).is_identity() and not sf_el.is_identity()
-    centrals = [_centralizer(_face_images(ctx, 3, read))
-                for read in (cube.edge_permutation, cube.corner_permutation)]
+    centrals = [_centralizer(list(map(_zero_based, images)))
+                for images in zip(*map(ctx.pair, cube.FACES))]
     trivial = centrals == [[tuple(range(12))], [tuple(range(8))]]
     twist_free = _central_constants(cube._CORNERS) == [0]
     flip_constants = _central_constants(cube._EDGES)
@@ -853,7 +847,7 @@ def _conjugation_law(ctx, label, size, length, modulus, turn, permutation, orien
     sum-zero vector, g k g^-1 turns in place by the vector permuted by g."""
     def failures(sample):
         w, vector = sample
-        pg = cube.sticker_perm_of_word(w, size, ctx.tables[size])
+        pg = ctx.sticker_perm(w, size)
         conj = cube.compose_sticker_perms(
             cube.compose_sticker_perms(pg, _vector_sticker_perm(vector, turn, size)),
             cube.invert_sticker_perm(pg),
@@ -896,7 +890,7 @@ def _closure_rank(ctx: Context, w, size: int, prime: int) -> str:
     """"rank r" when the normal closure of w's sticker permutation in the
     size x size cube group has order prime^r: for a pure twist (3) or flip (2)
     it is a subgroup of Z_prime^n, of rank r.  Any other order is named."""
-    order = normal_closure([ctx.sticker_perm(w, size)], ctx.generators(f"g{size}")).order()
+    order = normal_closure([_one_based(ctx.sticker_perm(w, size))], ctx.generators(f"g{size}")).order()
     rank = 0
     while order % prime ** (rank + 1) == 0:
         rank += 1
@@ -905,7 +899,7 @@ def _closure_rank(ctx: Context, w, size: int, prime: int) -> str:
 
 def _face_commutators(ctx: Context) -> list[Permutation]:
     """The 2x2 sticker permutations of the 30 commutators of two distinct faces."""
-    return [ctx.sticker_perm(commutator(word(a), word(b)), 2)
+    return [_one_based(ctx.sticker_perm(commutator(word(a), word(b)), 2))
             for a, b in itertools.permutations(cube.FACES, 2)]
 
 
@@ -924,10 +918,14 @@ def _l_witness_word(ctx: Context) -> MoveWord:
     return w
 
 
-def _face_images(ctx: Context, size: int, read) -> list[tuple[int, ...]]:
-    """0-based images of the six faces under ``read`` (a position reader of
-    the states that ctx's move tables reach)."""
-    return [tuple(v - 1 for v in read(ctx.apply(size, f)).image) for f in cube.FACES]
+def _one_based(raw) -> Permutation:
+    """A 0-based permutation (a sticker permutation) as a Permutation of 1..n, for the chains."""
+    return Permutation(tuple(v + 1 for v in raw))
+
+
+def _zero_based(p: Permutation) -> tuple[int, ...]:
+    """A Permutation as the 0-based image tuple ``_centralizer`` reads."""
+    return tuple(v - 1 for v in p.image)
 
 
 def _central_constants(kind) -> list[int]:

@@ -348,13 +348,14 @@ def test_conjugation_law_by_simulation():
 
 def test_encode_reads_each_orientation_once(monkeypatch):
     """encode_g2/encode_g3 look each cubelet kind's colours up once, and both
-    the orientation and the permutation are read off that one lookup."""
+    the orientation and the permutation are read off that one lookup; the
+    permutation readers make the same one read of their kind."""
     calls = {"corner": 0, "edge": 0}
     read = cube._read
 
-    def counted(reader, state):
+    def counted(reader, state, twice=False):
         calls[reader.kind.name] += 1
-        return read(reader, state)
+        return read(reader, state, twice)
 
     monkeypatch.setattr(cube, "_read", counted)
     state = apply_word(CubeState.solved(3), "F R U' L2 B")
@@ -362,12 +363,16 @@ def test_encode_reads_each_orientation_once(monkeypatch):
     assert calls == {"corner": 1, "edge": 1}
     assert el.twist == cube.corner_orientation(state)
     assert el.flip == cube.edge_orientation(state)
-    assert el.pair == (cube.edge_permutation(state), cube.corner_permutation(state))
+    calls.update(corner=0, edge=0)
+    pair = (cube.edge_permutation(state), cube.corner_permutation(state))
+    assert calls == {"corner": 1, "edge": 1}
+    assert el.pair == pair
     calls.update(corner=0, edge=0)
     state = apply_word(CubeState.solved(2), "F R U' L2 B")
     el = structure.encode_g2(state)
     assert calls == {"corner": 1, "edge": 0}
     assert (el.twist, el.perm) == (cube.corner_orientation(state), cube.corner_permutation(state))
+    assert calls == {"corner": 2, "edge": 0}
 
 
 # ---------------------------------------------------------------------------

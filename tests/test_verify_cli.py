@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import os
@@ -585,6 +586,25 @@ def test_checks_read_words_only_through_the_context_tables(monkeypatch):
         assert len(results) == len(verify._CHECKS) == 42
         failed = {r.id: r.actual for r in results if r.status == "fail"}
         assert not failed, (seed, failed)
+
+
+def test_words_become_states_only_inside_the_context():
+    """The Context's read methods are the suite's only word path: verify.py
+    names the four word readers inside ``class Context`` and nowhere else."""
+    readers = {"apply_word", "sticker_perm_of_word", "word_element_g2", "word_element_g3"}
+    tree = ast.parse(Path(verify.__file__).read_text())
+    context = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Context")
+    in_context = set(map(id, ast.walk(context)))
+    inside, outside = set(), []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in readers:
+            if id(node) in in_context:
+                inside.add(name)
+            else:
+                outside.append(f"{name} at line {node.lineno}")
+    assert not outside
+    assert inside == readers
 
 
 @pytest.mark.parametrize("id", ["prop-2.8-normal-k", "thm-3.12-g2-in-g3"])

@@ -13,7 +13,7 @@ the faithfulness certificates take the degree-8 and degree-20
 representations with their cubes' sticker tables as the groups'
 definitions, the real form
 derives the degree-20 one's sign lines, and the centre layer is rem-3.14's
-two centralizers of the 3x3 edge and corner actions.
+two centralizers of the 3x3 edge and corner actions, read through ``ctx.pair``.
 The element layers take the elements that the 20-token words reach:
 ``g2_mul`` and ``g3_mul`` multiply neighbours, ``g3_inv`` inverts one,
 ``conjugate_12`` conjugates one edge permutation by its neighbour's, and
@@ -135,8 +135,8 @@ def _layers() -> dict:
                         [ctx.rep(3)]),
         "realify_g3": (replib.realify, [ctx.rep(3)]),
         "centre_g3": (lambda actions: [verify._centralizer(gens) for gens in actions],
-                      [[verify._face_images(ctx, 3, read)
-                        for read in (cube.edge_permutation, cube.corner_permutation)]]),
+                      [[list(map(verify._zero_based, images))
+                        for images in zip(*map(ctx.pair, cube.FACES))]]),
         "commutator_closure": (lambda pair: normal_closure(*pair),
                                [(verify._face_commutators(ctx), ctx.generators("g2"))]),
         "default_tables": (lambda _: [cube._derived_tables(n) for n in (2, 3)], [None]),
