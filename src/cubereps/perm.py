@@ -290,21 +290,24 @@ def carried(x0: int, y0: int, model: Sequence, image: Sequence) -> dict[int, int
 # u_x^-1, and g^-1, from which u_x^-1 is translated whole (below).  Bytes cap
 # a chain at 256 points.
 #
-# Level i's group is generated by S_i, the strong generators that fix the
-# first i base points.  Each level keeps a queue of the (orbit point p, g in
-# S_i) pairs it has not yet examined.  A pair is queued by whichever of p and
-# g arrived second: a new orbit point against every generator of S_i, a new
-# strong generator against every orbit point of each level whose S_i holds
-# it.  So every Schreier generator is examined exactly once, and a pair
-# leaves no record once popped.  An image g(p) new to the orbit gets the
-# transversal entry g u_p; any other gives the Schreier generator
-# u_{g(p)}^-1 g u_p, sifted through the deeper levels.  A residue becomes a
-# strong generator at once, and the deeper levels it was queued at are
-# drained before the next pair.  Once every queue is empty, each orbit is
-# closed under its S_i and each Schreier generator lies in the group of the
-# level below, so the chain is complete (Schreier's lemma).  Pairs are queued
-# and popped, last in first out, in a fixed order, so the construction is
-# deterministic.
+# Level i keeps its own list S_i of strong generators; H_i = <S_i>.  Each
+# level queues the (orbit point p, g in S_i) pairs it has not examined, by
+# whichever of p and g arrived second, so each Schreier generator is formed
+# exactly once and leaves no record.  A new image g(p) gets the transversal
+# entry g u_p; any other gives u_{g(p)}^-1 g u_p, sifted through the deeper
+# levels.  A residue stopping at level L fixes base[:L].  An input generator
+# (or a ``normal_closure`` conjugate) joins S_0..S_L; the residue of a
+# Schreier generator formed at level i joins only S_{i+1}..S_L, and those
+# levels are drained before the next pair.  That Schreier generator is a
+# word in S_i, sifted by transversal entries of deeper groups, which lie in
+# H_i; so H_0..H_i already hold the residue, and adding it there would change
+# no group, orbit or examined pair (Holt, Eick and O'Brien, *Handbook of
+# Computational Group Theory*, ch. 4).  The groups still descend, H_j >=
+# H_{j+1}, though the lists need not.  Once every queue is empty, each orbit
+# is closed under its S_i and each Schreier generator sifts to the identity
+# through H_{i+1}, so H_{i+1} = Stab_{H_i}(b_i) (Schreier's lemma) and the
+# order is the product of the orbit sizes.  Pairs are queued and popped,
+# last in first out, in a fixed order: the construction is deterministic.
 #
 # Beside each transversal entry u_x the chain stores u_x^-1, written in the
 # same orbit step as (g u_p)^-1 = u_p^-1 g^-1 from the stored inverses of u_p
@@ -349,9 +352,9 @@ class StabilizerChain:
     Deterministic (base points are the smallest moved points, generators
     processed in order), with exact membership and exact order.
     ``schreier_generators`` and ``sifts`` count the work of the construction:
-    the Schreier generators formed, one per (orbit point p, strong generator
-    g) pair whose image g(p) was already in the orbit, and the sifts run
-    (membership tests are not counted).
+    the Schreier generators formed, one per (orbit point p of level i, g in
+    level i's own list S_i) pair whose image g(p) was already in the orbit,
+    and the sifts run (membership tests are not counted).
     """
 
     def __init__(self, degree: int):
@@ -360,8 +363,7 @@ class StabilizerChain:
         self.degree = degree
         self._identity = _IDENTITY[:degree]
         self.base: list[int] = []  # 0-based internally
-        # strong generators per level, as (g, g^-1) tables; S_i is those of
-        # levels >= i
+        # each level's own strong generators S_i, as (g, g^-1) tables
         self._gens: list[list[tuple[bytes, bytes]]] = []
         self._transversal: list[dict[int, bytes]] = []
         # (base point, its u_x^-1 per orbit point x) per level, walked by _sift
@@ -404,7 +406,7 @@ class StabilizerChain:
         residue, level = self._sift(g)
         if residue == self._identity:
             return False
-        self._insert(residue, level)
+        self._insert(residue, 0, level)
         for j in range(level, -1, -1):
             self._complete(j)
         return True
@@ -423,12 +425,12 @@ class StabilizerChain:
             g = g.translate(rep_inv)
         return g, len(levels)
 
-    def _insert(self, residue: bytes, level: int) -> None:
-        """Record a sifted non-identity residue as a strong generator.
-
-        The residue fixes base[:level], so S_0..S_level hold it: it is queued
-        against every orbit point of those levels.  A new base point is
-        opened when it fixes every existing base point.
+    def _insert(self, residue: bytes, first: int, level: int) -> None:
+        """Record a sifted non-identity residue, which fixes base[:level], as
+        a strong generator: it joins S_first..S_level and is queued against
+        every orbit point of those levels.  ``first`` is 0 for an added
+        generator and i + 1 for the residue of a Schreier generator formed at
+        level i.  A new base point is opened when it fixes every base point.
         """
         if level == len(self.base):
             point = min(i for i, v in enumerate(residue) if v != i)
@@ -438,21 +440,22 @@ class StabilizerChain:
             self._levels.append((point, {point: _IDENTITY}))
             self._queues.append([])
         strong = (_byte_table(residue), _byte_table(_inv0(residue)))
-        self._gens[level].append(strong)
-        for trans, queue in zip(self._transversal[:level + 1], self._queues):
-            queue.extend((point, strong) for point in trans)
+        for j in range(first, level + 1):
+            self._gens[j].append(strong)
+            self._queues[j].extend((point, strong) for point in self._transversal[j])
 
     def _complete(self, level: int) -> None:
         """Examine every queued pair of `level`, assuming all deeper queues
         are empty; on return this and every deeper queue is empty.
 
         A new orbit point is queued against S_level.  A Schreier generator's
-        residue becomes a strong generator, and the deeper levels it was
-        queued at are completed before the next pair.
+        residue joins the lists of the deeper levels only, up to its sift
+        level, and those levels are completed before the next pair.
         """
         identity = self._identity
         trans = self._transversal[level]
         inverse = self._levels[level][1]
+        gens = self._gens[level]
         queue = self._queues[level]
         formed = sifts = 0  # counted here, added to the chain's counts once
         while queue:
@@ -462,7 +465,7 @@ class StabilizerChain:
             if img not in trans:
                 trans[img] = moved
                 inverse[img] = g_inv.translate(inverse[point])
-                queue.extend((img, s) for gens in self._gens[level:] for s in gens)
+                queue.extend((img, s) for s in gens)
                 continue
             formed += 1
             schreier = moved.translate(inverse[img])  # u_{g(p)}^-1 g u_p
@@ -472,7 +475,7 @@ class StabilizerChain:
             residue, lvl = self._sift(schreier, level + 1)
             if residue == identity:
                 continue
-            self._insert(residue, lvl)
+            self._insert(residue, level + 1, lvl)
             for j in range(lvl, level, -1):
                 self._complete(j)
         self.schreier_generators += formed

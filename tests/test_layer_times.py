@@ -31,7 +31,7 @@ def test_layer_times_prints_one_json_line_with_every_layer():
     assert all(t > 0 for t in report["times"].values())
     assert set(report["work"]) == {name for name in LAYERS if name.startswith("chain_")}
     for work in report["work"].values():
-        assert set(work) == {"schreier_generators", "sifts", "kept_kb"}
+        assert set(work) == {"schreier_generators", "sifts", "level_generators", "kept_kb"}
         assert all(v > 0 for v in work.values())
 
 

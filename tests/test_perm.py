@@ -193,18 +193,19 @@ def test_chain_contains_leaves_the_chain_unchanged():
 
 # The chains behind ``cubereps order``: base, transversal sizes, Schreier
 # generators formed and sifts run, as the queue-driven construction builds
-# them (each level drains its unexamined (orbit point, strong generator)
-# pairs last in, first out).  The products of the sizes are the group orders,
-# which sympy confirms in test_sympy_cross.py; the rest pins the path.
+# them (each level drains its unexamined (orbit point, level generator)
+# pairs last in, first out, and a Schreier generator's residue joins only
+# the deeper levels' lists).  The products of the sizes are the group
+# orders, which sympy confirms in test_sympy_cross.py; the rest pins the path.
 ORDER_CHAIN_SHAPES = {
-    "g2": ([0, 4, 2, 3, 5, 6, 1], [24, 21, 18, 15, 12, 9, 6], 823, 779),
-    "g3": ([0, 8, 5, 7, 6, 10, 12, 13, 14, 11, 9, 3, 1, 4, 2, 19, 20, 27],
-           [24, 21, 18, 15, 24, 12, 22, 9, 20, 18, 16, 14, 12, 10, 6, 8, 6, 2], 4755, 4673),
-    "corner-group": ([0, 4, 1, 2, 3, 5, 6], [8, 7, 6, 5, 4, 3, 2], 202, 189),
-    "edge-group": ([0, 8, 2, 6, 7, 9, 10, 3, 1, 5, 4],
-                   [12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2], 912, 868),
-    "p": ([0, 8, 2, 6, 13, 12, 7, 16, 9, 10, 14, 17, 15, 3, 1, 5, 4],
-          [12, 11, 10, 9, 8, 7, 8, 6, 7, 6, 5, 4, 3, 5, 4, 3, 2], 1945, 1890),
+    "g2": ([0, 4, 2, 3, 5, 6, 1], [24, 21, 18, 15, 12, 9, 6], 304, 273),
+    "g3": ([0, 8, 5, 7, 6, 10, 12, 13, 14, 9, 11, 3, 1, 2, 4, 19, 20, 27],
+           [24, 21, 18, 15, 24, 12, 22, 9, 20, 18, 16, 14, 12, 6, 10, 8, 6, 2], 1674, 1631),
+    "corner-group": ([0, 4, 1, 2, 3, 5, 6], [8, 7, 6, 5, 4, 3, 2], 68, 63),
+    "edge-group": ([0, 8, 2, 6, 7, 9, 10, 3, 1, 4, 5],
+                   [12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2], 302, 287),
+    "p": ([0, 8, 2, 6, 13, 7, 12, 9, 16, 3, 14, 10, 17, 15, 1, 4, 5],
+          [12, 11, 10, 9, 8, 8, 7, 7, 6, 6, 5, 5, 4, 3, 4, 3, 2], 615, 584),
 }
 
 
@@ -212,7 +213,7 @@ ORDER_CHAIN_SHAPES = {
 def test_order_chains_keep_their_shape_and_work(target, pairs_with_an_old_image):
     """The construction's path, not only its order: the same base, the same
     orbit sizes and the same count of Schreier generators and sifts, with
-    every (orbit point, strong generator) pair examined exactly once."""
+    every (orbit point, level generator) pair examined exactly once."""
     chain = chain_build(Context().generators(target))
     base, sizes, formed, sifts = ORDER_CHAIN_SHAPES[target]
     assert chain.base == base
@@ -220,6 +221,14 @@ def test_order_chains_keep_their_shape_and_work(target, pairs_with_an_old_image)
     assert (chain.schreier_generators, chain.sifts) == (formed, sifts)
     assert chain.schreier_generators == pairs_with_an_old_image(chain)
     assert chain.order() == math.prod(sizes)
+
+
+@pytest.mark.parametrize("target", sorted(ORDER_CHAIN_SHAPES))
+def test_order_chains_are_strongly_generated(target, strongly_generated):
+    """A residue joins only the levels it can enlarge, yet the union of the
+    level lists is a strong generating set: each strong generator fixing the
+    first i base points sifts to the identity from level i."""
+    assert strongly_generated(chain_build(Context().generators(target)))
 
 
 def test_a_built_g3_chain_keeps_no_record_of_its_pairs():

@@ -50,12 +50,13 @@ def generating_sets(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(generating_sets())
-def test_order_and_membership_match_sympy(pairs_with_an_old_image, data):
+def test_order_and_membership_match_sympy(pairs_with_an_old_image, strongly_generated, data):
     gens, words, strangers = data
     chain = chain_build(gens)
     group = PermutationGroup([to_sympy(g) for g in gens])
     assert chain.order() == group.order()
     assert chain.schreier_generators == pairs_with_an_old_image(chain)
+    assert strongly_generated(chain)  # the union of the level lists is a strong generating set
     degree = gens[0].degree
     for word in words:
         member = Permutation.identity(degree)

@@ -39,9 +39,12 @@ unmeasured import fills the cache first: the entry times loading the
 package, not compiling it.
 
 Beside ``times``, ``work`` gives each ``chain_*`` layer's Schreier
-generators formed, sifts run and the KB of Python allocations the built
-chain keeps (``tracemalloc``, one untimed build), so a chain time can be
-read against its counts.
+generators formed, sifts run, ``level_generators`` (the sum over levels
+of the level's own generator-list length) and the KB of Python
+allocations the built chain keeps (``tracemalloc``, one untimed build), so
+a chain time can be read against its counts.  A chain examines
+sum |O_i| |S_i| (orbit point, level generator) pairs, the Schreier
+generators plus the sum of |O_i| - 1 pairs that found an orbit point.
 
 Standard library only; the package is imported from the checkout's
 ``src``.
@@ -195,8 +198,9 @@ def _min_times_us(layers: dict, repeat: int) -> dict:
 
 def _chain_work(layers: dict) -> dict:
     """The work of one build of each ``chain_*`` layer: Schreier generators
-    formed, sifts run, and the KB of Python allocations the built chain keeps,
-    as ``tracemalloc`` counts them."""
+    formed, sifts run, the summed lengths of the levels' generator lists, and
+    the KB of Python allocations the built chain keeps, as ``tracemalloc``
+    counts them."""
     work = {}
     for name, (build, inputs) in layers.items():
         if not name.startswith("chain_"):
@@ -208,7 +212,9 @@ def _chain_work(layers: dict) -> dict:
         finally:
             tracemalloc.stop()
         work[name] = {"schreier_generators": chain.schreier_generators,
-                      "sifts": chain.sifts, "kept_kb": round(kept / 1024, 1)}
+                      "sifts": chain.sifts,
+                      "level_generators": sum(map(len, chain._gens)),
+                      "kept_kb": round(kept / 1024, 1)}
     return work
 
 
