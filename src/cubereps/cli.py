@@ -27,50 +27,12 @@ class CertificateError(Exception):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="cubereps",
-        description="exact verification of the cube groups' structure and "
-        "minimal representation dimensions",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--filter", default="*", help="glob over check ids")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=int, default=None,
-                          help="override per-check randomized trial counts")
-    p_verify.add_argument("--json", action="store_true", dest="as_json")
-
-    p_apply = sub.add_parser("apply", help="apply a move word to a solved cube")
-    p_apply.add_argument("size", type=int, choices=(2, 3))
-    p_apply.add_argument("word", type=str)
-    p_apply.add_argument("--json", action="store_true", dest="as_json")
-
-    p_order = sub.add_parser("order", help="print an exact group order")
-    p_order.add_argument("target", choices=tuple(verify._FACE_IMAGES))
-
-    p_mdim = sub.add_parser("mdim", help="minimal faithful dimensions")
-    p_mdim.add_argument(
-        "spec",
-        nargs="+",
-        help="g2 | g3 | exceptional | abelian N,N,... | zk0m:K,M",
-    )
-    p_mdim.add_argument("--json", action="store_true", dest="as_json")
-
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "apply":
-            return _cmd_apply(args)
-        if args.command == "order":
-            return _cmd_order(args)
-        if args.command == "mdim":
-            return _cmd_mdim(args)
+        return args.run(args)
     except (KeyError, ValueError) as exc:
         # a KeyError's str() is the repr of its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
@@ -78,7 +40,6 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 def _cmd_verify(args) -> int:
@@ -127,31 +88,30 @@ def _cmd_order(args) -> int:
     return 0
 
 
-def _ints(spec: str, text: str, form: str, count: int | None = None) -> tuple[int, ...]:
-    """The comma-separated integers of ``text``, ``count`` of them if given;
-    otherwise a ValueError naming the mdim spec as given and its form."""
+def _read_group(spec: list[str]) -> abelian.FiniteAbelianGroup:
+    """The group an ``abelian N,N,...`` or ``zk0m:K,M`` spec names (Z_K^(M-1)
+    for ``zk0m``), its cyclic factors checked against the bounds first; any
+    other spec, or one not of its form, is a ValueError naming it."""
+    kind = spec[0]
+    if kind == "abelian":
+        name, text, form = " ".join(spec), "".join(spec[1:]), "abelian N,N,... with integers N"
+    elif kind.startswith("zk0m:"):
+        name, text, form = kind, kind.split(":", 1)[1], "zk0m:K,M with integers K and M"
+    else:
+        raise ValueError(f"unknown mdim spec {kind!r}")
     try:
         values = tuple(int(x) for x in text.split(","))
     except ValueError:
         values = ()
-    if not values or count not in (None, len(values)):
-        raise ValueError(f"mdim spec {spec!r} is not of the form {form}")
-    return values
-
-
-def _parse_group(spec_parts: list[str]) -> abelian.FiniteAbelianGroup:
-    orders = _ints(" ".join(spec_parts), spec_parts[1] if len(spec_parts) > 1 else "",
-                   "abelian N,N,... with integers N")
-    _check_factorable(len(orders), max(orders))
-    return abelian.FiniteAbelianGroup(orders)
-
-
-def _check_factorable(count: int, largest: int) -> None:
+    if not values or (kind != "abelian" and len(values) != 2):
+        raise ValueError(f"mdim spec {name!r} is not of the form {form}")
+    count, largest = (len(values), max(values)) if kind == "abelian" else (values[1] - 1, values[0])
     if count > MAX_CYCLIC_FACTORS or largest > MAX_CYCLIC_ORDER:
         raise ValueError(
             f"mdim takes at most {MAX_CYCLIC_FACTORS} cyclic factors, "
             f"each of order at most {MAX_CYCLIC_ORDER}"
         )
+    return abelian.FiniteAbelianGroup(values) if kind == "abelian" else abelian.zk0m(*values)[0]
 
 
 def _certify(ok: bool, name: str) -> None:
@@ -182,29 +142,18 @@ def _cmd_mdim(args) -> int:
         for r in verify.run_suite(verify.Context(), checks):
             _certify(r.status == "pass", r.id)
         payload = {"complex": complex_dim, "real": real_dim, "method": method}
-    elif kind == "abelian":
-        group = _parse_group(spec)
+    else:
+        group = _read_group(spec)
         payload = {
             "complex": abelian.mdim_complex_abelian(group),
             "real": abelian.mdim_real_abelian(group),
             "method": "formula",
         }
-        if group.order <= abelian.ORACLE_BOUND:
+        if kind == "abelian" and group.order <= abelian.ORACLE_BOUND:
             payload["method"] = "formula=oracle"
             for field in ("complex", "real"):
                 _certify(abelian.oracle_min_faithful(group, field) == payload[field],
                          f"{field} oracle equals the formula")
-    elif kind.startswith("zk0m:"):
-        k, m = _ints(kind, kind.split(":", 1)[1], "zk0m:K,M with integers K and M", 2)
-        _check_factorable(m - 1, k)  # Z_k^(m-1)
-        group, _ = abelian.zk0m(k, m)
-        payload = {
-            "complex": abelian.mdim_complex_abelian(group),
-            "real": abelian.mdim_real_abelian(group),
-            "method": "formula",
-        }
-    else:
-        raise ValueError(f"unknown mdim spec {kind!r}")
     if args.as_json:
         print(canonical_json(payload))
     else:
@@ -213,6 +162,45 @@ def _cmd_mdim(args) -> int:
             f"method: {payload['method']}"
         )
     return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The command line, each subcommand bound to its handler as ``run``."""
+    parser = argparse.ArgumentParser(
+        prog="cubereps",
+        description="exact verification of the cube groups' structure and "
+        "minimal representation dimensions",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_verify = sub.add_parser("verify", help="run the verification suite")
+    p_verify.add_argument("--filter", default="*", help="glob over check ids")
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--trials", type=int, default=None,
+                          help="override per-check randomized trial counts")
+    p_verify.add_argument("--json", action="store_true", dest="as_json")
+    p_verify.set_defaults(run=_cmd_verify)
+
+    p_apply = sub.add_parser("apply", help="apply a move word to a solved cube")
+    p_apply.add_argument("size", type=int, choices=(2, 3))
+    p_apply.add_argument("word", type=str)
+    p_apply.add_argument("--json", action="store_true", dest="as_json")
+    p_apply.set_defaults(run=_cmd_apply)
+
+    p_order = sub.add_parser("order", help="print an exact group order")
+    p_order.add_argument("target", choices=tuple(verify._FACE_IMAGES))
+    p_order.set_defaults(run=_cmd_order)
+
+    p_mdim = sub.add_parser("mdim", help="minimal faithful dimensions")
+    p_mdim.add_argument("spec", nargs="+",
+                        help="g2 | g3 | exceptional | abelian N,N,... | zk0m:K,M")
+    p_mdim.add_argument("--json", action="store_true", dest="as_json")
+    p_mdim.set_defaults(run=_cmd_mdim)
+    return parser
+
+
+# built once per process: main only parses, so repeated calls share it
+_PARSER = _parser()
 
 
 if __name__ == "__main__":

@@ -206,7 +206,10 @@ class WordError(ValueError):
     """Raised for malformed move words."""
 
 
-_INVERSE_TOKEN = {(f, t): (f, 4 - t) for f in FACES for t in (1, 2, 3)}
+# the 18 tokens (face, quarter turns 1..3) and their texts ("U", "U2", "U'"), read both ways
+_TEXT = {(f, t): f + s for f in FACES for t, s in ((1, ""), (2, "2"), (3, "'"))}
+_TOKEN = {text: token for token, text in _TEXT.items()}
+_INVERSE_TOKEN = {(f, t): (f, 4 - t) for f, t in _TEXT}
 
 
 class MoveWord(Record):
@@ -223,7 +226,7 @@ class MoveWord(Record):
         object.__setattr__(self, "tokens", tuple(self.tokens))
         for token in self.tokens:
             try:
-                known = token in _INVERSE_TOKEN
+                known = token in _TEXT
             except TypeError:  # an unhashable token
                 known = False
             if not known:
@@ -231,21 +234,11 @@ class MoveWord(Record):
 
     @classmethod
     def parse(cls, text: str) -> "MoveWord":
-        tokens = []
-        for raw in text.split():
-            face, suffix = raw[0], raw[1:]
-            if face not in FACES:
-                raise WordError(f"bad move token {raw!r}")
-            if suffix == "":
-                turns = 1
-            elif suffix == "'":
-                turns = 3
-            elif suffix == "2":
-                turns = 2
-            else:
-                raise WordError(f"bad move token {raw!r}")
-            tokens.append((face, turns))
-        return trusted(cls, tokens=tuple(tokens))
+        try:
+            tokens = tuple([_TOKEN[raw] for raw in text.split()])
+        except KeyError as exc:
+            raise WordError(f"bad move token {exc.args[0]!r}") from None
+        return trusted(cls, tokens=tokens)
 
     def inverse(self) -> "MoveWord":
         return trusted(MoveWord, tokens=tuple(map(_INVERSE_TOKEN.__getitem__, reversed(self.tokens))))
@@ -270,10 +263,7 @@ class MoveWord(Record):
         return trusted(MoveWord, tokens=left[: i + 1] + right[j:])
 
     def __str__(self) -> str:
-        out = []
-        for face, turns in self.tokens:
-            out.append(face + {1: "", 2: "2", 3: "'"}[turns])
-        return " ".join(out)
+        return " ".join(map(_TEXT.__getitem__, self.tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -295,16 +295,12 @@ class ConjMonomialMap(Record):
 
 
 class ConjMonomialRep:
-    """A homomorphism into conjugate-monomial block maps, held as a MonomialRep is.
+    """A homomorphism into conjugate-monomial block maps, held as a MonomialRep
+    is: ``of`` builds the images of the named generators in ``elements``."""
 
-    ``generators``, when given, are the generator images already built,
-    ``of`` of each element by name; otherwise ``of`` builds them.
-    """
-
-    def __init__(self, elements, of, generators=None):
+    def __init__(self, elements, of):
         self.elements = dict(elements)
-        self.generators = ({name: of(x) for name, x in self.elements.items()}
-                           if generators is None else dict(generators))
+        self.generators = {name: of(x) for name, x in self.elements.items()}
         self.sign_count, self.rot_count, self.root_order = _shared_sizes(
             self.generators, "sign_perm.degree", "rot_perm.degree", "root_order"
         )
@@ -361,7 +357,10 @@ def realify(rep: MonomialRep) -> ConjMonomialRep:
     rot = sorted(set(range(1, rep.degree + 1)) - lines)
     place = {c: i for part in (real, rot) for i, c in enumerate(part, 1)}  # 1-based, within its part
 
-    def real_form(img: MonomialMap) -> ConjMonomialMap:
+    def of(x) -> ConjMonomialMap:
+        img = rep.of(x)
+        if _sign_lines(img, lines) != lines:
+            raise ValueError("group action does not preserve the split")
         # keeping the sign lines, the permutation keeps the planes too, so both
         # block maps are bijections; each entry is a sign (w^0 or w^(r/2)) or a rotation
         p, e = img.perm.image, img.exps
@@ -375,15 +374,7 @@ def realify(rep: MonomialRep) -> ConjMonomialRep:
             flags=(0,) * len(rot),
         )
 
-    def of(x) -> ConjMonomialMap:
-        img = rep.of(x)
-        if _sign_lines(img, lines) != lines:
-            raise ValueError("group action does not preserve the split")
-        return real_form(img)
-
-    # every generator image keeps the sign lines, which were found from them
-    generators = {name: real_form(img) for name, img in rep.generators.items()}
-    return ConjMonomialRep(rep.elements, of, generators)
+    return ConjMonomialRep(rep.elements, of)
 
 
 class DecoratedPerm(Record):

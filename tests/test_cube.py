@@ -92,6 +92,36 @@ def test_word_parsing_and_inverse():
         MoveWord.parse("u")
 
 
+# the 18 written face turns, in the order of their (face, quarter turns) tokens
+TOKEN_TEXTS = "U U2 U' D D2 D' F F2 F' B B2 B' L L2 L' R R2 R'".split()
+FACE_TURNS = [(face, turns) for face in "UDFBLR" for turns in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("text, token", zip(TOKEN_TEXTS, FACE_TURNS))
+def test_each_token_text_reads_to_its_one_token_and_back(text, token):
+    assert MoveWord.parse(text).tokens == (token,)
+    assert str(MoveWord.parse(text)) == str(MoveWord((token,))) == text
+
+
+def test_the_token_texts_joined_read_to_the_tokens_in_order():
+    w = MoveWord.parse(" ".join(TOKEN_TEXTS))
+    assert w.tokens == tuple(FACE_TURNS)
+    assert str(w) == " ".join(TOKEN_TEXTS)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("U3", "bad move token 'U3'"),
+    ("u", "bad move token 'u'"),
+    ("X", "bad move token 'X'"),
+    ("U'2", 'bad move token "U\'2"'),
+    ("R''", 'bad move token "R\'\'"'),
+])
+def test_parse_names_the_bad_token(text, message):
+    with pytest.raises(WordError) as raised:
+        MoveWord.parse(f"R {text} U")
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize(
     "tokens", [[("U", 1), ("R", 2)], (("U", 1), ("R", 2))], ids=["list", "tuple"]
 )

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import itertools
 import json
@@ -541,6 +542,33 @@ def test_cli_mdim_rejects_words_after_the_spec(capsys, spec):
     captured = capsys.readouterr()
     extra = " ".join(spec[2 if spec[0] == "abelian" else 1:])
     assert (captured.out, captured.err) == ("", f"error: unexpected words after the mdim spec: {extra}\n")
+
+
+def test_main_builds_no_parser_after_import(monkeypatch, capsys):
+    """The command line is parsed by one parser, built when ``cli`` is imported."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["order", "corner-group"]) == 0
+    assert cli.main(["mdim", "abelian", "2,3"]) == 0
+    assert cli.main(["apply", "2", "U R"]) == 0
+    assert cli.main(["apply", "2", "Q"]) == 2
+    assert built == []
+
+
+def test_the_shared_parser_carries_nothing_between_calls(capsys):
+    assert cli.main(["mdim", "abelian", "2,3", "--json"]) == 0
+    assert capsys.readouterr().out == '{"complex":1,"method":"formula=oracle","real":2}\n'
+    assert cli.main(["mdim", "abelian", "2,3"]) == 0
+    assert capsys.readouterr().out == "complex: 1\nreal: 2\nmethod: formula=oracle\n"
+    for argv, seed in ((["--seed", "1"], 1), ([], 0)):
+        assert cli.main(["verify", "--filter", "eq-2.1-phi-gens", *argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == seed
 
 
 def test_cli_mdim_bad_spec(capsys):
