@@ -124,6 +124,11 @@ def _build_move_table(size: int, face: str) -> tuple[int, ...]:
     return tuple(table)
 
 
+# _TOKENS[f][t] is the token (face, quarter turns) of face f < 6 and turns
+# t + 1: the 18 tokens, made once, which every word and move table holds
+_TOKENS = tuple(tuple((face, turns) for turns in (1, 2, 3)) for face in FACES)
+
+
 class MoveTables:
     """Per-face sticker permutations for one cube size.
 
@@ -147,11 +152,11 @@ class MoveTables:
         # _table[token] is a translate table: entry j is the sticker that
         # lands at j (power[i] is where sticker i goes), the identity past n
         self._table: dict[tuple[str, int], bytes] = {}
-        for face, table in self.face_tables.items():
-            power = range(n)
-            for turns in (1, 2, 3):
+        for face, tokens in zip(FACES, _TOKENS):
+            power, table = range(n), self.face_tables[face]
+            for token in tokens:
                 power = [table[p] for p in power]
-                self._table[(face, turns)] = _byte_table(_inv0(power))
+                self._table[token] = _byte_table(_inv0(power))
         self._start = bytes(range(n))
 
     def apply_token(self, stickers: tuple[int, ...], face: str, turns: int):
@@ -206,31 +211,33 @@ class WordError(ValueError):
     """Raised for malformed move words."""
 
 
-# the 18 tokens (face, quarter turns 1..3) and their texts ("U", "U2", "U'"), read both ways
-_TEXT = {(f, t): f + s for f in FACES for t, s in ((1, ""), (2, "2"), (3, "'"))}
+# the 18 tokens and their texts ("U", "U2", "U'"), read both ways; _SHARED
+# maps any equal token to the shared one
+_TEXT = {token: token[0] + s for tokens in _TOKENS for token, s in zip(tokens, ("", "2", "'"))}
 _TOKEN = {text: token for token, text in _TEXT.items()}
-_INVERSE_TOKEN = {(f, t): (f, 4 - t) for f, t in _TEXT}
+_SHARED = {token: token for token in _TEXT}
+_INVERSE_TOKEN = {token: tokens[2 - t] for tokens in _TOKENS for t, token in enumerate(tokens)}
 
 
 class MoveWord(Record):
     """A chronological sequence of face turns: (face, quarter turns 1..3).
 
-    The constructor refuses any other token; ``parse``, ``inverse``,
-    ``then`` and ``random_word`` make valid tokens by construction and skip
-    the check.
+    Every word holds the 18 shared tokens: the constructor swaps each token
+    it is given for the shared one equal to it and refuses any other;
+    ``parse``, ``inverse``, ``then`` and ``random_word`` take shared tokens
+    by construction and skip the check.
     """
 
     tokens: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        shared = []
         for token in self.tokens:
             try:
-                known = token in _TEXT
-            except TypeError:  # an unhashable token
-                known = False
-            if not known:
-                raise WordError(f"bad move token {token!r}")
+                shared.append(_SHARED[token])
+            except (KeyError, TypeError):  # not one of the 18, or unhashable
+                raise WordError(f"bad move token {token!r}") from None
+        object.__setattr__(self, "tokens", tuple(shared))
 
     @classmethod
     def parse(cls, text: str) -> "MoveWord":
@@ -257,7 +264,7 @@ class MoveWord(Record):
         while i >= 0 and j < len(right) and left[i][0] == right[j][0]:
             turns = (left[i][1] + right[j][1]) % 4
             if turns:
-                return trusted(MoveWord, tokens=left[:i] + ((left[i][0], turns),) + right[j + 1 :])
+                return trusted(MoveWord, tokens=left[:i] + (_SHARED[left[i][0], turns],) + right[j + 1 :])
             i -= 1
             j += 1
         return trusted(MoveWord, tokens=left[: i + 1] + right[j:])
@@ -713,10 +720,6 @@ def _below(bits, n: int) -> int:
     while r >= n:
         r = bits(k)
     return r
-
-
-# _TOKENS[f][t] is the token of face draw f < 6 and turn draw t < 3
-_TOKENS = tuple(tuple((face, turns) for turns in (1, 2, 3)) for face in FACES)
 
 
 def random_word(rng, length: int) -> MoveWord:

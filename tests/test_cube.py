@@ -1,6 +1,7 @@
 import json
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -97,6 +98,19 @@ TOKEN_TEXTS = "U U2 U' D D2 D' F F2 F' B B2 B' L L2 L' R R2 R'".split()
 FACE_TURNS = [(face, turns) for face in "UDFBLR" for turns in (1, 2, 3)]
 
 
+# the 18 token objects every word holds, as parse gives them: token -> itself
+SHARED = {token: token for token in MoveWord.parse(" ".join(TOKEN_TEXTS)).tokens}
+
+
+def _fresh(tokens) -> list:
+    """Tokens equal to ``tokens``, each a tuple made here."""
+    return [(face, turns) for face, turns in tokens]
+
+
+def _shared(tokens) -> bool:
+    return all(SHARED[token] is token for token in tokens)
+
+
 @pytest.mark.parametrize("text, token", zip(TOKEN_TEXTS, FACE_TURNS))
 def test_each_token_text_reads_to_its_one_token_and_back(text, token):
     assert MoveWord.parse(text).tokens == (token,)
@@ -130,8 +144,61 @@ def test_a_word_built_from_any_token_sequence_is_a_tuple_word(tokens):
     assert w == word("U R2") and hash(w) == hash(word("U R2"))
     assert w.then(word("F")) == word("U R2 F")
     assert apply_word(SOLVED3, w) == apply_word(SOLVED3, "U R2")
-    if isinstance(tokens, tuple):
-        assert w.tokens is tokens  # a tuple is kept, not copied
+    assert w.tokens == tuple(tokens)
+    assert _shared(w.tokens)
+
+
+def test_every_word_and_move_table_holds_the_18_shared_tokens():
+    assert len(SHARED) == 18 and sorted(SHARED) == sorted(FACE_TURNS)
+    w = MoveWord(_fresh(FACE_TURNS))
+    rng = random.Random(4)
+    words = {
+        "list": w,
+        "tuple": MoveWord(tuple(_fresh(FACE_TURNS))),
+        "parse": word("U R' F2 B D' L2"),
+        "inverse": w.inverse(),
+        "product": cube.product(MoveWord(_fresh([("R", 1)])), w, MoveWord(_fresh([("F", 3)]))),
+        "merge": word("U").then(word("U")),
+        "cancel": word("F R U").then(word("U' R' D")),
+        "commutator": cube.commutator(MoveWord(_fresh([("R", 1)])), MoveWord(_fresh([("U", 3)]))),
+        "random_word": random_word(rng, 200),
+        "psi_word": structure.psi_word("R U R' U'"),
+        "three_cycle": structure.EdgeCycleWords().three_cycle("lkj"),
+    }
+    assert words["merge"] == word("U2") and words["cancel"] == word("F D")
+    assert all(map(len, words.values()))
+    injected = cube.MoveTables(3, dict(cube.default_tables(3).face_tables))
+    tables = {"2x2": cube.default_tables(2), "3x3": cube.default_tables(3), "injected": injected}
+    assert all(len(t._table) == 18 for t in tables.values())
+    private = [name for name, w in words.items() if not _shared(w.tokens)]
+    private += [name for name, t in tables.items() if not _shared(t._table)]
+    assert private == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(FACE_TURNS), max_size=30))
+def test_a_word_of_fresh_token_copies_holds_the_shared_tokens(tokens):
+    w = MoveWord(_fresh(tokens))
+    assert w.tokens == tuple(tokens)
+    for got in (w, w.inverse(), w.then(w), w.then(w.inverse()), MoveWord.parse(str(w))):
+        assert _shared(got.tokens)
+
+
+def test_words_of_fresh_tokens_keep_no_token_of_their_own():
+    """2,000 words of 20 freshly made tokens keep at most 1,200 KB of Python
+    allocations, tokens included; holding the caller's tuples, each word
+    would keep its 20 tokens too, about 2,750 KB in all."""
+    rng = random.Random(5)
+    tracemalloc.start()
+    try:
+        words = [MoveWord(tuple((cube.FACES[rng.randrange(6)], rng.randrange(1, 4))
+                                for _ in range(20)))
+                 for _ in range(2000)]
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, words)) == 40000
+    assert kept <= 1200 * 1024
 
 
 @pytest.mark.parametrize("token", [("U", 5), ("U", 0), ("X", 1), ("U", "1"), ("U",), ["U", 1]])

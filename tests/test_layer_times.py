@@ -15,7 +15,7 @@ LAYERS = {
     "pair_to_perm20", "chain_g3_48", "chain_p_20", "chain_g2_24", "chain_edge_12",
     "chain_corner_8", "p_contains_20", "faithful_g2",
     "faithful_g3", "realify_g3", "centre_g3", "commutator_closure",
-    "default_tables", "exceptional", "rep6_images", "record_new", "import",
+    "default_tables", "exceptional", "rep6_images", "record_new", "word_new", "import",
 }
 
 

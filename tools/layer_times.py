@@ -25,7 +25,10 @@ the 30 face commutators under the six 2x2 face sticker permutations.  ``exceptio
 builds the order-648 example, and ``rep6_images`` is its 648 ``rep6.of``
 calls, one call in the table.  ``record_new`` is one public construction
 of a degree-8 ``MonomialMap`` (the record ``rep(2).of`` returns), bound by
-``Record.__init__`` and checked by its ``__post_init__``.  ``basis_sums`` draws
+``Record.__init__`` and checked by its ``__post_init__``.  ``word_new`` is
+one public ``MoveWord`` built from 20 tokens the caller made, which it
+swaps for the shared ones, as the ``words`` benchmark builds its input
+words.  ``basis_sums`` draws
 one random orientation basis and reads both sums of a 3x3 state in it, so
 it builds the basis' two readers and their gathers, as prop-2.4-basis-free
 does for each basis it draws.  ``default_tables`` derives the 2x2 and 3x3
@@ -146,6 +149,8 @@ def _layers() -> dict:
         "exceptional": (lambda _: replib.ExceptionalExample(), [None]),
         "rep6_images": (lambda ex: [ex.rep6.of(x) for x in ex.elements], [example]),
         "record_new": (lambda x: replib.MonomialMap(3, x.perm, x.twist), elements2),
+        "word_new": (cube.MoveWord, [tuple((face, turns) for face, turns in w.tokens)
+                                     for w in _words(3, 20)]),
     })
     return layers
 
