@@ -357,29 +357,29 @@ def subgroup_invariant_factors(group: FiniteAbelianGroup, generators) -> tuple[i
     return invariant_factors(parts)
 
 
-def subgroup_factor_check(group: FiniteAbelianGroup, trials: int, rng) -> list[str]:
-    """Check the divisor-ladder constraint on random subgroups.
+def _random_generators(elements: list[tuple[int, ...]], rng) -> list[tuple[int, ...]]:
+    """Zero to three random picks from a group's element list."""
+    return [elements[rng.randrange(len(elements))] for _ in range(rng.randrange(0, 4))]
 
-    For each random subgroup B of A with chains (dbar_1 | ... | dbar_t) and
-    (d_1 | ... | d_s): t <= s and dbar_{t-i} divides d_{s-i}.  Returns a
-    list of failure descriptions (empty when all pass).
-    """
+
+def _ladder_failure(group: FiniteAbelianGroup, generators) -> str:
+    """How the subgroup B the generators span breaks the divisor ladder, or
+    "" when it keeps it: with chains (dbar_1 | ... | dbar_t) for B and
+    (d_1 | ... | d_s) for the group, t <= s and dbar_{t-i} divides d_{s-i}."""
+    chain, sub_chain = group.invariant_factors, subgroup_invariant_factors(group, generators)
+    s, t = len(chain), len(sub_chain)
+    if t > s:
+        return f"{sub_chain} longer than {chain}"
+    for i in range(t):
+        if chain[s - 1 - i] % sub_chain[t - 1 - i]:
+            return f"{sub_chain} does not divide into {chain}"
+    return ""
+
+
+def subgroup_factor_check(group: FiniteAbelianGroup, trials: int, rng) -> list[str]:
+    """The ladder failures of ``trials`` random subgroups (empty when all pass)."""
     if group.order > ORACLE_BOUND:
         raise OracleBoundExceeded(f"group order {group.order} exceeds bound {ORACLE_BOUND}")
-    failures = []
-    chain = group.invariant_factors
-    s = len(chain)
     elements = list(group.elements())
-    for _ in range(trials):
-        count = rng.randrange(0, 4)
-        gens = [elements[rng.randrange(len(elements))] for _ in range(count)]
-        sub_chain = subgroup_invariant_factors(group, gens)
-        t = len(sub_chain)
-        if t > s:
-            failures.append(f"{sub_chain} longer than {chain}")
-            continue
-        for i in range(t):
-            if chain[s - 1 - i] % sub_chain[t - 1 - i]:
-                failures.append(f"{sub_chain} does not divide into {chain}")
-                break
-    return failures
+    failures = (_ladder_failure(group, _random_generators(elements, rng)) for _ in range(trials))
+    return [failure for failure in failures if failure]

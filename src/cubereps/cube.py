@@ -654,7 +654,10 @@ def invariant_t(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> 
 def _turn(kind: _CubeletKind, position: int, steps: int, size: int) -> tuple[int, ...]:
     """Sticker permutation moving each sticker of the cubelet at a position
     ``steps`` places along its turning order: entry i is where sticker i goes."""
-    index = _per_size(kind, size)[position - 1]
+    runs = _per_size(kind, size)
+    if not 1 <= position <= len(runs):
+        raise ValueError(f"{kind.name} position must be 1..{len(runs)}, got {position}")
+    index = runs[position - 1]
     perm = list(range(sticker_count(size)))
     for j, i in enumerate(index):
         perm[i] = index[(j + steps) % len(index)]

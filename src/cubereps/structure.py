@@ -316,7 +316,9 @@ class EdgeCycleWords:
     def three_cycle(self, targets: tuple[int, int, int] | str) -> MoveWord:
         """A word fixing the corners entirely whose edge action is the
         3-cycle (e1 x y) on the given labels (letters a..l or 1..12)."""
-        labels = _labels(targets) if isinstance(targets, str) else tuple(targets)
+        labels = tuple(_LETTER_VALUE.get(ch, 0) for ch in targets) if isinstance(targets, str) else tuple(targets)
+        if not set(labels) <= set(range(1, 13)):
+            raise ValueError(f"edge labels must be letters a..l or numbers 1..12, got {targets!r}")
         if len(set(labels)) != 3:
             raise ValueError("need three distinct edge labels")
         return self._get(labels)

@@ -97,9 +97,6 @@ class Context:
     def rng(self, label: str) -> random.Random:
         return random.Random(f"{self.seed}:{label}")
 
-    def count(self, default: int) -> int:
-        return self.trials if self.trials is not None else default
-
     def cached(self, key: str, build):
         if key not in self._cache:
             self._cache[key] = build()
@@ -194,12 +191,12 @@ def run_suite(ctx: Context, pattern: str = "*") -> list[CheckResult]:
 
 
 def _sampled(ctx: Context, label: str, default: int, draw, failures):
-    """Run ``ctx.count(default)`` trials: each draws a sample with
-    ``draw(ctx.rng(label))`` and counts ``failures(sample)`` (an int or bool;
-    raising counts 1).  Returns (trials, failures, where), ``where`` "" or a
-    suffix naming the seed, label, trial index and sample of the first failure."""
+    """The suite's one trial loop: ``ctx.trials`` trials, or ``default`` when
+    the run sets none, each counting ``failures(draw(ctx.rng(label)))`` (an int
+    or bool; raising counts 1).  Returns (trials, failures, where), ``where`` ""
+    or a suffix naming the first failure's seed, label, trial index and sample."""
     rng = ctx.rng(label)
-    trials = ctx.count(default)
+    trials = ctx.trials or default
     total, where = 0, ""
     for index in range(trials):
         sample = draw(rng)
@@ -662,17 +659,14 @@ def _(ctx: Context):
 
 @check("prop-4.1-hominvfact", "subgroup invariant factors divide into the ambient chain", "prop-4.1")
 def _(ctx: Context):
-    rng = ctx.rng("hominvfact")
-    groups = [
-        abelian.FiniteAbelianGroup.of(2, 2, 8),
-        abelian.FiniteAbelianGroup.of(4, 6),
-        abelian.FiniteAbelianGroup.of(3, 9),
-        abelian.FiniteAbelianGroup.of(2, 2, 3, 3),
-    ]
-    failures = []
-    for g in groups:
-        failures.extend(abelian.subgroup_factor_check(g, ctx.count(250), rng))
-    return not failures, "all ladders divide", f"{len(failures)} failures"
+    groups = [abelian.FiniteAbelianGroup.of(*orders) for orders in ((2, 2, 8), (4, 6), (3, 9), (2, 2, 3, 3))]
+    elements = [list(g.elements()) for g in groups]  # listed once, not per draw
+    _, bad, where = _sampled(
+        ctx, "hominvfact", 250,
+        lambda rng: tuple(abelian._random_generators(e, rng) for e in elements),
+        lambda sample: sum(bool(abelian._ladder_failure(g, gens)) for g, gens in zip(groups, sample)),
+    )
+    return bad == 0, "all ladders divide", f"{bad} failures{where}"
 
 
 @check("thm-4.2-minabel", "the minimal dimension formulas match brute force for all orders up to 200", "thm-4.2")
@@ -747,10 +741,8 @@ def _(ctx: Context):
     cases = replib.g2_real_case_analysis()
     # the permutation of the twist-group eigenlines induced by the
     # untwisted section is the identity embedding of S_8
-    rng = ctx.rng("g2-eigenlines")
-    embed_ok = all(
-        rep.of(section_s8(s)).perm == s
-        for s in (_random_perm(rng, 8) for _ in range(20))
+    _, bad, where = _sampled(
+        ctx, "g2-eigenlines", 20, lambda rng: _random_perm(rng, 8), lambda s: rep.of(section_s8(s)).perm != s
     )
     trace = rep.of(ctx.element(2, structure.WORD_K)).trace()
     got = (
@@ -761,10 +753,10 @@ def _(ctx: Context):
         cases["p_case"],
         ctx.real(2).real_dimension,
         not trace.is_real(),
-        embed_ok,
+        bad == 0,
     )
     want = (True, 8, 8, 16, 22, 16, True, True)
-    return got == want, str(want), str(got)
+    return got == want, str(want), f"{got}{where}"
 
 
 @check("thm-5.2-g3-mdim", "the 3x3 group has minimal dimensions 20 complex and 28 real", "thm-5.2")

@@ -402,6 +402,22 @@ def test_sticker_perms_of_twist_and_flip_build_the_same_states():
         assert state_of_sticker_perm(perm, 3) == flip_edge(SOLVED3, position)
 
 
+@pytest.mark.parametrize("position", [0, -1, 9])
+def test_corner_positions_outside_1_to_8_are_refused(position):
+    """No position aliases another (0 once read corner 8) or escapes as IndexError."""
+    for turn in (lambda: twist_corner(SOLVED2, position, 1), lambda: twist_corner(SOLVED3, position, 1),
+                 lambda: sticker_perm_of_twist(position, 1, 2), lambda: sticker_perm_of_twist(position, 2, 3)):
+        with pytest.raises(ValueError, match=rf"^corner position must be 1\.\.8, got {position}$"):
+            turn()
+
+
+@pytest.mark.parametrize("position", [0, -1, 13])
+def test_edge_positions_outside_1_to_12_are_refused(position):
+    for turn in (lambda: flip_edge(SOLVED3, position), lambda: sticker_perm_of_flip(position)):
+        with pytest.raises(ValueError, match=rf"^edge position must be 1\.\.12, got {position}$"):
+            turn()
+
+
 def _copy_cubelet(state, kind, source, target):
     """The state with the stickers of one position written over another's,
     in turning order: the cubelet at source then sits at both positions."""

@@ -156,6 +156,13 @@ def test_edge_three_cycle_base_case():
     assert el.pair[0].cycle_string(letters=True) == "(abf)"
 
 
+@pytest.mark.parametrize("targets", [(0, 1, 2), (1, 2, 13), "abz"])
+def test_three_cycle_refuses_labels_outside_a_to_l(targets):
+    """No label aliases another (0 once read edge l) or escapes as IndexError or KeyError."""
+    with pytest.raises(ValueError, match=r"^edge labels must be letters a\.\.l or numbers 1\.\.12, got "):
+        structure.EdgeCycleWords().three_cycle(targets)
+
+
 def test_edge_three_cycle_rejects_bad_input():
     with pytest.raises(ValueError):
         edge_three_cycle("aab")

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubereps import cli, cube, replib, structure, verify
+from cubereps.perm import Permutation
 from cubereps.verify import Context, report_json, report_text, run_suite
 
 
@@ -72,9 +73,8 @@ SAMPLED_LABELS = {
     "invariant-s", "basis-free", "conj-k", "k-maximal", "g2-model",
     "g2-section", "normal-k", "normal-l", "psi", "match-sign", "invariant-t",
     "conj-m", "m-maximal", "alphasplit", "g2-in-g3", "isom-p", "decorated-g2",
+    "hominvfact", "g2-eigenlines",
 }
-# checks that draw from ctx.rng outside the trial driver, with their labels
-UNSAMPLED_RNG = {"prop-4.1-hominvfact": {"hominvfact"}, "thm-5.1-g2-mdim": {"g2-eigenlines"}}
 
 
 def test_every_sampled_check_runs_its_trials_through_the_driver(monkeypatch):
@@ -99,8 +99,21 @@ def test_every_sampled_check_runs_its_trials_through_the_driver(monkeypatch):
         before, streams[:] = dict(driven), []
         run_suite(ctx, check_id)
         labels = set(driven) - set(before)
-        assert set(streams) == labels | UNSAMPLED_RNG.get(check_id, set()), check_id
+        assert set(streams) == labels, check_id
     assert driven == {label: 3 for label in SAMPLED_LABELS}
+
+
+def test_random_streams_open_only_inside_the_trial_driver():
+    """``_sampled`` is the suite's one trial loop: verify.py calls ``.rng(``
+    inside it and nowhere else, and the trial count is read there alone."""
+    tree = ast.parse(Path(verify.__file__).read_text())
+    driver = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_sampled")
+    in_driver = set(map(id, ast.walk(driver)))
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "rng"]
+    assert calls
+    assert [node.lineno for node in calls if id(node) not in in_driver] == []
+    assert not hasattr(Context, "count")
 
 
 def _tampered_u_context(seed):
@@ -257,6 +270,47 @@ def test_m_maximal_fails_on_the_superflip(monkeypatch, trials):
     monkeypatch.setattr(verify, "build_m", lambda: SUPERFLIP)
     result = run_suite(Context(seed=1, trials=trials), "prop-3.9-m-maximal")[0]
     assert (result.status, result.actual) == ("fail", "rank 1")
+
+
+def test_prop_4_1_names_the_generator_lists_of_its_first_failure(monkeypatch):
+    """With a factor 5 appended to every subgroup's chain, all four subgroups
+    of each of the 250 samples break the ladder, and the reproducer names
+    trial 0's generator lists, one per group, in the draw order it replays."""
+    passing = run_suite(Context(seed=1), "prop-4.1-hominvfact")[0]
+    assert (passing.status, passing.expected, passing.actual) == ("pass", "all ladders divide", "0 failures")
+    factors = verify.abelian.subgroup_invariant_factors
+    monkeypatch.setattr(verify.abelian, "subgroup_invariant_factors", lambda g, gens: (*factors(g, gens), 5))
+    result = run_suite(Context(seed=1), "prop-4.1-hominvfact")[0]
+    match = re.fullmatch(r"1000 failures; first at seed 1, hominvfact trial 0: (.*)", result.actual)
+    assert result.status == "fail" and match, result.actual
+    rng, want = Context(seed=1).rng("hominvfact"), []
+    for orders in ((2, 2, 8), (4, 6), (3, 9), (2, 2, 3, 3)):
+        elements = list(itertools.product(*map(range, orders)))
+        count = rng.randrange(4)
+        want.append([elements[rng.randrange(len(elements))] for _ in range(count)])
+    assert ast.literal_eval(f"({match[1]},)") == tuple(want)
+
+
+def test_thm_5_1_names_the_first_permutation_off_its_eigenline(monkeypatch):
+    """With the section sending s to the untwisted s^-1, the eigenlines are
+    permuted by s^-1, so the first drawn s that is no involution is named."""
+    passing = run_suite(Context(seed=1), "thm-5.1-g2-mdim")[0]
+    assert (passing.status, passing.actual) == ("pass", str((True, 8, 8, 16, 22, 16, True, True)))
+    monkeypatch.setattr(verify, "section_s8", lambda s: structure.section_s8(s.inverse()))
+    result = run_suite(Context(seed=1), "thm-5.1-g2-mdim")[0]
+    match = re.fullmatch(
+        r"\(True, 8, 8, 16, 22, 16, True, False\); first at seed 1, g2-eigenlines trial (\d+): (.*)",
+        result.actual,
+    )
+    assert result.status == "fail" and match, result.actual
+    rng, drawn = Context(seed=1).rng("g2-eigenlines"), []
+    for _ in range(int(match[1]) + 1):
+        image = list(range(1, 9))
+        rng.shuffle(image)
+        drawn.append(Permutation(image))
+    *earlier, first = drawn
+    assert match[2] == first.cycle_string() and first != first.inverse()
+    assert all(s == s.inverse() for s in earlier)
 
 
 def _transitive(gens):
