@@ -283,6 +283,11 @@ def _canonical(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle[i:] + cycle[:i]
 
 
+def _mirror(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical key of the inverse cycle."""
+    return _canonical((cycle[0], cycle[2], cycle[1]))
+
+
 def _cycle_perm(cycle: tuple[int, ...]) -> Permutation:
     return Permutation.from_cycles([cycle], 12)
 
@@ -293,6 +298,8 @@ class EdgeCycleWords:
 
     def __init__(self, tables: MoveTables | None = None):
         self._tables = tables
+        # each seed's cycle and, unless a seed spells it, the mirror cycle
+        # with the seed's inverse, so the construction inverts no seed again
         self._seeds: dict[tuple[int, ...], MoveWord] = {}
         for main in cube.FACES:
             for side in _ADJACENT[main]:
@@ -301,17 +308,16 @@ class EdgeCycleWords:
                 if cyc is None:
                     raise AssertionError(f"seed {main}/{side} is not a 3-cycle")
                 self._seeds[_canonical(cyc)] = w
+        for key, w in list(self._seeds.items()):
+            self._seeds.setdefault(_mirror(key), w.inverse())
         self._stock: dict[tuple[int, ...], MoveWord] = {}
 
     def seed_word(self, cycle: tuple[int, ...]) -> MoveWord:
         """A corner-twisting word with the given edge 3-cycle."""
         key = _canonical(cycle)
-        if key in self._seeds:
-            return self._seeds[key]
-        rev = _canonical((cycle[0], cycle[2], cycle[1]))
-        if rev in self._seeds:
-            return self._seeds[rev].inverse()
-        raise KeyError(f"no seed realizes the cycle {cycle}")
+        if key not in self._seeds:
+            raise KeyError(f"no seed realizes the cycle {cycle}")
+        return self._seeds[key]
 
     def three_cycle(self, targets: tuple[int, int, int] | str) -> MoveWord:
         """A word fixing the corners entirely whose edge action is the
@@ -327,7 +333,7 @@ class EdgeCycleWords:
         """A corner-fixing word with the given even edge action."""
         if sigma.degree != 12 or sigma.sign() != 1:
             raise ValueError("edge permutation must be even of degree 12")
-        factors: list[tuple[int, ...]] = []
+        inverses: list[tuple[int, ...]] = []
         current = sigma
         while not current.is_identity():
             a = next(i for i in range(1, 13) if current(i) != i)
@@ -337,13 +343,14 @@ class EdgeCycleWords:
                 c = next(
                     i for i in range(1, 13) if i not in (a, b) and current(i) != i
                 )
-            # (a c b) o current fixes a and does not enlarge the support
-            factors.append((a, c, b))
+            # delta = (a c b): delta o current fixes a and does not enlarge
+            # the support; keep delta^-1 = (a b c), which the stock holds
+            inverses.append((a, b, c))
             current = compose(_cycle_perm((a, c, b)), current)
         # sigma = delta_1^-1 o ... o delta_k^-1, so delta_k^-1 acts first
         out = MoveWord(())
-        for cyc in reversed(factors):
-            out = out.then(self.three_cycle(cyc).inverse())
+        for cyc in reversed(inverses):
+            out = out.then(self.three_cycle(cyc))
         if beta_of_factors(out, self._tables) != sigma:
             raise AssertionError(f"even edge word does not realize {sigma.cycle_string()}")
         return out
@@ -361,63 +368,79 @@ class EdgeCycleWords:
     def _get(self, cycle: tuple[int, ...]) -> MoveWord:
         key = _canonical(cycle)
         if key not in self._stock:
-            # build both orientations of each cycle, stock the shorter spelling
-            # (ties to the smaller key) and the other as its inverse, so that a
-            # word does not depend on which orientation was requested first
-            built, other = sorted((key, _canonical((cycle[0], cycle[2], cycle[1]))))
-            w, w_other = self._build(built), self._build(other)
-            if len(w_other) < len(w):
-                built, other, w = other, built, w_other
+            # the stock holds both orientations of each cycle: the one the
+            # growing procedure spells, and its inverse for the mirror, so the
+            # construction reads every inverse it needs from here.  The mirror
+            # is built only where its construction differs; then the shorter
+            # is kept (ties to the smaller key), so that a word does not
+            # depend on which orientation was requested first
+            options = [(self._build(*s), _canonical(_labels("".join(s)))) for s in _spellings(key)]
+            w, built = min(options, key=lambda option: (len(option[0]), option[1]))
             self._stock[built] = w
-            self._stock[other] = w.inverse()
+            self._stock[_mirror(built)] = w.inverse()
         return self._stock[key]
 
-    def _build(self, cycle: tuple[int, ...]) -> MoveWord:
-        # rotate so the letter added latest in the growing order leads;
-        # a rotated presentation is the same cycle, hence the same word
-        latest = max(cycle, key=lambda v: _STAGE[EDGE_LETTERS[v - 1]])
-        i = cycle.index(latest)
-        cycle = cycle[i:] + cycle[:i]
-        e1, x, y = (EDGE_LETTERS[v - 1] for v in cycle)
-        if _STAGE[e1] == 0:
+    def _build(self, e1: str, x: str, y: str) -> MoveWord:
+        """The word for the cycle (e1 x y), an orientation ``_spellings`` names."""
+        if not _STAGE[e1]:
             # base: [h1, h'] with beta(h1) = (abc), beta(h') = (afe)
-            base = commutator(
-                self.seed_word(_labels("abc")), self.seed_word(_labels("afe"))
-            )
-            target = _cycle_perm(_labels("abf"))
-            if _cycle_perm(cycle) == target:
-                return base
-            if _cycle_perm(cycle) == target.inverse():
-                return base.inverse()
-            raise AssertionError("base case must be a cycle on a, b, f")
-        _, e2, e3 = next(row for row in _GROWTH_SCHEDULE if row[0] == e1)
-        if x == e2 and y == e3:
+            return self._commutator(self._seed_pair("abc"), self._seed_pair("afe"))
+        _, e2, e3 = _GROWTH_SCHEDULE[_STAGE[e1] - 1]
+        if (x, y) == (e2, e3):
             return self._case_two(e1, x, y)
-        if x == e3 and y == e2:
-            return self._case_two(e1, e2, e3).inverse()
-        if x in (e2, e3):
-            return self._case_one(e1, y, x, e2, e3).inverse()
         return self._case_one(e1, x, y, e2, e3)
 
     def _case_one(self, e1: str, x: str, y: str, e2: str, e3: str) -> MoveWord:
         """x is outside {e2, e3}; n = [h, n1] n2."""
-        h = self.seed_word(_labels(e1 + e2 + e3))
-        n1 = self._get(_labels(e2 + e3 + x))
+        n1 = self._stock_pair(e2 + e3 + x)
         if y == e2:
-            n2 = self._get(_labels(e2 + x + e3))
+            n2 = n1[1]  # (e2 x e3)
         elif y == e3:
-            n2 = self._get(_labels(e2 + e3 + x))
+            n2 = n1[0]
         else:
             # (e2 e3)(x y) = (e2 x e3) o (e2 x y)
-            n2 = product(self._get(_labels(e2 + x + e3)), self._get(_labels(e2 + x + y)))
-        return product(commutator(h, n1), n2)
+            n2 = product(n1[1], self._get(_labels(e2 + x + y)))
+        return product(self._commutator(self._seed_pair(e1 + e2 + e3), n1), n2)
 
     def _case_two(self, e1: str, x: str, y: str) -> MoveWord:
         """(x, y) = (e2, e3); n = n1 [h, n1] with n1 = (x z y)."""
-        h = self.seed_word(_labels(e1 + x + y))
         z = next(ch for ch in "abfcdghei" if ch not in (x, y) and _STAGE[ch] < _STAGE[e1])
-        n1 = self._get(_labels(x + z + y))
-        return product(n1, commutator(h, n1))
+        n1 = self._stock_pair(x + z + y)
+        return product(n1[0], self._commutator(self._seed_pair(e1 + x + y), n1))
+
+    # a word and its inverse, both read off the seeds or the stock
+
+    def _seed_pair(self, letters: str) -> tuple[MoveWord, MoveWord]:
+        return self.seed_word(_labels(letters)), self.seed_word(_mirror(_labels(letters)))
+
+    def _stock_pair(self, letters: str) -> tuple[MoveWord, MoveWord]:
+        return self._get(_labels(letters)), self._get(_mirror(_labels(letters)))
+
+    @staticmethod
+    def _commutator(h: tuple[MoveWord, MoveWord], n: tuple[MoveWord, MoveWord]) -> MoveWord:
+        """commutator(h[0], n[0]), with the inverses h[1] and n[1] given."""
+        return product(h[0], n[0], h[1], n[1])
+
+
+def _spellings(cycle: tuple[int, ...]) -> list[tuple[str, str, str]]:
+    """The orientations of a cycle that the growing procedure spells, each as
+    letters (e1, x, y) led by the letter added latest in the growing order (a
+    rotated presentation is the same cycle, hence the same word).  It spells
+    one orientation, and the mirror as its inverse, except in case one with
+    neither x nor y in {e2, e3}, where it spells both."""
+    latest = max(cycle, key=lambda v: _STAGE[EDGE_LETTERS[v - 1]])
+    i = cycle.index(latest)
+    e1, x, y = (EDGE_LETTERS[v - 1] for v in cycle[i:] + cycle[:i])
+    if not _STAGE[e1]:
+        return [("a", "b", "f")]  # the base case
+    _, e2, e3 = _GROWTH_SCHEDULE[_STAGE[e1] - 1]
+    if {x, y} == {e2, e3}:
+        return [(e1, e2, e3)]  # case two
+    if x in (e2, e3):
+        return [(e1, y, x)]  # case one takes x outside {e2, e3}
+    if y in (e2, e3):
+        return [(e1, x, y)]
+    return [(e1, x, y), (e1, y, x)]
 
 
 def _labels(letters: str) -> tuple[int, ...]:

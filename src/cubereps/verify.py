@@ -898,7 +898,7 @@ def _face_commutators(ctx: Context) -> list[Permutation]:
 def _l_witness_word(ctx: Context) -> MoveWord:
     """A 3x3 word fixing the edges completely whose corner twist equals the
     2x2 twist word k: h1 corrected by an edge cycle and flip words."""
-    w = structure.WORD_H1.then(ctx.edge_cycles().three_cycle("abc").inverse())
+    w = structure.WORD_H1.then(ctx.edge_cycles().three_cycle("acb"))  # (abc)^-1
     el = ctx.element(3, w)
     flipped = [i + 1 for i, v in enumerate(el.flip) if v]
     for x in flipped:

@@ -184,6 +184,18 @@ def test_a_word_of_fresh_token_copies_holds_the_shared_tokens(tokens):
         assert _shared(got.tokens)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(FACE_TURNS), max_size=30),
+       st.lists(st.sampled_from(FACE_TURNS), max_size=30))
+def test_a_commutator_is_the_product_with_the_inverses(xs, ys):
+    """The identities that let the edge 3-cycle builder take every inverse
+    from its stock: inverting twice gives the word back, and commutator(x, y)
+    is token for token product(x, y, x^-1, y^-1)."""
+    x, y = MoveWord(xs), MoveWord(ys)
+    assert x.inverse().inverse().tokens == x.tokens
+    assert cube.commutator(x, y).tokens == cube.product(x, y, x.inverse(), y.inverse()).tokens
+
+
 def test_words_of_fresh_tokens_keep_no_token_of_their_own():
     """2,000 words of 20 freshly made tokens keep at most 1,200 KB of Python
     allocations, tokens included; holding the caller's tuples, each word

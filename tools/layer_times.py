@@ -31,7 +31,9 @@ swaps for the shared ones, as the ``words`` benchmark builds its input
 words.  ``basis_sums`` draws
 one random orientation basis and reads both sums of a 3x3 state in it, so
 it builds the basis' two readers and their gathers, as prop-2.4-basis-free
-does for each basis it draws.  ``default_tables`` derives the 2x2 and 3x3
+does for each basis it draws.  ``edge_words`` asks a fresh ``EdgeCycleWords()``
+for q_2..q_12 in turn, as the ``queries`` benchmark's word class does.
+``default_tables`` derives the 2x2 and 3x3
 move tables from the sticker layouts, the set-up ``cube.default_tables``
 does on each size's first use, outside ``import``.  The ``import`` entry
 is ``import cubereps`` in a fresh interpreter, one per repeat, timed by that
@@ -106,6 +108,10 @@ def _layers() -> dict:
         basis = cube.random_basis(basis_rng)
         return cube.invariant_s(state, basis), cube.invariant_t(state, basis)
 
+    def edge_words(_):
+        cycles = structure.EdgeCycleWords()
+        return [cycles.flip_pair_word(x) for x in range(2, 13)]
+
     layers = {
         f"apply_word_{n}x{n}_{length}": (
             lambda w, start=solved[n]: cube.apply_word(start, w), _words(n, length)
@@ -145,6 +151,7 @@ def _layers() -> dict:
                         for images in zip(*map(ctx.pair, cube.FACES))]]),
         "commutator_closure": (lambda pair: normal_closure(*pair),
                                [(verify._face_commutators(ctx), ctx.generators("g2"))]),
+        "edge_words": (edge_words, [None]),
         "default_tables": (lambda _: [cube._derived_tables(n) for n in (2, 3)], [None]),
         "exceptional": (lambda _: replib.ExceptionalExample(), [None]),
         "rep6_images": (lambda ex: [ex.rep6.of(x) for x in ex.elements], [example]),
