@@ -651,16 +651,18 @@ def invariant_t(state: CubeState, basis: OrientationBasis = REFERENCE_BASIS) -> 
 # These drive the conjugation-law checks without going through move words.
 
 
-def _turn(kind: _CubeletKind, position: int, steps: int, size: int) -> tuple[int, ...]:
-    """Sticker permutation moving each sticker of the cubelet at a position
-    ``steps`` places along its turning order: entry i is where sticker i goes."""
+def _turn(kind: _CubeletKind, steps: dict[int, int], size: int) -> tuple[int, ...]:
+    """The one in-place turn: the sticker permutation turning the cubelet at
+    each position of ``steps`` in place, every sticker ``steps[position]``
+    places along its turning order.  Entry i is where sticker i goes."""
     runs = _per_size(kind, size)
-    if not 1 <= position <= len(runs):
-        raise ValueError(f"{kind.name} position must be 1..{len(runs)}, got {position}")
-    index = runs[position - 1]
     perm = list(range(sticker_count(size)))
-    for j, i in enumerate(index):
-        perm[i] = index[(j + steps) % len(index)]
+    for position, amount in steps.items():
+        if not 1 <= position <= len(runs):
+            raise ValueError(f"{kind.name} position must be 1..{len(runs)}, got {position}")
+        index = runs[position - 1]
+        for j, i in enumerate(index):
+            perm[i] = index[(j + amount) % len(index)]
     return tuple(perm)
 
 
@@ -671,12 +673,12 @@ def _permuted_state(perm: tuple[int, ...], state: CubeState) -> CubeState:
 
 def twist_corner(state: CubeState, position: int, amount: int) -> CubeState:
     """Rotate the cubelet at a corner position in place, counterclockwise."""
-    return _permuted_state(_turn(_CORNERS, position, amount, state.size), state)
+    return _permuted_state(_turn(_CORNERS, {position: amount}, state.size), state)
 
 
 def flip_edge(state: CubeState, position: int) -> CubeState:
     """Flip the edge cubelet at a position in place."""
-    return _permuted_state(_turn(_EDGES, position, 1, state.size), state)
+    return _permuted_state(_turn(_EDGES, {position: 1}, state.size), state)
 
 
 def sticker_perm_of_word(
@@ -690,11 +692,11 @@ def sticker_perm_of_word(
 
 
 def sticker_perm_of_twist(position: int, amount: int, size: int) -> tuple[int, ...]:
-    return _turn(_CORNERS, position, amount, size)
+    return _turn(_CORNERS, {position: amount}, size)
 
 
 def sticker_perm_of_flip(position: int) -> tuple[int, ...]:
-    return _turn(_EDGES, position, 1, 3)
+    return _turn(_EDGES, {position: 1}, 3)
 
 
 def compose_sticker_perms(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

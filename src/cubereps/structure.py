@@ -288,10 +288,6 @@ def _mirror(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return _canonical((cycle[0], cycle[2], cycle[1]))
 
 
-def _cycle_perm(cycle: tuple[int, ...]) -> Permutation:
-    return Permutation.from_cycles([cycle], 12)
-
-
 class EdgeCycleWords:
     """Words in the corner-fixing kernel realizing edge three-cycles, found
     and checked on the given 3x3 move tables (the defaults if None)."""
@@ -346,7 +342,7 @@ class EdgeCycleWords:
             # delta = (a c b): delta o current fixes a and does not enlarge
             # the support; keep delta^-1 = (a b c), which the stock holds
             inverses.append((a, b, c))
-            current = compose(_cycle_perm((a, c, b)), current)
+            current = compose(Permutation.from_cycles([(a, c, b)], 12), current)
         # sigma = delta_1^-1 o ... o delta_k^-1, so delta_k^-1 acts first
         out = MoveWord(())
         for cyc in reversed(inverses):

@@ -16,7 +16,7 @@ import random
 from . import abelian, cube, replib, structure
 from ._record import Record, canonical_json
 from .cube import CubeState, MoveWord, apply_word, commutator, word
-from .perm import Permutation, act, carried, chain_build, compose, conjugate, normal_closure
+from .perm import Permutation, _points, act, carried, chain_build, compose, conjugate, normal_closure
 from .structure import (
     G2Element,
     SubgroupTag,
@@ -320,9 +320,7 @@ def _(ctx: Context):
 @check("eq-2.5-conj-k", "conjugating an in-place twist permutes its vector by the corner action", "eq-2.5")
 def _(ctx: Context):
     _, bad, where = _conjugation_law(
-        ctx, "conj-k", 2, 8, 3,
-        lambda position, amount: cube.sticker_perm_of_twist(position, amount, 2),
-        cube.corner_permutation, cube.corner_orientation,
+        ctx, "conj-k", 2, cube._CORNERS, cube.corner_permutation, cube.corner_orientation
     )
     # a pass reads "0 mismatches: []", which the pinned report holds
     return bad == 0, "conjugated twist = permuted vector", f"{bad} mismatches{where or ': []'}"
@@ -413,7 +411,7 @@ def _(ctx: Context):
 
 @check("rem-2.11-center-g2", "the 2x2 group has trivial center", "rem-2.11")
 def _(ctx: Context):
-    central = _centralizer(list(map(_zero_based, ctx.generators("corner-group"))))
+    central = _centralizer(ctx.generators("corner-group"))
     perm_ok = central == [tuple(range(8))]
     twist_ok = _central_constants(cube._CORNERS) == [0]
     ok = perm_ok and twist_ok
@@ -511,9 +509,7 @@ def _(ctx: Context):
 @check("eq-3.8-conj-m", "conjugating an in-place flip permutes its vector by the edge action", "eq-3.8")
 def _(ctx: Context):
     _, bad, where = _conjugation_law(
-        ctx, "conj-m", 3, 12, 2,
-        lambda position, _: cube.sticker_perm_of_flip(position),
-        cube.edge_permutation, cube.edge_orientation,
+        ctx, "conj-m", 3, cube._EDGES, cube.edge_permutation, cube.edge_orientation
     )
     return bad == 0, "conjugated flip = permuted vector", f"{bad} mismatches{where}"
 
@@ -623,15 +619,15 @@ def _(ctx: Context):
 
 @check("rem-3.14-center-g3", "the center of the 3x3 group is generated by the all-edge flip", "rem-3.14")
 def _(ctx: Context):
-    sf_perm = _vector_sticker_perm(
-        (1,) * 12, lambda position, _: cube.sticker_perm_of_flip(position), 3)
+    # the all-edge flip in one in-place turn; superflip_state() flips the
+    # edges one at a time, so the comparison below holds two routes
+    sf_perm = cube._turn(cube._EDGES, dict.fromkeys(range(1, 13), 1), 3)
     face_perms = (ctx.sticker_perm(f, 3) for f in cube.FACES)
     noncommuting = sum(cube.compose_sticker_perms(pg, sf_perm) != cube.compose_sticker_perms(sf_perm, pg)
                        for pg in face_perms)
     sf_el = superflip()
     involution = g3_mul(sf_el, sf_el).is_identity() and not sf_el.is_identity()
-    centrals = [_centralizer(list(map(_zero_based, images)))
-                for images in zip(*map(ctx.pair, cube.FACES))]
+    centrals = list(map(_centralizer, zip(*map(ctx.pair, cube.FACES))))
     trivial = centrals == [[tuple(range(12))], [tuple(range(8))]]
     twist_free = _central_constants(cube._CORNERS) == [0]
     flip_constants = _central_constants(cube._EDGES)
@@ -834,14 +830,17 @@ def _word_pair(stop: int):
     return lambda rng: (_random_word(rng, stop), _random_word(rng, stop))
 
 
-def _conjugation_law(ctx, label, size, length, modulus, turn, permutation, orientation):
+def _conjugation_law(ctx, label, size, kind, permutation, orientation):
     """eq-2.5/eq-3.8: for a random word g and the in-place turn k of a random
-    sum-zero vector, g k g^-1 turns in place by the vector permuted by g."""
+    sum-zero vector over the cubelet kind's n positions in Z_k (k the length
+    of its turning order), g k g^-1 turns in place by the vector permuted by g."""
+    n, k = len(kind.order), len(kind.order[0])
+
     def failures(sample):
         w, vector = sample
         pg = ctx.sticker_perm(w, size)
         conj = cube.compose_sticker_perms(
-            cube.compose_sticker_perms(pg, _vector_sticker_perm(vector, turn, size)),
+            cube.compose_sticker_perms(pg, cube._turn(kind, dict(enumerate(vector, 1)), size)),
             cube.invert_sticker_perm(pg),
         )
         state = cube.state_of_sticker_perm(conj, size)
@@ -850,7 +849,7 @@ def _conjugation_law(ctx, label, size, length, modulus, turn, permutation, orien
 
     return _sampled(
         ctx, label, 30,
-        lambda rng: (_random_word(rng, 15), _random_sum_zero(rng, length, modulus)),
+        lambda rng: (_random_word(rng, 15), _random_sum_zero(rng, n, k)),
         failures,
     )
 
@@ -866,16 +865,6 @@ def _random_perm(rng, degree: int) -> Permutation:
     image = list(range(1, degree + 1))
     rng.shuffle(image)
     return Permutation(image)
-
-
-def _vector_sticker_perm(vector, turn, size: int):
-    """Sticker permutation turning cubelet i in place by vector[i - 1],
-    one cubelet at a time through ``turn(position, amount)``."""
-    perm = tuple(range(cube.sticker_count(size)))
-    for position, amount in enumerate(vector, start=1):
-        if amount:
-            perm = cube.compose_sticker_perms(turn(position, amount), perm)
-    return perm
 
 
 def _closure_rank(ctx: Context, w, size: int, prime: int) -> str:
@@ -915,11 +904,6 @@ def _one_based(raw) -> Permutation:
     return Permutation(tuple(v + 1 for v in raw))
 
 
-def _zero_based(p: Permutation) -> tuple[int, ...]:
-    """A Permutation as the 0-based image tuple ``_centralizer`` reads."""
-    return tuple(v - 1 for v in p.image)
-
-
 def _central_constants(kind) -> list[int]:
     """The c in Z_k whose constant vector, c at all n positions, sums to 0 and
     so is a central element: n is the cubelet kind's position count, k the
@@ -928,12 +912,13 @@ def _central_constants(kind) -> list[int]:
     return [c for c in range(k) if n * c % k == 0]
 
 
-def _centralizer(gens):
-    """Every permutation of range(n) commuting with the generators (0-based
-    image tuples), or None if they are not transitive.  A centralizing c is
-    fixed by t = c(0): ``carried`` finds it over the orbit of 0, and a map
-    commuting with a transitive group is onto (Dixon and Mortimer,
-    Permutation Groups, 4.2)."""
+def _centralizer(generators):
+    """Every permutation of range(n) commuting with the generators
+    (``Permutation``s of 1..n), as 0-based image tuples, or None if they are
+    not transitive.  A centralizing c is fixed by t = c(0): ``carried`` finds
+    it over the orbit of 0, and a map commuting with a transitive group is
+    onto (Dixon and Mortimer, Permutation Groups, 4.2)."""
+    gens = list(map(_points, generators))
     n = len(gens[0])
     maps = [carried(0, t, gens, gens) for t in range(n)]
     if len(maps[0]) < n:  # maps[0] is the identity on the orbit of 0

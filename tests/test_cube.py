@@ -29,7 +29,7 @@ from cubereps.cube import (
     twist_corner,
     word,
 )
-from cubereps.perm import Permutation, compose
+from cubereps.perm import Permutation, _mul0, compose
 from cubereps._record import trusted
 
 SOLVED2 = CubeState.solved(2)
@@ -428,6 +428,49 @@ def test_edge_positions_outside_1_to_12_are_refused(position):
     for turn in (lambda: flip_edge(SOLVED3, position), lambda: sticker_perm_of_flip(position)):
         with pytest.raises(ValueError, match=rf"^edge position must be 1\.\.12, got {position}$"):
             turn()
+
+
+# The one in-place turn: ``cube._turn`` turns every position of a step dict
+# at once, corners on both sizes and edges on the 3x3.
+_KINDS_AND_SIZES = [(cube._CORNERS, 2), (cube._CORNERS, 3), (cube._EDGES, 3)]
+
+
+@st.composite
+def _step_dicts(draw):
+    kind, size = draw(st.sampled_from(_KINDS_AND_SIZES))
+    n = len(kind.order)
+    positions = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
+    return kind, size, {p: draw(st.integers(-1, 3)) for p in positions}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_step_dicts())
+def test_one_turn_of_a_step_dict_is_its_single_position_turns_composed(case):
+    kind, size, steps = case
+    whole = tuple(range(cube.sticker_count(size)))
+    for position, amount in steps.items():
+        whole = _mul0(cube._turn(kind, {position: amount}, size), whole)
+    assert cube._turn(kind, steps, size) == whole
+    # read back: every listed cubelet is turned in place by its steps, no other
+    state = state_of_sticker_perm(whole, size)
+    n, k = len(kind.order), len(kind.order[0])
+    read = corner_orientation if kind is cube._CORNERS else edge_orientation
+    assert read(state) == tuple(steps.get(p, 0) % k for p in range(1, n + 1))
+    moved = corner_permutation if kind is cube._CORNERS else edge_permutation
+    assert moved(state).is_identity()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_step_dicts(), st.data())
+def test_one_turn_refuses_an_out_of_range_position_in_any_slot(case, data):
+    kind, size, steps = case
+    n = len(kind.order)
+    bad = data.draw(st.sampled_from([0, -1, n + 1]))
+    slot = data.draw(st.integers(0, len(steps)))
+    items = list(steps.items())
+    items.insert(slot, (bad, data.draw(st.integers(-1, 3))))
+    with pytest.raises(ValueError, match=rf"^{kind.name} position must be 1\.\.{n}, got {bad}$"):
+        cube._turn(kind, dict(items), size)
 
 
 def _copy_cubelet(state, kind, source, target):

@@ -43,6 +43,16 @@ def _residue_joins_only_its_sift_level(monkeypatch):
                         insert(chain, residue, level if first else 0, level))
 
 
+def _turn_only_the_first_listed_position(monkeypatch):
+    """The one in-place turn turns the first position of its step dict and
+    drops the rest: a sum-zero vector's turn k and the all-edge flip come out
+    short.  (A turn made backwards instead fails eq-2.5 only: a flip is its
+    own inverse.)"""
+    turn = cube._turn
+    monkeypatch.setattr(cube, "_turn",
+                        lambda kind, steps, size: turn(kind, dict(list(steps.items())[:1]), size))
+
+
 FAULTS = {
     "one corner read from the wrong sticker": (
         _corner_1_read_past_its_mark,
@@ -55,6 +65,10 @@ FAULTS = {
     "a Schreier residue kept at its sift level only": (
         _residue_joins_only_its_sift_level,
         ("prop-3.13-isom-type-p",),
+    ),
+    "an in-place turn of the first listed position only": (
+        _turn_only_the_first_listed_position,
+        ("eq-2.5-conj-k", "eq-3.8-conj-m", "rem-3.14-center-g3"),
     ),
 }
 

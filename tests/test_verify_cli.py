@@ -327,7 +327,8 @@ def test_centralizer_matches_brute_force_over_s_n(gens):
     n = len(gens[0])
     brute = [c for c in itertools.permutations(range(n))
              if all(c[g[x]] == g[c[x]] for g in gens for x in range(n))]
-    assert verify._centralizer(gens) == (brute if _transitive(gens) else None)
+    generators = [Permutation([v + 1 for v in g]) for g in gens]
+    assert verify._centralizer(generators) == (brute if _transitive(gens) else None)
 
 
 def _all_faces_u(size):

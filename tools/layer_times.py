@@ -13,7 +13,8 @@ the faithfulness certificates take the degree-8 and degree-20
 representations with their cubes' sticker tables as the groups'
 definitions, the real form
 derives the degree-20 one's sign lines, and the centre layer is rem-3.14's
-two centralizers of the 3x3 edge and corner actions, read through ``ctx.pair``.
+two centralizers of the 3x3 edge and corner actions, each fed the six face
+``Permutation``s that ``ctx.pair`` reads.
 The element layers take the elements that the 20-token words reach:
 ``g2_mul`` and ``g3_mul`` multiply neighbours, ``g3_inv`` inverts one,
 ``conjugate_12`` conjugates one edge permutation by its neighbour's, and
@@ -146,9 +147,8 @@ def _layers() -> dict:
         "faithful_g3": (lambda rep: replib.faithful_structural(rep, ctx.tables[3].face_tables),
                         [ctx.rep(3)]),
         "realify_g3": (replib.realify, [ctx.rep(3)]),
-        "centre_g3": (lambda actions: [verify._centralizer(gens) for gens in actions],
-                      [[list(map(verify._zero_based, images))
-                        for images in zip(*map(ctx.pair, cube.FACES))]]),
+        "centre_g3": (lambda actions: list(map(verify._centralizer, actions)),
+                      [list(zip(*map(ctx.pair, cube.FACES)))]),
         "commutator_closure": (lambda pair: normal_closure(*pair),
                                [(verify._face_commutators(ctx), ctx.generators("g2"))]),
         "edge_words": (edge_words, [None]),
