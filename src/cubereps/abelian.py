@@ -151,12 +151,17 @@ def mdim_real_abelian(group: FiniteAbelianGroup) -> int:
 # counts only; the per-prime rank, which it never reads, is the formula.
 
 
-# the largest group order the oracle and subgroup_factor_check take
+# the largest group order the oracle and the subgroup routines take
 ORACLE_BOUND = 512
 
 
 class OracleBoundExceeded(ValueError):
     """A group above ORACLE_BOUND given to a brute-force routine."""
+
+
+def _within_bound(group: FiniteAbelianGroup) -> None:
+    if group.order > ORACLE_BOUND:
+        raise OracleBoundExceeded(f"group order {group.order} exceeds bound {ORACLE_BOUND}")
 
 
 def _radical(n: int) -> int:
@@ -250,8 +255,7 @@ def oracle_min_faithful(group: FiniteAbelianGroup, field: str) -> int:
     """
     if field not in ("complex", "real"):
         raise ValueError("field must be 'complex' or 'real'")
-    if group.order > ORACLE_BOUND:
-        raise OracleBoundExceeded(f"group order {group.order} exceeds bound {ORACLE_BOUND}")
+    _within_bound(group)
     if not group.cyclic_orders:
         return 0
     size, R, kernels = _socle_kernels(group.cyclic_orders)
@@ -318,12 +322,15 @@ def _group_tables(orders: tuple[int, ...]):
 
 
 def subgroup_invariant_factors(group: FiniteAbelianGroup, generators) -> tuple[int, ...]:
-    """Invariant factors of the subgroup generated by the given tuples,
-    recovered from the element-order census of its closure."""
+    """Invariant factors of the subgroup the given tuples (one entry per cyclic
+    factor) generate, read off the element-order census of its closure."""
+    _within_bound(group)
     orders = group.cyclic_orders
     add, element_order = _group_tables(orders)
     members = {0}
     for g in generators:  # <g_1, .., g_j> = <g_1, .., g_j-1> + <g_j>
+        if len(g) != len(orders):
+            raise ValueError(f"generator {g} has {len(g)} entries, not {len(orders)}")
         index = 0
         for c, n in zip(g, orders):
             index = index * n + c % n
@@ -378,8 +385,7 @@ def _ladder_failure(group: FiniteAbelianGroup, generators) -> str:
 
 def subgroup_factor_check(group: FiniteAbelianGroup, trials: int, rng) -> list[str]:
     """The ladder failures of ``trials`` random subgroups (empty when all pass)."""
-    if group.order > ORACLE_BOUND:
-        raise OracleBoundExceeded(f"group order {group.order} exceeds bound {ORACLE_BOUND}")
+    _within_bound(group)
     elements = list(group.elements())
     failures = (_ladder_failure(group, _random_generators(elements, rng)) for _ in range(trials))
     return [failure for failure in failures if failure]

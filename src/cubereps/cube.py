@@ -742,13 +742,12 @@ def random_word(rng, length: int) -> MoveWord:
     return trusted(MoveWord, tokens=tuple(tokens))
 
 
-# each corner's and edge's normals in x, y, z order, which random_basis draws from
+# each corner's normals in x, y, z order for random_basis; _EDGES.order holds the edges'
 _CORNER_NORMALS = tuple(map(_normals, CORNER_POS.values()))
-_EDGE_NORMALS = tuple(map(_normals, EDGE_POS.values()))
 
 
 def random_basis(rng) -> OrientationBasis:
     bits = rng.getrandbits
     corners = tuple(normals[_below(bits, 3)] for normals in _CORNER_NORMALS)
-    edges = tuple(normals[_below(bits, 2)] for normals in _EDGE_NORMALS)
+    edges = tuple(normals[_below(bits, 2)] for normals in _EDGES.order)
     return OrientationBasis(corners, edges)

@@ -180,30 +180,27 @@ def faithful_enumerated(rep_of, elements) -> bool:
     return sum(rep_of(x).is_identity() for x in elements) == 1
 
 
+def _mean(values, count: int, name: str) -> int:
+    """The exact integer mean of ``count`` cyclotomic values."""
+    total = None
+    for v in values:
+        total = v if total is None else total + v
+    value = total.as_integer()
+    if value % count:
+        raise ArithmeticError(f"{name} is not an integer")
+    return value // count
+
+
 def character_norm(rep_of, elements) -> int:
     """<chi, chi> = (1/|G|) sum chi(g) conj(chi(g)), exactly; 1 means
     irreducible."""
-    total = None
-    for x in elements:
-        chi = rep_of(x).trace()
-        term = chi * chi.conjugate()
-        total = term if total is None else total + term
-    value = total.as_integer()
-    if value % len(elements):
-        raise ArithmeticError("character norm is not an integer")
-    return value // len(elements)
+    chis = (rep_of(x).trace() for x in elements)
+    return _mean((chi * chi.conjugate() for chi in chis), len(elements), "character norm")
 
 
 def frobenius_schur(rep_of, elements, mul) -> int:
     """(1/|G|) sum chi(g^2): 1 real, 0 complex, -1 quaternionic."""
-    total = None
-    for x in elements:
-        chi = rep_of(mul(x, x)).trace()
-        total = chi if total is None else total + chi
-    value = total.as_integer()
-    if value % len(elements):
-        raise ArithmeticError("indicator sum is not an integer")
-    return value // len(elements)
+    return _mean((rep_of(mul(x, x)).trace() for x in elements), len(elements), "indicator sum")
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +407,17 @@ def decorated_perm(image: ConjMonomialMap) -> DecoratedPerm:
 
 
 def mu(descriptor) -> int:
-    """Minimal permutation degree for symmetric and alternating groups and
-    their direct products (degree is additive for products of alternating
-    groups)."""
+    """Minimal permutation degree of S_n and A_n (n from n = 2 and n = 3 on,
+    1 below that, where the group is trivial) and of products of A_n's, where
+    it is additive."""
     kind = descriptor[0]
     if kind == "trivial":
         return 1
-    if kind == "S":
+    if kind in ("S", "A"):
         n = descriptor[1]
         if n < 1:
-            raise ValueError("bad symmetric group")
-        return n if n >= 2 else 1
-    if kind == "A":
-        n = descriptor[1]
-        small = {1: 1, 2: 1, 3: 3, 4: 4}
-        if n in small:
-            return small[n]
-        return n
+            raise ValueError(f"bad {'symmetric' if kind == 'S' else 'alternating'} group")
+        return n if n >= {"S": 2, "A": 3}[kind] else 1
     if kind == "x":
         factors = descriptor[1]
         if not all(f[0] == "A" for f in factors):

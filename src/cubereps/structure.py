@@ -37,6 +37,14 @@ class UnreachableState(ValueError):
 # Semidirect-product elements, multiplied by the twisted-product core
 
 
+def _sum_zero(values: tuple[int, ...], n: int, k: int, name: str) -> None:
+    """n values in Z_k summing to zero: the law of every twist and flip vector."""
+    if len(values) != n or not set(values).issubset(range(k)):
+        raise ValueError(f"{name} must be {n} values in Z_{k}")
+    if sum(values) % k:
+        raise ValueError(f"{name} entries must sum to zero")
+
+
 class G2Element(Record):
     """(corner twists, corner permutation); twists sum to 0 mod 3."""
 
@@ -44,10 +52,7 @@ class G2Element(Record):
     perm: Permutation
 
     def __post_init__(self):
-        if len(self.twist) != 8 or any(not 0 <= v < 3 for v in self.twist):
-            raise ValueError("twist must be 8 values in Z_3")
-        if sum(self.twist) % 3:
-            raise ValueError("twist entries must sum to zero")
+        _sum_zero(self.twist, 8, 3, "twist")
         if self.perm.degree != 8:
             raise ValueError("corner permutation must have degree 8")
 
@@ -82,12 +87,8 @@ class G3Element(Record):
     pair: tuple[Permutation, Permutation]
 
     def __post_init__(self):
-        if len(self.flip) != 12 or any(not 0 <= v < 2 for v in self.flip):
-            raise ValueError("flip must be 12 values in Z_2")
-        if sum(self.flip) % 2:
-            raise ValueError("flip entries must sum to zero")
-        if len(self.twist) != 8 or sum(self.twist) % 3 or not set(self.twist) <= {0, 1, 2}:
-            raise ValueError("twist must be 8 values in Z_3 summing to zero")
+        _sum_zero(self.flip, 12, 2, "flip")
+        _sum_zero(self.twist, 8, 3, "twist")
         edges, corners = self.pair
         if edges.degree != 12 or corners.degree != 8:
             raise ValueError("pair must have degrees (12, 8)")
@@ -271,13 +272,6 @@ _ADJACENT = {
 }
 
 
-def _cycle_of_perm(p: Permutation) -> tuple[int, ...] | None:
-    cycles = p.cycles()
-    if len(cycles) == 1 and len(cycles[0]) == 3:
-        return cycles[0]
-    return None
-
-
 def _canonical(cycle: tuple[int, ...]) -> tuple[int, ...]:
     i = cycle.index(min(cycle))
     return cycle[i:] + cycle[:i]
@@ -300,10 +294,9 @@ class EdgeCycleWords:
         for main in cube.FACES:
             for side in _ADJACENT[main]:
                 w = word(f"{main}2 {side}' {main}2 {side} {main} {side}' {main} {side}")
-                cyc = _cycle_of_perm(beta_of_factors(w, tables))
-                if cyc is None:
-                    raise AssertionError(f"seed {main}/{side} is not a 3-cycle")
-                self._seeds[_canonical(cyc)] = w
+                # one 3-cycle or a ValueError; it starts at its least point, as keys do
+                [(a, b, c)] = beta_of_factors(w, tables).cycles()
+                self._seeds[a, b, c] = w
         for key, w in list(self._seeds.items()):
             self._seeds.setdefault(_mirror(key), w.inverse())
         self._stock: dict[tuple[int, ...], MoveWord] = {}

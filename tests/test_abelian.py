@@ -190,6 +190,23 @@ def test_subgroup_invariant_factors():
     )
 
 
+def test_subgroup_invariant_factors_refuses_a_generator_of_the_wrong_length():
+    """A generator names one entry per cyclic factor: in Z2 x Z4, (1,) is not
+    read as (0, 1), nor (1, 0, 5) cut to (1, 0)."""
+    g = FiniteAbelianGroup.of(2, 4)
+    for generator in [(1,), (1, 0, 5)]:
+        with pytest.raises(ValueError, match=f"has {len(generator)} entries, not 2"):
+            subgroup_invariant_factors(g, [(0, 2), generator])
+
+
+def test_subgroup_invariant_factors_refuses_a_group_above_the_oracle_bound(monkeypatch):
+    """The closure's tables are quadratic in the order, so an order-1,024 group
+    is refused before they are built."""
+    monkeypatch.setattr(abelian, "_group_tables", lambda orders: pytest.fail("tables built"))
+    with pytest.raises(OracleBoundExceeded, match="group order 1024 exceeds bound 512"):
+        subgroup_invariant_factors(FiniteAbelianGroup.of(*[2] * 10), [])
+
+
 def _tuple_subgroup_invariant_factors(group, generators):
     """The tuple-arithmetic closure and element-order census that
     ``subgroup_invariant_factors`` ran before it indexed the elements."""

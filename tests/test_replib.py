@@ -593,12 +593,17 @@ def test_mu_values():
     assert mu(("A", 4)) == 4
     assert mu(("A", 3)) == 3
     assert mu(("A", 2)) == 1
+    assert mu(("A", 1)) == 1
     assert mu(("trivial",)) == 1
     assert mu(("x", [("A", 8), ("A", 12)])) == 20
     with pytest.raises(ValueError):
         mu(("x", [("S", 3), ("S", 4)]))
     with pytest.raises(ValueError):
         mu(("D", 5))
+    # neither S_n nor A_n exists below n = 1
+    for descriptor in [("S", 0), ("S", -3), ("A", 0), ("A", -3)]:
+        with pytest.raises(ValueError, match="bad (symmetric|alternating) group"):
+            mu(descriptor)
 
 
 def test_lower_bounds():

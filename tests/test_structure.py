@@ -143,6 +143,25 @@ def test_g3_element_invariants():
         G3Element((0,) * 12, (3,) + (0,) * 7, alpha(""))
 
 
+@pytest.mark.parametrize("twist", [
+    (0,) * 7,  # short
+    (0,) * 9,  # long
+    (3,) + (0,) * 7,  # out of range, summing to 0 mod 3
+    (-1, 1) + (0,) * 6,  # out of range, summing to zero
+    (1,) + (0,) * 7,  # nonzero sum
+    (1, 1, 2, 2, 0, 0, 0, 1),  # nonzero sum
+])
+def test_g2_and_g3_refuse_the_same_twists_with_the_same_message(twist):
+    messages = []
+    for build in (lambda: G2Element(twist, Permutation.identity(8)),
+                  lambda: G3Element((0,) * 12, twist, alpha(""))):
+        with pytest.raises(ValueError) as refused:
+            build()
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+    assert messages[0] in ("twist must be 8 values in Z_3", "twist entries must sum to zero")
+
+
 def test_edge_three_cycle_outputs():
     for target in ["abf", "cab", "aek", "jkl"]:
         w = edge_three_cycle(target)
