@@ -214,6 +214,12 @@ def conjugate(g: Permutation, x: Permutation) -> Permutation:
 # (v, p)(w, q) = (v + p.w mod k, pq).
 
 
+def check_vector(values: Sequence, n: int, k: int, name: str) -> None:
+    """The law of every vector beside a degree-n permutation: n values in Z_k."""
+    if len(values) != n or not set(values).issubset(range(k)):
+        raise ValueError(f"{name} must be {n} values in Z_{k}")
+
+
 def act(p: Permutation, v: Sequence) -> tuple:
     """Move coordinates by p: entry p(j) of the result is v_j."""
     if len(v) != p.degree:

@@ -14,13 +14,14 @@ complex dimension (8).
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 
 from ._record import Record, canonical_json, trusted
 from .abelian import FiniteAbelianGroup, mdim_real_abelian, zk0m
 from .cube import FACES, MoveTables
 from .cyclotomic import CyclotomicInt
-from .perm import Permutation, act, carried, compose, twisted_mul, wreath_points
+from .perm import Permutation, act, carried, check_vector, compose, twisted_mul, wreath_points
 from .structure import (
     G2Element,
     G3Element,
@@ -42,10 +43,7 @@ class MonomialMap(Record):
     exps: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.exps) != self.perm.degree:
-            raise ValueError("one exponent per coordinate required")
-        if any(not 0 <= e < self.root_order for e in self.exps):
-            raise ValueError("exponents must be reduced mod the root order")
+        check_vector(self.exps, self.perm.degree, self.root_order, "exponents")
 
     @property
     def degree(self) -> int:
@@ -181,11 +179,10 @@ def faithful_enumerated(rep_of, elements) -> bool:
 
 
 def _mean(values, count: int, name: str) -> int:
-    """The exact integer mean of ``count`` cyclotomic values."""
-    total = None
-    for v in values:
-        total = v if total is None else total + v
-    value = total.as_integer()
+    """The exact integer mean of ``count`` cyclotomic values, one per element."""
+    if not count:
+        raise ValueError(f"{name} over an empty element list")
+    value = reduce(add, values).as_integer()
     if value % count:
         raise ArithmeticError(f"{name} is not an integer")
     return value // count
@@ -221,49 +218,32 @@ class ConjMonomialMap(Record):
     flags: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.signs) != self.sign_perm.degree:
-            raise ValueError("one sign per sign block")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +-1")
-        if not len(self.rot_exps) == len(self.flags) == self.rot_perm.degree:
-            raise ValueError("one exponent and flag per rotation block")
-        if any(not 0 <= e < self.root_order for e in self.rot_exps):
-            raise ValueError("exponents must be reduced mod the root order")
-        if any(f not in (0, 1) for f in self.flags):
-            raise ValueError("flags must be 0 or 1")
+        if len(self.signs) != self.sign_perm.degree or not set(self.signs).issubset((1, -1)):
+            raise ValueError(f"signs must be {self.sign_perm.degree} values +-1")
+        check_vector(self.rot_exps, self.rot_perm.degree, self.root_order, "exponents")
+        check_vector(self.flags, self.rot_perm.degree, 2, "flags")
 
     @classmethod
     def identity(cls, sign_count: int, rot_count: int, root_order: int):
-        return cls(
-            root_order,
-            Permutation.identity(sign_count),
-            (1,) * sign_count,
-            Permutation.identity(rot_count),
-            (0,) * rot_count,
-            (0,) * rot_count,
-        )
+        """The identity map: only its zero exponents' law rests on root_order."""
+        zeros = (0,) * rot_count
+        check_vector(zeros, rot_count, root_order, "exponents")
+        return trusted(cls, root_order=root_order, sign_perm=Permutation.identity(sign_count),
+                       signs=(1,) * sign_count, rot_perm=Permutation.identity(rot_count),
+                       rot_exps=zeros, flags=zeros)
 
     def __mul__(self, other: "ConjMonomialMap") -> "ConjMonomialMap":
         if self.root_order != other.root_order:
             raise ValueError("mixed root orders")
-        signs = tuple(
-            a * b for a, b in zip(self.signs, act(self.sign_perm, other.signs))
-        )
-        routed_exps = act(self.rot_perm, other.rot_exps)
-        routed_flags = act(self.rot_perm, other.flags)
-        exps = tuple(
-            (e1 + (e2 if not f1 else -e2)) % self.root_order
-            for e1, f1, e2 in zip(self.rot_exps, self.flags, routed_exps)
-        )
-        flags = tuple(f1 ^ f2 for f1, f2 in zip(self.flags, routed_flags))
-        return ConjMonomialMap(
-            self.root_order,
-            compose(self.sign_perm, other.sign_perm),
-            signs,
-            compose(self.rot_perm, other.rot_perm),
-            exps,
-            flags,
-        )
+        signs = tuple(a * b for a, b in zip(self.signs, act(self.sign_perm, other.signs)))
+        # a conjugating plane of self negates the exponent routed into it
+        exps = tuple((e1 - e2 if f1 else e1 + e2) % self.root_order for e1, f1, e2
+                     in zip(self.rot_exps, self.flags, act(self.rot_perm, other.rot_exps)))
+        flags, rot_perm = twisted_mul(2, self.flags, self.rot_perm, other.flags, other.rot_perm)
+        # products of +-1, sums mod the root order and twisted_mul's flags keep the laws
+        return trusted(ConjMonomialMap, root_order=self.root_order,
+                       sign_perm=compose(self.sign_perm, other.sign_perm), signs=signs,
+                       rot_perm=rot_perm, rot_exps=exps, flags=flags)
 
     def is_identity(self) -> bool:
         return (
@@ -383,10 +363,7 @@ class DecoratedPerm(Record):
     sigma_q: Permutation
 
     def __post_init__(self):
-        if len(self.flags) != self.sigma_q.degree:
-            raise ValueError("one flag per rotation block")
-        if any(f not in (0, 1) for f in self.flags):
-            raise ValueError("flags must be 0 or 1")
+        check_vector(self.flags, self.sigma_q.degree, 2, "flags")
 
     def __mul__(self, other: "DecoratedPerm") -> "DecoratedPerm":
         flags, sigma_q = twisted_mul(

@@ -26,7 +26,7 @@ from .cube import (
     product,
     word,
 )
-from .perm import _LETTER_VALUE, EDGE_LETTERS, Permutation, compose, twisted_inv, twisted_mul
+from .perm import _LETTER_VALUE, EDGE_LETTERS, Permutation, check_vector, compose, twisted_inv, twisted_mul
 
 
 class UnreachableState(ValueError):
@@ -39,8 +39,7 @@ class UnreachableState(ValueError):
 
 def _sum_zero(values: tuple[int, ...], n: int, k: int, name: str) -> None:
     """n values in Z_k summing to zero: the law of every twist and flip vector."""
-    if len(values) != n or not set(values).issubset(range(k)):
-        raise ValueError(f"{name} must be {n} values in Z_{k}")
+    check_vector(values, n, k, name)
     if sum(values) % k:
         raise ValueError(f"{name} entries must sum to zero")
 

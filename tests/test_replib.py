@@ -402,24 +402,94 @@ def test_reps_refuse_no_images_and_images_of_mixed_sizes():
 
 
 @pytest.mark.parametrize("fields, message", [
-    ((3, Permutation([1]), (1,), Permutation([2, 1]), (7, 0), (0, 0)), "reduced mod the root order"),
-    ((3, Permutation([1]), (1,), Permutation([2, 1]), (-1, 0), (0, 0)), "reduced mod the root order"),
-    ((3, Permutation([1]), (1,), Permutation([1]), (0,), (3,)), "flags must be 0 or 1"),
-    ((3, Permutation([1]), (1,), Permutation([2, 1]), (0,), (0,)), "one exponent and flag per rotation block"),
+    ((3, Permutation([1]), (1,), Permutation([2, 1]), (7, 0), (0, 0)), "exponents must be 2 values in Z_3"),
+    ((3, Permutation([1]), (1,), Permutation([2, 1]), (-1, 0), (0, 0)), "exponents must be 2 values in Z_3"),
+    ((3, Permutation([1]), (1,), Permutation([1]), (0,), (3,)), "flags must be 1 values in Z_2"),
+    ((3, Permutation([1]), (1,), Permutation([2, 1]), (0,), (0,)), "exponents must be 2 values in Z_3"),
 ], ids=["exponent-7", "exponent-minus-1", "flag-3", "short"])
 def test_conj_monomial_maps_refuse_bad_fields(fields, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         ConjMonomialMap(*fields)
 
 
 @pytest.mark.parametrize("fields, message", [
-    (((0, 1), Permutation([1]), Permutation([2, 1, 3])), "one flag per rotation block"),
-    (((0, 1, 1, 0), Permutation([1]), Permutation([2, 1, 3])), "one flag per rotation block"),
-    (((0, 2, 1), Permutation([1]), Permutation([2, 1, 3])), "flags must be 0 or 1"),
+    (((0, 1), Permutation([1]), Permutation([2, 1, 3])), "flags must be 3 values in Z_2"),
+    (((0, 1, 1, 0), Permutation([1]), Permutation([2, 1, 3])), "flags must be 3 values in Z_2"),
+    (((0, 2, 1), Permutation([1]), Permutation([2, 1, 3])), "flags must be 3 values in Z_2"),
 ], ids=["short", "long", "flag-2"])
 def test_decorated_perms_refuse_bad_fields(fields, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         DecoratedPerm(*fields)
+
+
+_R2, _R3 = Permutation.identity(2), Permutation.identity(3)
+VECTOR_FIELDS = {  # record.field: (build with the vector, name in the message, n, k)
+    "G2Element.twist": (lambda v: structure.G2Element(v, Permutation.identity(8)), "twist", 8, 3),
+    "G3Element.flip": (lambda v: structure.G3Element(v, (0,) * 8, structure.alpha("")), "flip", 12, 2),
+    "G3Element.twist": (lambda v: structure.G3Element((0,) * 12, v, structure.alpha("")), "twist", 8, 3),
+    "MonomialMap.exps": (lambda v: MonomialMap(6, _R3, v), "exponents", 3, 6),
+    "ConjMonomialMap.rot_exps": (lambda v: ConjMonomialMap(4, _R2, (1, -1), _R3, v, (0, 1, 0)), "exponents", 3, 4),
+    "ConjMonomialMap.flags": (lambda v: ConjMonomialMap(4, _R2, (1, -1), _R3, (0, 3, 2), v), "flags", 3, 2),
+    "DecoratedPerm.flags": (lambda v: DecoratedPerm(v, _R2, _R3), "flags", 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", VECTOR_FIELDS)
+@pytest.mark.parametrize("shape", ["short", "long", "out-of-range", "negative"])
+def test_every_vector_record_refuses_a_bad_vector_with_the_one_message(name, shape):
+    """perm.check_vector's law, n values in Z_k, and its one message."""
+    build, field, n, k = VECTOR_FIELDS[name]
+    vector = {"short": (0,) * (n - 1), "long": (0,) * (n + 1),
+              "out-of-range": (k,) + (0,) * (n - 1), "negative": (-1, 1) + (0,) * (n - 2)}[shape]
+    with pytest.raises(ValueError, match=f"^{field} must be {n} values in Z_{k}$"):
+        build(vector)
+
+
+@pytest.mark.parametrize("signs", [(1,), (1, -1, 1), (1, 0), (1, 2), (-1, -2)])
+def test_conj_monomial_maps_refuse_bad_signs(signs):
+    with pytest.raises(ValueError, match=r"^signs must be 2 values \+-1$"):
+        ConjMonomialMap(3, _R2, signs, Permutation.identity(1), (0,), (0,))
+
+
+@pytest.mark.parametrize("root_order", [0, -1])
+def test_conj_monomial_identity_refuses_a_root_order_below_one_with_planes(root_order):
+    with pytest.raises(ValueError, match=f"^exponents must be 2 values in Z_{root_order}$"):
+        ConjMonomialMap.identity(1, 2, root_order)
+
+
+def _rebuilt(x: ConjMonomialMap) -> ConjMonomialMap:
+    """x's fields through the public, checking constructor."""
+    return ConjMonomialMap(x.root_order, x.sign_perm, x.signs, x.rot_perm, x.rot_exps, x.flags)
+
+
+@st.composite
+def conj_monomial_pairs(draw):
+    """Two ConjMonomialMaps with the same block counts and root order."""
+    r, s, t = draw(st.integers(1, 6)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+    def one():
+        return ConjMonomialMap(
+            r, Permutation(draw(st.permutations(range(1, s + 1)))),
+            tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=s, max_size=s))),
+            Permutation(draw(st.permutations(range(1, t + 1)))),
+            tuple(draw(st.lists(st.integers(0, r - 1), min_size=t, max_size=t))),
+            tuple(draw(st.lists(st.integers(0, 1), min_size=t, max_size=t))))
+
+    return one(), one()
+
+
+@given(conj_monomial_pairs())
+def test_conj_monomial_products_forget_to_decorated_products(pair):
+    """decorated_perm is a homomorphism, so the real forms' flag product is
+    DecoratedPerm's; the identity is two-sided and its fields are lawful."""
+    a, b = pair
+    product = a * b
+    assert decorated_perm(product) == decorated_perm(a) * decorated_perm(b)
+    assert _rebuilt(product) == product
+    one = ConjMonomialMap.identity(a.sign_perm.degree, a.rot_perm.degree, a.root_order)
+    assert one * a == a == a * one
+    assert one.is_identity()
+    assert _rebuilt(one) == one
 
 
 def test_matrix_text_rendering():
@@ -651,6 +721,13 @@ def test_character_norm_of_trivial_and_doubled_trivial():
 
     assert character_norm(trivial, elements) == 1
     assert character_norm(doubled, elements) == 4
+
+
+def test_character_sums_refuse_an_empty_element_list():
+    with pytest.raises(ValueError, match="^character norm over an empty element list$"):
+        character_norm(build_rep_g2().of, [])
+    with pytest.raises(ValueError, match="^indicator sum over an empty element list$"):
+        frobenius_schur(build_rep_g2().of, [], g2_mul)
 
 
 def test_frobenius_schur_small_cases():
