@@ -218,32 +218,47 @@ class ConjMonomialMap(Record):
     flags: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.signs) != self.sign_perm.degree or not set(self.signs).issubset((1, -1)):
-            raise ValueError(f"signs must be {self.sign_perm.degree} values +-1")
+        n = self.sign_perm.degree
+        if len(self.signs) != n or not set(self.signs).issubset((1, -1)):
+            raise ValueError(f"signs must be {n} values +-1")
         check_vector(self.rot_exps, self.rot_perm.degree, self.root_order, "exponents")
         check_vector(self.flags, self.rot_perm.degree, 2, "flags")
 
     @classmethod
     def identity(cls, sign_count: int, rot_count: int, root_order: int):
-        """The identity map: only its zero exponents' law rests on root_order."""
-        zeros = (0,) * rot_count
-        check_vector(zeros, rot_count, root_order, "exponents")
-        return trusted(cls, root_order=root_order, sign_perm=Permutation.identity(sign_count),
-                       signs=(1,) * sign_count, rot_perm=Permutation.identity(rot_count),
-                       rot_exps=zeros, flags=zeros)
+        return cls(
+            root_order,
+            Permutation.identity(sign_count),
+            (1,) * sign_count,
+            Permutation.identity(rot_count),
+            (0,) * rot_count,
+            (0,) * rot_count,
+        )
 
     def __mul__(self, other: "ConjMonomialMap") -> "ConjMonomialMap":
         if self.root_order != other.root_order:
             raise ValueError("mixed root orders")
-        signs = tuple(a * b for a, b in zip(self.signs, act(self.sign_perm, other.signs)))
-        # a conjugating plane of self negates the exponent routed into it
-        exps = tuple((e1 - e2 if f1 else e1 + e2) % self.root_order for e1, f1, e2
-                     in zip(self.rot_exps, self.flags, act(self.rot_perm, other.rot_exps)))
-        flags, rot_perm = twisted_mul(2, self.flags, self.rot_perm, other.flags, other.rot_perm)
+        signs = tuple(
+            a * b for a, b in zip(self.signs, act(self.sign_perm, other.signs))
+        )
+        routed_exps = act(self.rot_perm, other.rot_exps)
+        exps = tuple(
+            (e1 + (e2 if not f1 else -e2)) % self.root_order
+            for e1, f1, e2 in zip(self.rot_exps, self.flags, routed_exps)
+        )
+        flags, rot_perm = twisted_mul(
+            2, self.flags, self.rot_perm, other.flags, other.rot_perm
+        )
         # products of +-1, sums mod the root order and twisted_mul's flags keep the laws
-        return trusted(ConjMonomialMap, root_order=self.root_order,
-                       sign_perm=compose(self.sign_perm, other.sign_perm), signs=signs,
-                       rot_perm=rot_perm, rot_exps=exps, flags=flags)
+        return trusted(
+            ConjMonomialMap,
+            root_order=self.root_order,
+            sign_perm=compose(self.sign_perm, other.sign_perm),
+            signs=signs,
+            rot_perm=rot_perm,
+            rot_exps=exps,
+            flags=flags,
+        )
 
     def is_identity(self) -> bool:
         return (
