@@ -39,9 +39,7 @@ def invariant_factors(orders) -> tuple[int, ...]:
     For each prime, the prime-power parts are sorted descending; the j-th
     factor from the top multiplies the j-th largest part of every prime.
     """
-    orders = list(orders)
-    if any(n < 2 for n in orders):
-        raise ValueError("cyclic orders must be at least 2")
+    orders = FiniteAbelianGroup(tuple(orders)).cyclic_orders  # refused as the group refuses them
     by_prime: dict[int, list[int]] = {}
     for n in orders:
         for p, e in _factorize(n).items():
@@ -68,9 +66,10 @@ class FiniteAbelianGroup(Record):
     cyclic_orders: tuple[int, ...]
 
     def __post_init__(self):
+        """The one law on cyclic orders: each is an integer at least 2."""
         object.__setattr__(self, "cyclic_orders", tuple(sorted(self.cyclic_orders)))
-        if any(n < 2 for n in self.cyclic_orders):
-            raise ValueError("cyclic orders must be at least 2")
+        if not all(isinstance(n, int) and n >= 2 for n in self.cyclic_orders):
+            raise ValueError("cyclic orders must be integers at least 2")
 
     @classmethod
     def of(cls, *orders: int) -> "FiniteAbelianGroup":

@@ -121,13 +121,13 @@ def _certify(ok: bool, name: str) -> None:
         raise CertificateError(f"mdim certificate failed: {name}")
 
 
-# the cube groups' and the exceptional example's answers, each certified
-# by the claim suite's checks of the theorem that states it:
-# name -> (complex, real, method, glob over check ids)
+# the cube groups' and the exceptional example's answers: the pair
+# ``verify.PAPER`` states for a claim, once the checks of its theorem pass:
+# name -> (claim id, method, glob over check ids)
 _CERTIFIED = {
-    "g2": (8, 16, "split-bound+construction", "thm-5.1-*"),
-    "g3": (20, 28, "split-bound+case-table", "thm-5.2-*"),
-    "exceptional": (4, 6, "enumeration", "thm-5.3-exceptional"),
+    "g2": ("thm-5.1-g2-mdim", "split-bound+construction", "thm-5.1-*"),
+    "g3": ("thm-5.2-g3-mdim", "split-bound+case-table", "thm-5.2-*"),
+    "exceptional": ("thm-5.3-exceptional", "enumeration", "thm-5.3-exceptional"),
 }
 
 
@@ -138,9 +138,10 @@ def _cmd_mdim(args) -> int:
     if extra:
         raise ValueError(f"unexpected words after the mdim spec: {' '.join(extra)}")
     if kind in _CERTIFIED:
-        complex_dim, real_dim, method, checks = _CERTIFIED[kind]
+        claim, method, checks = _CERTIFIED[kind]
         for r in verify.run_suite(verify.Context(), checks):
             _certify(r.status == "pass", r.id)
+        complex_dim, real_dim = verify.PAPER[claim][:2]
         payload = {"complex": complex_dim, "real": real_dim, "method": method}
     else:
         group = _read_group(spec)

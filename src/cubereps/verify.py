@@ -57,9 +57,32 @@ BETA_TABLE = {
     "L": "(dhle)",
 }
 
-G2_ORDER = 3**7 * math.factorial(8)
-G3_ORDER = 2**11 * 3**7 * math.factorial(12) * math.factorial(8) // 2
-P_ORDER = math.factorial(12) * math.factorial(8) // 2
+# What the paper states, by claim id: each check compares what it computes with
+# its entry; ``cubereps mdim`` prints a thm-5 entry's leading (complex, real).
+PAPER = {
+    "prop-2.2-phi-surjective": math.factorial(8),
+    "prop-2.6-k-maximal": (3, 7),  # the twist kernel K is Z_3^7
+    "prop-2.9-commutator-data": ((0, 1, 2, 0, 0, 0, 0, 0), (2, 2, 2, 0, 0, 0, 0, 0)),
+    "cor-2.12-g2-order": 3**7 * math.factorial(8),
+    "cor-3.6-n-is-a12": math.factorial(12) // 2,
+    "prop-3.9-m-maximal": (2, 11),  # the flip kernel M is Z_2^11
+    "prop-3.13-isom-type-p": math.factorial(12) * math.factorial(8) // 2,
+    "cor-3.15-g3-order": 2**11 * 3**7 * math.factorial(12) * math.factorial(8) // 2,
+    "thm-4.2-cube-data": (7, 14, (2, 2, 2, 2, 6, 6, 6, 6, 6, 6, 6), 11, 18),
+    "thm-4.3-complex-bound": (8, 20, 4, 8, 12, 1),
+    "thm-4.4-decorated": 24,  # |S_4|, on which the decorated map is injective
+    "thm-5.1-g2-mdim": (8, 16),
+    "thm-5.2-g3-mdim": (20, 28),
+    # the seven kernel cases as printed, the refinement of two of them, the bound
+    "thm-5.2-table": ([("1", "1", 20, 20, 60),
+                       ("1 x A8", "A12 x 1", 12, 8, 28),
+                       ("A12 x 1", "1 x A8", 8, 12, 32),
+                       ("1", "A8 x A12", 20, 2, 24),
+                       ("A8 x A12", "1", 2, 20, 42),
+                       ("1", "P", 20, 0, 20),
+                       ("P", "1", 0, 20, 40)], 48, 28),
+    "thm-5.3-exceptional": (4, 6, 648),  # and the example's order
+}
 
 
 # ``cubereps order`` target -> a face's image; the edge group is P's edge factor
@@ -266,7 +289,8 @@ def _(ctx: Context):
 @check("prop-2.2-phi-surjective", "corner images of the generators generate all of S_8", "prop-2.2")
 def _(ctx: Context):
     order = ctx.chain("corner-group").order()
-    return order == math.factorial(8), str(math.factorial(8)), str(order)
+    want = PAPER["prop-2.2-phi-surjective"]
+    return order == want, str(want), str(order)
 
 
 @check("prop-2.2-t1", "the word t1 transposes the two top-back corners", "prop-2.2")
@@ -344,8 +368,9 @@ def _(ctx: Context):
     _, bad, where = _sampled(ctx, "k-maximal", 40, lambda rng: _random_word(rng, 15), failures)
     if bad:
         return False, "conjugates stay in the kernel", f"{bad} conjugates moved corners{where}"
-    rank = _closure_rank(ctx, structure.WORD_K, 2, 3)
-    return rank == "rank 7", "rank 7 over Z_3", rank
+    prime, rank = PAPER["prop-2.6-k-maximal"]
+    got = _closure_rank(ctx, structure.WORD_K, 2, prime)
+    return got == f"rank {rank}", f"rank {rank} over Z_{prime}", got
 
 
 @check("prop-2.7-model", "reading states off as (twist, permutation) pairs is multiplicative", "prop-2.7")
@@ -391,8 +416,7 @@ def _(ctx: Context):
     n = section_s8(Permutation.from_cycles("(123)", 8))
     conj = g2_mul(g2_mul(n, k), g2_inv(n))
     comm = g2_mul(conj, g2_inv(k))
-    want_conj = (0, 1, 2, 0, 0, 0, 0, 0)
-    want_comm = (2, 2, 2, 0, 0, 0, 0, 0)
+    want_conj, want_comm = PAPER["prop-2.9-commutator-data"]
     ok = conj.twist == want_conj and comm.twist == want_comm and comm.perm.is_identity()
     return ok, f"{want_conj} and {want_comm}", f"{conj.twist} and {comm.twist}"
 
@@ -405,8 +429,9 @@ def _(ctx: Context):
 
     _, bad, where = _sampled(ctx, "normal-l", 300, lambda rng: _random_word(rng, 25), failures)
     order = normal_closure(_face_commutators(ctx), ctx.generators("g2")).order()
-    ok = bad == 0 and order == G2_ORDER // 2
-    return ok, f"sign parity matches word parity; order {G2_ORDER//2}", f"{bad} parity failures{where}; order {order}"
+    half = PAPER["cor-2.12-g2-order"] // 2
+    ok = bad == 0 and order == half
+    return ok, f"sign parity matches word parity; order {half}", f"{bad} parity failures{where}; order {order}"
 
 
 @check("rem-2.11-center-g2", "the 2x2 group has trivial center", "rem-2.11")
@@ -421,10 +446,12 @@ def _(ctx: Context):
 
 @check("cor-2.12-g2-order", "the 2x2 group has order 3^7 8! by two independent computations", "cor-2.12")
 def _(ctx: Context):
-    via_cosets = 3**7 * ctx.chain("corner-group").order()
+    prime, rank = PAPER["prop-2.6-k-maximal"]
+    via_cosets = prime**rank * ctx.chain("corner-group").order()
     via_stickers = ctx.chain("g2").order()
-    ok = via_cosets == via_stickers == G2_ORDER
-    return ok, str(G2_ORDER), f"cosets {via_cosets}, stickers {via_stickers}"
+    want = PAPER["cor-2.12-g2-order"]
+    ok = via_cosets == via_stickers == want
+    return ok, str(want), f"cosets {via_cosets}, stickers {via_stickers}"
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +504,7 @@ def _(ctx: Context):
             return False, "all outputs even and corner-fixing", f"{t} failed"
         perms.append(el.pair[0])
     order = chain_build(perms).order()
-    want = math.factorial(12) // 2
+    want = PAPER["cor-3.6-n-is-a12"]
     return order == want, str(want), str(order)
 
 
@@ -547,8 +574,9 @@ def _(ctx: Context):
     if bad:
         return False, "conjugates of m stay in M", f"{bad} conjugates escaped M{where}"
     # the closure of m alone; the q_x flips alone would reach rank 11
-    rank = _closure_rank(ctx, m, 3, 2)
-    return rank == "rank 11", "rank 11 over Z_2", rank
+    prime, rank = PAPER["prop-3.9-m-maximal"]
+    got = _closure_rank(ctx, m, 3, prime)
+    return got == f"rank {rank}", f"rank {rank} over Z_{prime}", got
 
 
 @check("prop-3.10-l-isom-k", "corner twists in the 3x3 map isomorphically to the 2x2 twist kernel", "prop-3.10")
@@ -613,8 +641,9 @@ def _(ctx: Context):
                 + (not membership(SubgroupTag.P, ctx.pair(w))))
 
     _, bad, where = _sampled(ctx, "isom-p", 100, draw, failures)
-    ok = order == P_ORDER and bad == 0
-    return ok, f"order {P_ORDER}, all sign-matched pairs reachable", f"order {order}, {bad} failures{where}"
+    want = PAPER["prop-3.13-isom-type-p"]
+    ok = order == want and bad == 0
+    return ok, f"order {want}, all sign-matched pairs reachable", f"order {order}, {bad} failures{where}"
 
 
 @check("rem-3.14-center-g3", "the center of the 3x3 group is generated by the all-edge flip", "rem-3.14")
@@ -646,7 +675,8 @@ def _(ctx: Context):
 @check("cor-3.15-g3-order", "the 3x3 group has order 2^11 3^7 12! 8!/2", "cor-3.15")
 def _(ctx: Context):
     order = ctx.chain("g3").order()
-    return order == G3_ORDER, str(G3_ORDER), str(order)
+    want = PAPER["cor-3.15-g3-order"]
+    return order == want, str(want), str(order)
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +715,7 @@ def _(ctx: Context):
         abelian.mdim_complex_abelian(both),
         abelian.mdim_real_abelian(both),
     )
-    want = (7, 14, (2, 2, 2, 2, 6, 6, 6, 6, 6, 6, 6), 11, 18)
+    want = PAPER["thm-4.2-cube-data"]
     return got == want, str(want), str(got)
 
 
@@ -699,7 +729,7 @@ def _(ctx: Context):
         replib.mu(("A", 12)),
         replib.mu(("trivial",)),
     )
-    want = (8, 20, 4, 8, 12, 1)
+    want = PAPER["thm-4.3-complex-bound"]
     return got == want, str(want), str(got)
 
 
@@ -712,7 +742,7 @@ def _(ctx: Context):
         for y in d:
             if d[ex.mul(x, y)] != d[x] * d[y]:
                 return False, "multiplicative on all of S_4", f"failed at {x.perm.cycle_string()},{y.perm.cycle_string()}"
-    injective = len(set(d.values())) == 24
+    injective = len(set(d.values())) == PAPER["thm-4.4-decorated"]
     real2 = ctx.real(2)
 
     def failures(sample):
@@ -751,7 +781,9 @@ def _(ctx: Context):
         not trace.is_real(),
         bad == 0,
     )
-    want = (True, 8, 8, 16, 22, 16, True, True)
+    complex_dim, real_dim = PAPER["thm-5.1-g2-mdim"]
+    # the sign-line case: a line per corner and a plane per twist factor
+    want = (True, complex_dim, complex_dim, real_dim, complex_dim + 2 * PAPER["thm-4.2-cube-data"][0], real_dim, True, True)
     return got == want, str(want), f"{got}{where}"
 
 
@@ -761,28 +793,21 @@ def _(ctx: Context):
     faithful = replib.faithful_structural(rep, ctx.tables[3].face_tables)
     bound = replib.lower_bound_complex_split(("x", [("A", 8), ("A", 12)]))
     got = (faithful, rep.degree, bound, ctx.real(3).real_dimension)
-    want = (True, 20, 20, 28)
+    complex_dim, real_dim = PAPER["thm-5.2-g3-mdim"]
+    want = (True, complex_dim, complex_dim, real_dim)
     return got == want, str(want), str(got)
 
 
 @check("thm-5.2-table", "the seven kernel cases bound the real dimension below by 28", "thm-5.2")
 def _(ctx: Context):
     table = replib.g3_real_case_table()
-    want_rows = [
-        ("1", "1", 20, 20, 60),
-        ("1 x A8", "A12 x 1", 12, 8, 28),
-        ("A12 x 1", "1 x A8", 8, 12, 32),
-        ("1", "A8 x A12", 20, 2, 24),
-        ("A8 x A12", "1", 2, 20, 42),
-        ("1", "P", 20, 0, 20),
-        ("P", "1", 0, 20, 40),
-    ]
+    want_rows, refined, bound = PAPER["thm-5.2-table"]
     ok = (
         table["rows"] == want_rows
-        and table["refined"] == {3: 48, 5: 48}
-        and table["bound"] == 28
+        and table["refined"] == {3: refined, 5: refined}
+        and table["bound"] == bound
     )
-    return ok, f"rows as printed, refinement 48, bound 28", f"rows match {table['rows'] == want_rows}, refined {table['refined']}, bound {table['bound']}"
+    return ok, f"rows as printed, refinement {refined}, bound {bound}", f"rows match {table['rows'] == want_rows}, refined {table['refined']}, bound {table['bound']}"
 
 
 @check("thm-5.3-exceptional", "the order-648 example has complex dimension 4 but real dimension 6", "thm-5.3")
@@ -794,7 +819,8 @@ def _(ctx: Context):
     fs = replib.frobenius_schur(ex.rep4.of, ex.elements, ex.mul)
     faithful6 = replib.faithful_enumerated(ex.rep6.of, ex.elements)
     got = (n, faithful4, norm, fs != 1, faithful6, ex.rep6.real_dimension, 2 * ex.rep4.degree)
-    want = (648, True, 1, True, True, 6, 8)
+    complex_dim, real_dim, order = PAPER["thm-5.3-exceptional"]
+    want = (order, True, 1, True, True, real_dim, 2 * complex_dim)
     # the rep is faithful on the twist subgroup Z_3^3, so its real dimension
     # is at least that subgroup's: rep6 attains the computed bound
     bound = replib.subgroup_real_lower_bound(abelian.zk0m(3, 4)[0])

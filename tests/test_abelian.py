@@ -53,6 +53,18 @@ def test_invariant_factors_rejects_small_orders():
         invariant_factors([1, 2])
 
 
+@pytest.mark.parametrize("build", [
+    FiniteAbelianGroup, invariant_factors, lambda orders: zk0m(orders[0], 2),
+], ids=["group", "invariant_factors", "zk0m"])
+@pytest.mark.parametrize("order", [2.5, 3.5, 1, 0, -3])
+def test_every_cyclic_order_is_an_integer_at_least_2(build, order):
+    """One law refuses a bad order wherever a group is built from it; zk0m
+    refuses k < 2 itself, with its own message."""
+    message = "cyclic orders must be integers at least 2|need k >= 2 and m >= 1"
+    with pytest.raises(ValueError, match=f"^({message})$"):
+        build((order,))
+
+
 def test_zk0m():
     g, basis = zk0m(3, 8)
     assert g.cyclic_orders == (3,) * 7

@@ -78,11 +78,11 @@ SAMPLED_LABELS = {
 
 
 def test_every_sampled_check_runs_its_trials_through_the_driver(monkeypatch):
-    driven = {}
+    driven, defaults = {}, {}
     sampled = verify._sampled
 
     def counting(ctx, label, default, draw, failures):
-        driven[label] = 0
+        driven[label], defaults[label] = 0, default
 
         def counted_draw(rng):
             driven[label] += 1
@@ -101,6 +101,8 @@ def test_every_sampled_check_runs_its_trials_through_the_driver(monkeypatch):
         labels = set(driven) - set(before)
         assert set(streams) == labels, check_id
     assert driven == {label: 3 for label in SAMPLED_LABELS}
+    # --trials takes up to the largest count a check runs by default
+    assert max(defaults.values()) == cli.MAX_TRIALS
 
 
 def test_random_streams_open_only_inside_the_trial_driver():
@@ -114,6 +116,107 @@ def test_random_streams_open_only_inside_the_trial_driver():
     assert calls
     assert [node.lineno for node in calls if id(node) not in in_driver] == []
     assert not hasattr(Context, "count")
+
+
+# The integer literals a check body may hold besides 0, 1 and 2, trial
+# defaults, the draw helpers' arguments and the cube sizes it reads words at:
+# (check id, value, reason), the reason "input" (a chosen degree, position or
+# sample group) or the ROADMAP item that will derive the value.  Every number
+# the paper states is in ``verify.PAPER``; this list only shrinks.
+LITERAL_ALLOWLIST = [
+    ("prop-2.4-basis-free", 8, "input"),  # the corner twisted off the group
+    ("prop-2.9-commutator-data", 8, "input"),  # the degree of S_8
+    ("prop-2.10-normal-l", 3, "input"),  # a counterclockwise turn's exponent
+    ("rem-2.11-center-g2", 8, "input"),  # the degree of the corner action
+    ("prop-3.9-m-maximal", 5, "input"),  # the edges x of the words q_x
+    ("prop-3.9-m-maximal", 7, "input"),
+    ("prop-3.9-m-maximal", 9, "input"),
+    ("prop-3.9-m-maximal", 12, "input"),
+    ("thm-3.12-g2-in-g3", 12, "input"),  # the degree of the edge action
+    ("prop-3.13-isom-type-p", 8, "input"),  # the degree of S_8
+    ("rem-3.14-center-g3", 3, "input"),  # the superflip's cube size
+    ("rem-3.14-center-g3", 8, "input"),  # the degrees of the two actions
+    ("rem-3.14-center-g3", 12, "input"),
+    ("rem-3.14-center-g3", 13, "input"),  # past the last edge position
+    ("prop-4.1-hominvfact", 3, "input"),  # the four sample groups' orders
+    ("prop-4.1-hominvfact", 4, "input"),
+    ("prop-4.1-hominvfact", 6, "input"),
+    ("prop-4.1-hominvfact", 8, "input"),
+    ("prop-4.1-hominvfact", 9, "input"),
+    ("thm-4.2-minabel", 200, "input"),  # the sweep's largest order
+    ("thm-4.2-cube-data", 3, "item 6"),  # the twist and flip groups
+    ("thm-4.2-cube-data", 7, "item 6"),
+    ("thm-4.2-cube-data", 8, "item 6"),
+    ("thm-4.2-cube-data", 11, "item 6"),
+    ("thm-4.3-complex-bound", 4, "item 6"),  # the mu descriptors
+    ("thm-4.3-complex-bound", 8, "item 6"),
+    ("thm-4.3-complex-bound", 12, "item 6"),
+    ("thm-5.1-g2-mdim", 8, "item 6"),
+    ("thm-5.2-g3-mdim", 8, "item 6"),
+    ("thm-5.2-g3-mdim", 12, "item 6"),
+    ("thm-5.2-table", 3, "input"),  # the positions of the refined rows
+    ("thm-5.2-table", 5, "input"),
+    ("thm-5.3-exceptional", 3, "item 6"),  # the twist subgroup Z_3^3
+    ("thm-5.3-exceptional", 4, "item 6"),
+]
+
+
+def _check_body_literals(source):
+    """The (check id, value) of each integer literal other than 0, 1 and 2 in
+    a ``@check`` body, less those the allowlist's comment exempts."""
+    draws = {"_random_word", "_random_perm", "_word_pair", "_conjugation_law", "_closure_rank"}
+    reads = {"apply", "element", "sticker_perm", "rep", "real"}
+    found = set()
+    for fn in ast.parse(source).body:
+        ids = [d.args[0].value for d in getattr(fn, "decorator_list", ())
+               if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "check"]
+        exempt = set()
+        for node in ast.walk(fn) if ids else ():
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                on_ctx = isinstance(node.func, ast.Attribute) and getattr(node.func.value, "id", None) == "ctx"
+                if name == "_sampled":
+                    exempt.add(id(node.args[2]))
+                elif name in draws or (on_ctx and name in reads):
+                    exempt.update(map(id, node.args))
+            elif isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "tables":
+                exempt.add(id(node.slice))
+            elif (isinstance(node, ast.Constant) and type(node.value) is int
+                  and node.value not in (0, 1, 2) and id(node) not in exempt):
+                found.add((ids[0], node.value))
+    return found
+
+
+def test_check_bodies_hold_no_number_outside_the_allowlist():
+    """Aim 3's "no hand-typed constant", as a test: what a check compares with
+    comes from ``verify.PAPER``, is computed, or is listed here."""
+    source = Path(verify.__file__).read_text()
+    assert _check_body_literals(source) == {(id, value) for id, value, _ in LITERAL_ALLOWLIST}
+    assert len(LITERAL_ALLOWLIST) == 34
+    assert {reason for _, _, reason in LITERAL_ALLOWLIST} == {"input", "item 6"}
+    # a want tuple typed back into a check body is caught
+    planted = source.replace("want = (True, complex_dim, complex_dim, real_dim)", "want = (True, 20, 20, 28)")
+    assert planted != source
+    assert _check_body_literals(planted) - _check_body_literals(source) == {
+        ("thm-5.2-g3-mdim", 20), ("thm-5.2-g3-mdim", 28)}
+
+
+def test_the_paper_numbers_are_typed_once(monkeypatch, capsys):
+    """``verify.PAPER`` is the one copy of what the paper states: each key is
+    a check, the claim text (report text) names each mdim pair, and the check
+    and ``mdim`` both read the entry."""
+    assert set(verify.PAPER) <= set(verify._CHECKS)
+    for claim, _, _ in cli._CERTIFIED.values():
+        words = re.findall(r"\b\d+\b", verify._CHECKS[claim][0])
+        assert {str(n) for n in verify.PAPER[claim]} <= set(words), claim
+    monkeypatch.setitem(verify.PAPER, "thm-5.1-g2-mdim", (9, 16))
+    [result] = run_suite(Context(), "thm-5.1-g2-mdim")
+    assert result.status == "fail"
+    assert result.expected == "(True, 9, 9, 16, 23, 16, True, True)"
+    assert cli.main(["mdim", "g2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mdim certificate failed: thm-5.1-g2-mdim\n"
 
 
 def _tampered_u_context(seed):
